@@ -127,7 +127,14 @@ def cmd_frame_build(args) -> int:
 
 
 def cmd_frame_classify(args) -> int:
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(args.input) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read --input {args.input!r}: {exc}") from None
     sub = framed.from_text(text)
     payload = {
         "schema_version": SCHEMA_VERSION,

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .gf2 import (
+    MAX_WIDTH,
     Bitvec,
     FalsificationError,
     ResourceLimitError,
@@ -46,6 +47,7 @@ from .quadspace import (
     QuadraticSpace,
     apply_map,
     direct_sum,
+    gauss_sum,
     isometry,
     max_ts_extend,
     nonsingular_inside,
@@ -54,7 +56,6 @@ from .quadspace import (
     type_of,
 )
 
-PROFILE_GUARD = 18
 PAIR_RETRIES = 64
 
 
@@ -70,6 +71,10 @@ class ConstructionError(RuntimeError):
 @dataclass(frozen=True)
 class TripleAmbient:
     m: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.m <= MAX_WIDTH // 6:
+            raise UsageError(f"triple ambient needs m in 1..{MAX_WIDTH // 6}, got {self.m}")
 
     @functools.cached_property
     def block(self) -> QuadraticSpace:
@@ -327,26 +332,47 @@ def build_case(case: TCCase, seed: int = 0) -> MtsSubspace:
 
 def profile(s: MtsSubspace) -> tuple[int, int]:
     """(count of one-coordinate vectors, count of two-coordinate
-    nonsingular-pair vectors) by full enumeration."""
+    nonsingular-pair vectors), from the invariants of the subspace."""
+    ones, n2, _ = _triple_invariants(s)
+    return sum(ones), n2
+
+
+def _triple_invariants(s: MtsSubspace) -> tuple[tuple[int, ...], int, bool]:
+    """(one-coordinate count per block, n2, condition two) in polynomial time.
+
+    For blocks a, b let W = S n (A_a + A_b) and P = pi_a(W); the kernel of
+    pi_a on W is S n A_b.  Singularity of S makes the a- and b-parts of a
+    vector of W equally singular, so the pair adds to n2 the vectors of W
+    with nonsingular a-part: (|W| - 2^(dim W - dim P) G(P)) / 2, where G is
+    the Gauss sum.  Condition two holds at block j when
+    U = pi_j(W_j,o1) n pi_j(W_j,o2) has a singular vector that both pairs
+    reach with exactly two nonzero blocks: U holds (|U| + G(U)) / 2 singular
+    vectors, of which S n A_j is excluded if S n A_o1 or S n A_o2 is zero,
+    and otherwise only the zero vector.
+    """
     amb = s.ambient
     if not isinstance(amb, TripleAmbient):
-        raise UsageError("profile is defined over the triple ambient")
-    if s.sub.dim > PROFILE_GUARD:
-        raise ResourceLimitError("profile enumeration guard exceeded")
-    qtab = _block_q_table(amb.m)
-    n1 = n2 = 0
+        raise UsageError("profile and classification are defined over the triple ambient")
+    block = amb.block
     w = 2 * amb.m
     mask = (1 << w) - 1
-    for v in enumerate_rows(s.sub):
-        b1, b2, b3 = v & mask, (v >> w) & mask, (v >> (2 * w)) & mask
-        nz = (b1 != 0) + (b2 != 0) + (b3 != 0)
-        if nz == 1:
-            n1 += 1
-        elif nz == 2:
-            x, y = [b for b in (b1, b2, b3) if b]
-            if qtab[x] and qtab[y]:
-                n2 += 1
-    return n1, n2
+    coords = [rref([1 << i for i in range(w * b, w * (b + 1))], amb.dim) for b in range(3)]
+    dims = [0, 0, 0]
+    shadow = {}
+    n2 = 0
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        pair = intersect(s.sub, subspace_sum(coords[a], coords[b]))
+        for x, y in ((a, b), (b, a)):
+            shadow[x, y] = rref([(r >> (w * x)) & mask for r in pair.rows], w)
+            dims[y] = pair.dim - shadow[x, y].dim
+        n2 += ((1 << pair.dim) - (gauss_sum(block, shadow[a, b]) << dims[b])) // 2
+    cond2 = False
+    for j, o1, o2 in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        u = intersect(shadow[j, o1], shadow[j, o2])
+        singular = ((1 << u.dim) + gauss_sum(block, u)) // 2
+        excluded = 1 << dims[j] if 0 in (dims[o1], dims[o2]) else 1
+        cond2 = cond2 or singular > excluded
+    return tuple((1 << d) - 1 for d in dims), n2, cond2
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,84 +409,28 @@ def weight1_closed(case: TCCase) -> int:
     return 8 * n1 + n2
 
 
-def check_cond1(s: MtsSubspace) -> bool:
-    """Vectors supported on each single coordinate exist."""
-    amb = s.ambient
-    counts = _pattern_counts(s)[0]
-    return counts[1] > 0 and counts[2] > 0 and counts[4] > 0
-
-
-def check_cond2(s: MtsSubspace) -> bool:
-    """A chain pattern (a,b,0), (0,b,c) exists up to coordinate permutation."""
-    return _cond2_from_sets(_pattern_counts(s)[2])
-
-
-def _pattern_counts(s: MtsSubspace):
-    amb = s.ambient
-    if not isinstance(amb, TripleAmbient):
-        raise UsageError("condition checks are defined over the triple ambient")
-    if s.sub.dim > PROFILE_GUARD:
-        raise ResourceLimitError("enumeration guard exceeded")
-    qtab = _block_q_table(amb.m)
-    w = 2 * amb.m
-    mask = (1 << w) - 1
-    counts = [0] * 8
-    n2 = 0
-    # chain sets: for each middle coordinate j, the singular middle values
-    # seen with the two possible zero patterns
-    chain: dict[tuple[int, int], set[int]] = {}
-    for j in range(3):
-        for other in range(3):
-            if other != j:
-                chain[(j, other)] = set()
-    for v in enumerate_rows(s.sub):
-        blocks = (v & mask, (v >> w) & mask, (v >> (2 * w)) & mask)
-        pat = (blocks[0] != 0) | ((blocks[1] != 0) << 1) | ((blocks[2] != 0) << 2)
-        counts[pat] += 1
-        if pat in (3, 5, 6):
-            idx = [i for i in range(3) if blocks[i]]
-            a, b = idx
-            if qtab[blocks[a]] and qtab[blocks[b]]:
-                n2 += 1
-            if not qtab[blocks[a]]:  # both singular together
-                chain[(a, b)].add(blocks[a])
-                chain[(b, a)].add(blocks[b])
-    return counts, n2, chain
-
-
-def _cond2_from_sets(chain) -> bool:
-    for j in range(3):
-        others = [o for o in range(3) if o != j]
-        if chain[(j, others[0])] & chain[(j, others[1])]:
-            return True
-    return False
-
-
 def classify_triple(s: MtsSubspace) -> TCCase:
-    """Decide which of the four classification branches the subspace is in.
+    """Decide which of the four classification branches the subspace is in."""
+    ones, n2, cond2 = _triple_invariants(s)
+    return _decide_branch(s.ambient.m, ones, n2, cond2)
+
+
+def _decide_branch(m: int, ones: tuple[int, ...], n2: int, cond2: bool) -> TCCase:
+    """Map the one-coordinate counts per block, n2 and condition two to a case.
 
     Condition checks come first; the remaining branches are recognized by
     the projection dimensions of the one-coordinate parts, the parity they
     force, and (in the even branch) the pair-count that separates the two
     types.  Failure to match any branch is reported loudly.
     """
-    amb = s.ambient
-    if not isinstance(amb, TripleAmbient):
-        raise UsageError("classification is defined over the triple ambient")
-    counts, n2, chain = _pattern_counts(s)
-    if counts[1] and counts[2] and counts[4]:
+    if all(ones):
         return COND1
-    if _cond2_from_sets(chain):
+    if cond2:
         return COND2
-    m = amb.m
-    dims = sorted(
-        ((counts[p] + 1).bit_length() - 1 for p in (1, 2, 4)), reverse=True
-    )
-    k1, k2, k3 = dims
+    k1, k2, k3 = sorted(((c + 1).bit_length() - 1 for c in ones), reverse=True)
     if k3 != 0:
         raise FalsificationError("nonzero third projection without condition one")
-    n1 = counts[1] + counts[2] + counts[4]
-    if n1 != 2**k1 + 2**k2 - 2:
+    if sum(ones) != 2**k1 + 2**k2 - 2:
         raise FalsificationError("one-coordinate census disagrees with its closed form")
     if (m - k1 - k2) % 2 == 1:
         case = odd_case(m, k1, k2)
@@ -469,10 +439,10 @@ def classify_triple(s: MtsSubspace) -> TCCase:
         return case
     for eps in ("+", "-"):
         try:
-            case = even_case(m, k1, k2, eps)
             _check_even_params(m, k1, k2, eps)
         except UsageError:
             continue
+        case = even_case(m, k1, k2, eps)
         if n2 == lnumber_closed(case)[1]:
             return case
     raise FalsificationError("even-branch pair census matches neither type")
@@ -552,7 +522,11 @@ def from_text(text: str) -> MtsSubspace:
         amb: object = pair_ambient()
         width = 28
     elif head.startswith("triple m="):
-        amb = TripleAmbient(int(head.split("=")[-1]))
+        try:
+            m = int(head[len("triple m=") :])
+        except ValueError:
+            raise UsageError(f"bad triple ambient header {head!r}") from None
+        amb = TripleAmbient(m)
         width = amb.dim
     else:
         raise UsageError(f"unknown ambient {head!r}")
@@ -685,28 +659,15 @@ def _classify_rows_fast(rows, m, info, w):
                 blocks = (v & mask, (v >> w) & mask, (v >> (2 * w)) & mask)
                 chain[(a, b)].add(blocks[a])
                 chain[(b, a)].add(blocks[b])
-    if counts[1] and counts[2] and counts[4]:
-        return COND1
-    if _cond2_from_sets(chain):
-        return COND2
-    dims = sorted(((counts[p] + 1).bit_length() - 1 for p in (1, 2, 4)), reverse=True)
-    k1, k2, k3 = dims
-    if k3 != 0:
-        raise FalsificationError("nonzero third projection without condition one")
-    if (m - k1 - k2) % 2 == 1:
-        case = odd_case(m, k1, k2)
-        if n2 != lnumber_closed(case)[1]:
-            raise FalsificationError("odd-branch pair census mismatch")
-        return case
-    for eps in ("+", "-"):
-        try:
-            _check_even_params(m, k1, k2, eps)
-        except UsageError:
-            continue
-        case = even_case(m, k1, k2, eps)
-        if n2 == lnumber_closed(case)[1]:
-            return case
-    raise FalsificationError("even-branch pair census matches neither type")
+    return _decide_branch(m, (counts[1], counts[2], counts[4]), n2, _cond2_from_sets(chain))
+
+
+def _cond2_from_sets(chain) -> bool:
+    for j in range(3):
+        others = [o for o in range(3) if o != j]
+        if chain[(j, others[0])] & chain[(j, others[1])]:
+            return True
+    return False
 
 
 class _UnionFind:

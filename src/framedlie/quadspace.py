@@ -248,6 +248,36 @@ def arf_invariant(space: QuadraticSpace, s: Subspace) -> int:
     return acc
 
 
+def gauss_sum(space: QuadraticSpace, s: Subspace) -> int:
+    """The character sum over s of (-1)^q(x), without enumerating s.
+
+    s splits into hyperbolic pairs plus its radical R, on which q is linear.
+    The sum is 0 when q is nonzero on R, and (-1)^Arf * 2^(dim s - pairs)
+    otherwise.
+    """
+    rows = list(s.rows)
+    pairs = arf = 0
+    while rows:
+        a = rows.pop()
+        fa = space.functional(a)
+        j = next((i for i, r in enumerate(rows) if (fa & r).bit_count() & 1), None)
+        if j is None:  # a pairs with nothing left, so it lies in the radical
+            if space.q(a):
+                return 0
+            continue
+        b = rows.pop(j)
+        fb = space.functional(b)
+        # make the remaining rows orthogonal to both a and b
+        rows = [
+            r ^ (a if (fb & r).bit_count() & 1 else 0) ^ (b if (fa & r).bit_count() & 1 else 0)
+            for r in rows
+        ]
+        pairs += 1
+        arf ^= space.q(a) & space.q(b)
+    size = 1 << (s.dim - pairs)
+    return -size if arf else size
+
+
 def type_of(space: QuadraticSpace, s: Subspace | None = None, cross_check: bool | None = None) -> SpaceType:
     """Type of the form restricted to s: plus, minus, or degenerate(r).
 

@@ -40,12 +40,12 @@ def test_criterion_1_weight_one_regression():
     for case_str, published in zip(CASE_ORDER, PUBLISHED_W1):
         case = _case(case_str)
         sub = framed.build_case(case, seed=0)
-        enumerated = framed.profile(sub)
+        counted = framed.profile(sub)
         closed = framed.lnumber_closed(case)
-        assert enumerated == closed, case_str
-        assert 8 * enumerated[0] + enumerated[1] == published, case_str
+        assert counted == closed, case_str
+        assert 8 * counted[0] + counted[1] == published, case_str
         assert framed.weight1_closed(case) == published
-    print("PASS criterion 1: 15 weight-one dimensions, enumeration == closed form")
+    print("PASS criterion 1: 15 weight-one dimensions, profile == closed form")
 
 
 def test_criterion_2_census_closed_forms():

@@ -59,14 +59,43 @@ def test_frame_build_usage(capsys):
     assert code == 2
 
 
+def test_frame_build_wide(capsys):
+    # profile and classification run to the width cap 6m <= 64
+    for argv, case in (
+        (("--m", "7", "--k1", "2", "--k2", "1", "--type", "minus"), "even(7,2,1,-)"),
+        (("--m", "10", "--k1", "5", "--k2", "5", "--type", "plus"), "even(10,5,5,+)"),
+    ):
+        code, out = run(capsys, "frame", "build", *argv)
+        assert code == 0
+        data = json.loads(out)
+        assert data["profile"] == data["profile_closed_form"]
+        assert data["classified"] == data["case"] == case
+
+
 def test_frame_classify_roundtrip(capsys, tmp_path):
-    code, out = run(capsys, "frame", "build", "--m", "2", "--k1", "1", "--k2", "1", "--type", "plus")
-    lines = json.loads(out)["subspace"]
-    p = tmp_path / "sub.txt"
-    p.write_text("\n".join(lines) + "\n")
-    code, out = run(capsys, "frame", "classify", "--input", str(p))
-    assert code == 0
-    assert json.loads(out)["classified"] == "even(2,1,1,+)"
+    for argv, case in (
+        (("--m", "2", "--k1", "1", "--k2", "1", "--type", "plus"), "even(2,1,1,+)"),
+        (("--m", "7", "--k1", "3", "--k2", "1"), "odd(7,3,1)"),
+    ):
+        code, out = run(capsys, "frame", "build", *argv)
+        built = json.loads(out)
+        p = tmp_path / "sub.txt"
+        p.write_text("\n".join(built["subspace"]) + "\n")
+        code, out = run(capsys, "frame", "classify", "--input", str(p))
+        assert code == 0
+        data = json.loads(out)
+        assert data["classified"] == case
+        assert data["profile"] == built["profile"]
+
+
+def test_frame_classify_bad_input_exits_2(capsys, tmp_path):
+    for header in ("ambient=triple m=x", "ambient=triple m=11", "ambient=triple m=0"):
+        p = tmp_path / "bad.txt"
+        p.write_text(header + "\n" + "0" * 12 + "\n")
+        code, _ = run(capsys, "frame", "classify", "--input", str(p))
+        assert code == 2, header
+    code, _ = run(capsys, "frame", "classify", "--input", str(tmp_path / "missing.txt"))
+    assert code == 2
 
 
 def test_frame_census_m1(capsys):

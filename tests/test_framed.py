@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from framedlie import framed
 from framedlie.framed import (
     COND1,
     MtsSubspace,
@@ -12,8 +13,6 @@ from framedlie.framed import (
     build_odd,
     build_pair_case,
     census_small,
-    check_cond1,
-    check_cond2,
     classify_triple,
     enumerate_maximal_ts,
     even_case,
@@ -34,7 +33,7 @@ from framedlie.framed import (
     weight1_dim_triple,
     z2_orbifold,
 )
-from framedlie.gf2 import UsageError, enumerate_rows, rref
+from framedlie.gf2 import Subspace, UsageError, enumerate_rows, rref
 from framedlie.quadspace import max_ts_extend, standard_plus
 
 WEIGHT1_PUBLISHED = {
@@ -138,11 +137,71 @@ def test_seed_and_choice_invariance():
             assert weight1_dim_triple(build_case(case, seed=seed)) == expect
 
 
+def _walk(s):
+    """Enumeration oracle over all 2^dim vectors of a triple-ambient subspace.
+
+    Returns (one-coordinate counts per block, n2, condition one, condition
+    two).  Condition one: every block holds a one-coordinate vector.
+    Condition two: for some block j, one singular nonzero x in block j
+    completes both to a vector supported on blocks {j, o1} and to one
+    supported on {j, o2}.
+    """
+    m = s.ambient.m
+    w = 2 * m
+    mask = (1 << w) - 1
+    block = standard_plus(w)
+    qtab = [block.q(x) for x in range(1 << w)]
+    p0, p1, p2 = ([(r >> (w * b)) & mask for r in s.sub.rows] for b in range(3))
+    ones = [0, 0, 0]
+    n2 = 0
+    chain = {(j, o): set() for j in range(3) for o in range(3) if o != j}
+    x = y = z = 0  # the three blocks of the Gray-code walk's current vector
+    for i in range(1, 1 << s.sub.dim):
+        j = (i & -i).bit_length() - 1
+        x ^= p0[j]
+        y ^= p1[j]
+        z ^= p2[j]
+        if x and y and z:
+            continue
+        blocks = (x, y, z)
+        idx = [k for k in range(3) if blocks[k]]
+        if len(idx) == 1:
+            ones[idx[0]] += 1
+            continue
+        a, b = idx
+        if qtab[blocks[a]] and qtab[blocks[b]]:
+            n2 += 1
+        if not qtab[blocks[a]]:  # both singular together
+            chain[a, b].add(blocks[a])
+            chain[b, a].add(blocks[b])
+    cond2 = any(chain[j, o1] & chain[j, o2] for j, o1, o2 in ((0, 1, 2), (1, 0, 2), (2, 0, 1)))
+    return tuple(ones), n2, all(ones), cond2
+
+
+def _walk_mismatches(m, stride):
+    """Census subspaces, every stride-th, whose profile, invariants or class
+    disagree with the walk oracle and with the census classifier."""
+    amb = TripleAmbient(m)
+    info = framed._census_tables(m)
+    bad = []
+    for rows in itertools.islice(enumerate_maximal_ts(m), 0, None, stride):
+        s = MtsSubspace(amb, Subspace(amb.dim, rows))
+        ones, n2, _, cond2 = _walk(s)
+        if (
+            framed._triple_invariants(s) != (ones, n2, cond2)
+            or profile(s) != (sum(ones), n2)
+            or classify_triple(s) != framed._classify_rows_fast(rows, m, info, 2 * m)
+        ):
+            bad.append(rows)
+    return bad
+
+
 def test_conditions_on_builders():
     for case in valid_params(5):
         s = build_case(case, seed=0)
-        assert not check_cond1(s)
-        assert not check_cond2(s)
+        _, _, cond1, cond2 = _walk(s)
+        assert not cond1
+        assert not cond2
 
 
 def test_cond1_product_subspace():
@@ -154,8 +213,22 @@ def test_cond1_product_subspace():
         rows += [amb.embed(v, blk) for v in u0.rows]
     s = MtsSubspace(amb, rref(rows, amb.dim))
     s.validate()
-    assert check_cond1(s)
+    assert _walk(s)[2]
     assert classify_triple(s) == COND1
+
+
+def test_invariants_match_walk_oracle():
+    for m in range(1, 7):
+        for case in valid_params(m):
+            for seed in (0, 3):
+                s = build_case(case, seed=seed)
+                ones, n2, _, cond2 = _walk(s)
+                assert framed._triple_invariants(s) == (ones, n2, cond2), str(case)
+                assert profile(s) == (sum(ones), n2), str(case)
+                assert classify_triple(s) == case
+    assert _walk_mismatches(1, 1) == []
+    # a fixed stride through the 151,470 subspaces at m=2 (about 3,000)
+    assert _walk_mismatches(2, 53) == []
 
 
 def test_classifier_roundtrip():

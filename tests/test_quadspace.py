@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from framedlie.gf2 import UsageError, rref
+from framedlie.gf2 import UsageError, enumerate_rows, rref
 from framedlie.quadspace import (
     MINUS,
     PLUS,
     apply_map,
     direct_sum,
+    gauss_sum,
     isometry,
     lnum_closed,
     max_ts_extend,
@@ -48,6 +49,27 @@ def test_polarization_exhaustive_small():
             polar = qtab[xor] ^ qtab[:, None] ^ qtab[None, :]
             bil = np.bitwise_count(np.bitwise_and.outer(ftab, idx)).astype(np.uint8) & 1
             assert np.array_equal(polar, bil)
+
+
+def test_gauss_sum_matches_enumeration():
+    rng = random.Random(31)
+    seen = set()
+    for dim in range(2, 11, 2):
+        for space in (standard_plus(dim), standard_minus(dim)):
+            for _ in range(60):
+                s = rref([rng.getrandbits(dim) for _ in range(rng.randrange(dim + 1))], dim)
+                direct = sum(1 - 2 * space.q(v) for v in enumerate_rows(s))
+                assert gauss_sum(space, s) == direct, (dim, s.rows)
+                rad = space.radical(s)
+                q_on_rad = any(space.q(r) for r in rad.rows)
+                assert (direct == 0) == q_on_rad
+                seen.add((rad.dim > 0, q_on_rad))
+    # nonsingular, degenerate with q zero on the radical, q nonzero on it
+    assert seen == {(False, False), (True, False), (True, True)}
+    plane = standard_plus(2)
+    assert gauss_sum(plane, rref([0b01], 2)) == 2  # singular line
+    assert gauss_sum(plane, rref([0b11], 2)) == 0  # nonsingular line
+    assert gauss_sum(standard_minus(2), rref([0b01, 0b10], 2)) == -2
 
 
 def test_polarization_random_large():
