@@ -27,14 +27,6 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _workers() -> int:
-    raw = os.environ.get("SF_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _emit(payload: dict, rows: list[dict] | None, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -70,7 +62,7 @@ def cmd_qspace(args) -> int:
         if args.type == "plus"
         else quadspace.standard_minus(args.dim)
     )
-    singular, nonsingular = quadspace.singular_census(space, workers=_workers())
+    singular, nonsingular = quadspace.singular_census(space)
     expect = quadspace.lnum_closed(args.dim // 2, args.type == "plus")
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -91,13 +83,20 @@ def cmd_qspace(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _ints(parts: list[str], token: str) -> list[int]:
+    try:
+        return [int(x) for x in parts]
+    except ValueError:
+        raise UsageError(f"expected integers in {token!r}") from None
+
+
 def _parse_case_token(token: str) -> framed.TCCase:
     kind, _, rest = token.partition(":")
     bits = rest.split(",")
-    if kind == "even":
-        return framed.even_case(int(bits[0]), int(bits[1]), int(bits[2]), bits[3])
-    if kind == "odd":
-        return framed.odd_case(int(bits[0]), int(bits[1]), int(bits[2]))
+    if kind == "even" and len(bits) == 4:
+        return framed.even_case(*_ints(bits[:3], token), bits[3])
+    if kind == "odd" and len(bits) == 3:
+        return framed.odd_case(*_ints(bits, token))
     raise UsageError(f"bad case token {token!r}; use even:m,k1,k2,[+-] or odd:m,k1,k2")
 
 
@@ -225,21 +224,19 @@ def cmd_frame_pair(args) -> int:
 def _parse_constraint_token(token: str) -> liesolver.Constraint:
     kind, _, rest = token.partition(":")
     if kind == "rank":
-        return liesolver.TotalRank(int(rest))
+        return liesolver.TotalRank(*_ints([rest], token))
     if kind == "ideal":
-        bits = rest.split(":")
-        return liesolver.IdealExists(
-            int(bits[0]), int(bits[1]) if len(bits) > 1 else None
-        )
+        bits = _ints(rest.split(":"), token)
+        return liesolver.IdealExists(bits[0], bits[1] if len(bits) > 1 else None)
     if kind == "rootideal":
-        return liesolver.RootSpaceIdeal(int(rest))
+        return liesolver.RootSpaceIdeal(*_ints([rest], token))
     if kind == "rootpart":
-        return liesolver.RootSpacePartition(tuple(int(x) for x in rest.split(",")))
+        return liesolver.RootSpacePartition(tuple(_ints(rest.split(","), token)))
     if kind == "partition":
-        blocks = tuple(
-            (int(b.split("/")[0]), int(b.split("/")[1])) for b in rest.split(",")
-        )
-        return liesolver.PartitionDims(blocks)
+        blocks = [b.split("/") for b in rest.split(",")]
+        if any(len(b) != 2 for b in blocks):
+            raise UsageError(f"partition blocks are dim/rank: {token!r}")
+        return liesolver.PartitionDims(tuple(tuple(_ints(b, token)) for b in blocks))
     raise UsageError(f"unknown constraint {token!r}")
 
 
@@ -673,6 +670,10 @@ def main(argv: list[str] | None = None) -> int:
     except (FalsificationError, framed.ConstructionError) as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
+    except BrokenPipeError:
+        # the reader closed stdout; keep the interpreter's final flush quiet
+        sys.stdout = open(os.devnull, "w")
+        return EXIT_OK
 
 
 if __name__ == "__main__":

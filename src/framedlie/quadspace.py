@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .gf2 import (
     ENUM_GUARD,
@@ -31,6 +31,16 @@ from .gf2 import (
 )
 
 _SAMPLE_RETRIES = 64
+
+
+def apply_map(images: Sequence[int], v: int) -> int:
+    """XOR of the images that the bits of v select."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= images[low.bit_length() - 1]
+        v ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,12 +92,7 @@ class QuadraticSpace:
 
     def functional(self, x: int) -> int:
         """The vector f with <x, y> = popcount(f & y) mod 2."""
-        f = 0
-        while x:
-            low = x & -x
-            f ^= self.gram[low.bit_length() - 1]
-            x ^= low
-        return f
+        return apply_map(self.gram, x)
 
     def perp(self, s: Subspace) -> Subspace:
         return kernel([self.functional(r) for r in s.rows], self.dim)
@@ -147,67 +152,61 @@ def lnum_closed(m: int, plus: bool) -> tuple[int, int]:
     return (2 ** (2 * m - 1) - 2 ** (m - 1) - 1, 2 ** (2 * m - 1) + 2 ** (m - 1))
 
 
-def singular_census(
-    space: QuadraticSpace, s: Subspace | None = None, workers: int = 1
-) -> tuple[int, int]:
+def singular_census(space: QuadraticSpace, s: Subspace | None = None) -> tuple[int, int]:
     """Exhaustive (nonzero singular, nonsingular) counts over s (default: all).
 
-    The walk is Gray-coded so each step costs one popcount; partitioning the
-    range across workers merges by addition, so counts are order independent.
+    The walk is Gray-coded, so each step costs one popcount:
+    q(v + r) = q(v) + q(r) + <r, v>.
     """
     if s is None:
         s = space.full()
     if s.dim > ENUM_GUARD:
         raise ResourceLimitError(f"census of 2^{s.dim} vectors refused")
-    n = 1 << s.dim
-    if workers < 1:
-        raise UsageError("workers must be positive")
-    bounds = [n * w // workers for w in range(workers + 1)]
-    singular = 0
-    for lo, hi in zip(bounds, bounds[1:]):
-        singular += _census_chunk(space, s, lo, hi)
-    return singular - 1, n - singular
-
-
-def _census_chunk(space: QuadraticSpace, s: Subspace, lo: int, hi: int) -> int:
-    if lo >= hi:
-        return 0
     qrow = [space.q(r) for r in s.rows]
     frow = [space.functional(r) for r in s.rows]
-    # vector at Gray index i is the XOR of rows selected by i ^ (i >> 1)
-    g = lo ^ (lo >> 1)
-    v = 0
-    mask = g
-    while mask:
-        low = mask & -mask
-        v ^= s.rows[low.bit_length() - 1]
-        mask ^= low
-    qv = space.q(v)
-    count = 1 - qv
-    for i in range(lo + 1, hi):
+    v = qv = 0
+    singular = 1  # the zero vector
+    for i in range(1, 1 << s.dim):
         j = (i & -i).bit_length() - 1
         qv ^= qrow[j] ^ ((frow[j] & v).bit_count() & 1)
         v ^= s.rows[j]
-        count += 1 - qv
-    return count
+        singular += 1 - qv
+    return singular - 1, (1 << s.dim) - singular
 
 
-def _find_with_q(
-    space: QuadraticSpace, sub: Subspace, want: int, rng: random.Random | None
+def _sample(
+    sub: Subspace, rng: random.Random | None, accept: Callable[[int], object]
 ) -> int | None:
-    """A nonzero vector of the requested q value, sampled or scanned lazily."""
+    """A nonzero vector of sub passing accept, or None if there is none.
+
+    Each seeded draw takes one random bit per basis row, in row order;
+    after _SAMPLE_RETRIES failed draws (or with no rng) sub is scanned.
+    """
     if rng is not None:
         for _ in range(_SAMPLE_RETRIES):
             v = 0
             for r in sub.rows:
                 if rng.getrandbits(1):
                     v ^= r
-            if v and space.q(v) == want:
+            if v and accept(v):
                 return v
     for v in enumerate_rows(sub):
-        if v and space.q(v) == want:
+        if v and accept(v):
             return v
     return None
+
+
+def _partner(space: QuadraticSpace, cur: Subspace, a: int, rng: random.Random | None) -> int:
+    """A basis row of cur pairing oddly with a, made singular when a is.
+
+    a must lie outside the radical of cur, so some row pairs with it.
+    """
+    fa = space.functional(a)
+    partners = [r for r in cur.rows if (fa & r).bit_count() & 1]
+    b = partners[rng.randrange(len(partners))] if rng is not None else partners[0]
+    if space.q(a) == 0 and space.q(b) == 1:
+        b ^= a
+    return b
 
 
 def symplectic_basis(
@@ -224,18 +223,13 @@ def symplectic_basis(
     pairs: list[tuple[int, int]] = []
     cur = s
     while cur.dim:
-        a = _find_with_q(space, cur, 0, rng)
+        a = _sample(cur, rng, lambda v: not space.q(v))
         if a is None:
             # anisotropic: only possible at dimension 2
-            a = _find_with_q(space, cur, 1, rng)
-        fa = space.functional(a)
-        # a is outside the radical, so some basis row pairs with it
-        partners = [r for r in cur.rows if (fa & r).bit_count() & 1]
-        b = partners[rng.randrange(len(partners))] if rng is not None else partners[0]
-        if space.q(a) == 0 and space.q(b) == 1:
-            b ^= a
+            a = _sample(cur, rng, space.q)
+        b = _partner(space, cur, a, rng)
         pairs.append((a, b))
-        cur = intersect(cur, kernel([fa, space.functional(b)], space.dim))
+        cur = intersect(cur, kernel([space.functional(a), space.functional(b)], space.dim))
     # push an anisotropic pair (if any) to the end
     pairs.sort(key=lambda p: space.q(p[0]) | space.q(p[1]))
     return pairs
@@ -314,7 +308,9 @@ def max_ts_extend(
     cur = partial
     while True:
         perp = space.perp(cur)
-        v = _sample_singular_outside(space, perp, cur, rng)
+        if perp.dim == cur.dim:
+            return cur
+        v = _sample(perp, rng, lambda x: not space.q(x) and not cur.contains(x))
         if v is None:
             return cur
         cur = rref(list(cur.rows) + [v], space.dim)
@@ -329,24 +325,6 @@ def _require_totally_singular(space: QuadraticSpace, s: Subspace) -> None:
                 raise UsageError("subspace is not totally singular")
 
 
-def _sample_singular_outside(
-    space: QuadraticSpace, pool: Subspace, avoid: Subspace, rng: random.Random
-) -> int | None:
-    if pool.dim == avoid.dim:
-        return None
-    for _ in range(_SAMPLE_RETRIES):
-        v = 0
-        for r in pool.rows:
-            if rng.getrandbits(1):
-                v ^= r
-        if v and space.q(v) == 0 and not avoid.contains(v):
-            return v
-    for v in enumerate_rows(pool):
-        if v and space.q(v) == 0 and not avoid.contains(v):
-            return v
-    return None
-
-
 class LinearMap:
     """A linear map defined on a subspace by images of its rref basis."""
 
@@ -357,13 +335,7 @@ class LinearMap:
         self.images = tuple(images)
 
     def apply(self, v: Bitvec | int) -> int:
-        mask = self.domain.coefficients(v)
-        out = 0
-        while mask:
-            low = mask & -mask
-            out ^= self.images[low.bit_length() - 1]
-            mask ^= low
-        return out
+        return apply_map(self.images, self.domain.coefficients(v))
 
     def image(self) -> tuple[int, ...]:
         return self.images
@@ -390,17 +362,8 @@ def isometry(
     ub = [v for pair in symplectic_basis(space, u, rng) for v in pair]
     dom = rref(tb, space.dim)
     # images must follow the rref basis of the domain, not the pair order
-    images = []
     helper = _EchelonSolver(tb)
-    for row in dom.rows:
-        mask = helper.coefficients(row)
-        img = 0
-        while mask:
-            low = mask & -mask
-            img ^= ub[low.bit_length() - 1]
-            mask ^= low
-        images.append(img)
-    phi = LinearMap(dom, images)
+    phi = LinearMap(dom, [apply_map(ub, helper.coefficients(row)) for row in dom.rows])
     for i, a in enumerate(dom.rows):
         if space.q(phi.apply(a)) != space.q(a):
             raise FalsificationError("isometry failed to preserve q on a basis vector")
@@ -446,7 +409,8 @@ def nonsingular_inside(
     """A non-singular subspace of the requested dimension and type inside pool.
 
     pool may be degenerate (e.g. the perp of a totally singular subspace);
-    blocks are extracted pairwise and always avoid the radical.
+    blocks are extracted pairwise by seeded sampling and always avoid the
+    radical, so pool is never listed unless sampling fails.
     """
     if dim % 2:
         raise UsageError("non-singular GF(2) subspaces have even dimension")
@@ -456,41 +420,31 @@ def nonsingular_inside(
         return zero_subspace(space.dim)
     blocks: list[int] = []
     cur = pool
-    need_minus = minus
+    target = int(minus)  # q(a) for the first block; the rest are hyperbolic
     while len(blocks) < dim:
-        elems = [v for v in enumerate_rows(cur) if v]
-        if rng is not None:
-            rng.shuffle(elems)
-        pair = _find_block(space, cur, elems, want_minus=need_minus)
-        if pair is None:
+        # a must pair oddly with some row of cur, i.e. lie outside its radical
+        a = _sample(
+            cur,
+            rng,
+            lambda v: space.q(v) == target
+            and any((space.functional(v) & r).bit_count() & 1 for r in cur.rows),
+        )
+        if a is None:
             raise FalsificationError("block extraction ran out of room")
-        a, b = pair
-        need_minus = False
+        fa = space.functional(a)
+        if target:
+            b = _sample(cur, rng, lambda v: (fa & v).bit_count() & 1 and space.q(v))
+            if b is None:
+                raise FalsificationError("block extraction ran out of room")
+        else:
+            b = _partner(space, cur, a, rng)
+        target = 0
         blocks.extend((a, b))
-        fa, fb = space.functional(a), space.functional(b)
-        cur = intersect(cur, kernel([fa, fb], space.dim))
+        cur = intersect(cur, kernel([fa, space.functional(b)], space.dim))
     out = rref(blocks, space.dim)
     if out.dim != dim or space.radical(out).dim:
         raise FalsificationError("extracted blocks are not a non-singular subspace")
     return out
-
-
-def _find_block(
-    space: QuadraticSpace, cur: Subspace, elems: list[int], want_minus: bool
-) -> tuple[int, int] | None:
-    target = 1 if want_minus else 0
-    for a in elems:
-        if space.q(a) != target:
-            continue
-        fa = space.functional(a)
-        for b in elems:
-            if (fa & b).bit_count() & 1:
-                if space.q(b) == target:
-                    return a, b
-                if not want_minus:
-                    # q(a)=0, q(b)=1: a+b completes a hyperbolic pair
-                    return a, a ^ b
-    return None
 
 
 @functools.lru_cache(maxsize=None)
@@ -509,18 +463,7 @@ def orthogonal_group(space: QuadraticSpace) -> tuple[tuple[int, ...], ...]:
         images = tuple((code >> (d * i)) & ((1 << d) - 1) for i in range(d))
         if len(rref_ints(list(images))) != d:
             continue
-        ok = True
-        for v in vectors:
-            img = 0
-            m = v
-            while m:
-                low = m & -m
-                img ^= images[low.bit_length() - 1]
-                m ^= low
-            if qs[img] != qs[v]:
-                ok = False
-                break
-        if ok:
+        if all(qs[apply_map(images, v)] == qs[v] for v in vectors):
             out.append(images)
     return tuple(out)
 
@@ -537,15 +480,6 @@ def orthogonal_generators(space: QuadraticSpace) -> tuple[tuple[int, ...], ...]:
                 return (g, h)
     # fall back to the whole group (never needed for dims 2 and 4)
     return group
-
-
-def apply_map(images: Sequence[int], v: int) -> int:
-    out = 0
-    while v:
-        low = v & -v
-        out ^= images[low.bit_length() - 1]
-        v ^= low
-    return out
 
 
 def _compose(g: Sequence[int], h: Sequence[int]) -> tuple[int, ...]:

@@ -197,13 +197,18 @@ def test_criterion_9_property_suites():
         assert modlabels.pairing(plus, modlabels.CHI0_PLUS) == 0
         assert modlabels.pairing(minus, modlabels.CHI0_PLUS) == 1
         assert modlabels.pairing(modlabels.ZERO_MINUS, tw) == 1
-    # seed invariance of every built weight-one dimension
-    for case_str, published in zip(CASE_ORDER, PUBLISHED_W1):
-        case = _case(case_str)
-        for seed in (1, 2):
-            sub = framed.build_case(case, seed=seed)
-            sub.validate()  # perp-idempotence and maximality
-            assert framed.weight1_dim_triple(sub) == published
+    # seed invariance: every builder case at m = 1..6 (seeds 0-9) and m = 10
+    # (seed 0) classifies to itself with its closed-form profile
+    published = dict(zip(CASE_ORDER, PUBLISHED_W1))
+    sweep = [(c, seed) for m in range(1, 7) for c in framed.valid_params(m) for seed in range(10)]
+    sweep += [(c, 0) for c in framed.valid_params(10)]
+    for case, seed in sweep:
+        sub = framed.build_case(case, seed=seed)
+        sub.validate()  # perp-idempotence and maximality
+        assert framed.classify_triple(sub) == case, (case, seed)
+        assert framed.profile(sub) == framed.lnumber_closed(case), (case, seed)
+        if str(case) in published:
+            assert framed.weight1_dim_triple(sub) == published[str(case)]
     for case_id, value in (("pcl5_3", 132), ("pcl4_4", 216)):
         for seed in (1, 2):
             assert framed.build_pair_case_weight1(case_id, seed=seed) == value

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -96,6 +97,30 @@ def test_frame_classify_bad_input_exits_2(capsys, tmp_path):
         assert code == 2, header
     code, _ = run(capsys, "frame", "classify", "--input", str(tmp_path / "missing.txt"))
     assert code == 2
+
+
+def test_bad_tokens_exit_2(capsys):
+    for argv in (
+        ("lie", "solve", "--dim", "60", "--constraint", "ideal:x"),
+        ("lie", "solve", "--dim", "60", "--constraint", "partition:3"),
+        ("frame", "orbifold", "--base", "even:5"),
+    ):
+        code, _ = run(capsys, *argv)
+        assert code == 2, argv
+
+
+def test_closed_stdout_exits_0(monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["qspace", "--dim", "4", "--type", "plus"])
+    sys.stdout.close()  # the devnull handle main swapped in
+    assert code == 0
 
 
 def test_frame_census_m1(capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from framedlie.gf2 import UsageError, enumerate_rows, rref
+from framedlie.gf2 import FalsificationError, UsageError, enumerate_rows, rref
 from framedlie.quadspace import (
     MINUS,
     PLUS,
@@ -100,13 +100,6 @@ def test_census_matches_closed_forms_small():
     for m in range(1, 7):
         assert singular_census(standard_plus(2 * m)) == lnum_closed(m, True)
         assert singular_census(standard_minus(2 * m)) == lnum_closed(m, False)
-
-
-def test_census_worker_invariance():
-    space = standard_plus(12)
-    base = singular_census(space)
-    for workers in (2, 3, 5, 8):
-        assert singular_census(space, workers=workers) == base
 
 
 def test_type_of():
@@ -256,15 +249,28 @@ def test_orthogonal_generators_generate():
 
 
 def test_nonsingular_inside():
+    def lines(k, dim):  # e_1, e_3, ...: a totally singular subspace of dim k
+        return rref([1 << (2 * i) for i in range(k)], dim)
+
+    # (space, pool, block dim); rng None takes the scan-only path
+    inputs = [
+        (standard_plus(10), standard_plus(10).perp(lines(2, 10)), 4),
+        (standard_plus(18), standard_plus(18).perp(lines(4, 18)), 8),
+        (standard_minus(18), standard_minus(18).perp(lines(3, 18)), 10),
+    ]
+    for space, pool, dim in inputs:
+        for minus in (False, True):
+            for rng in [None] + [random.Random(seed) for seed in range(5)]:
+                p = nonsingular_inside(space, pool, dim, minus, rng)
+                assert p.dim == dim
+                assert type_of(space, p) == (MINUS if minus else PLUS)
+                for r in p.rows:
+                    assert pool.contains(r)
     space = standard_plus(10)
-    s1 = rref([0b01, 0b0100], 10)  # totally singular, dim 2
-    pool = space.perp(s1)
-    for minus in (False, True):
-        for seed in range(5):
-            p = nonsingular_inside(space, pool, 4, minus, random.Random(seed))
-            assert p.dim == 4
-            assert type_of(space, p) == (MINUS if minus else PLUS)
-            for r in p.rows:
-                assert pool.contains(r)
     with pytest.raises(UsageError):
-        nonsingular_inside(space, pool, 0, True)
+        nonsingular_inside(space, space.perp(lines(2, 10)), 0, True)
+    # the nonsingular part of this pool is one hyperbolic plane: no minus block
+    space = standard_plus(18)
+    for rng in (None, random.Random(0)):
+        with pytest.raises(FalsificationError):
+            nonsingular_inside(space, space.perp(lines(8, 18)), 2, True, rng)
