@@ -167,6 +167,8 @@ def cmd_frame_census(args) -> int:
 
 
 def cmd_frame_orbifold(args) -> int:
+    if args.choices < 1:
+        raise UsageError(f"--choices must be positive, got {args.choices}")
     base = _parse_case_token(args.base)
     sub = framed.build_case(base, seed=args.seed)
     if args.w != "section47":
@@ -227,6 +229,8 @@ def _parse_constraint_token(token: str) -> liesolver.Constraint:
         return liesolver.TotalRank(*_ints([rest], token))
     if kind == "ideal":
         bits = _ints(rest.split(":"), token)
+        if len(bits) > 2:
+            raise UsageError(f"ideal takes dim or dim:rank: {token!r}")
         return liesolver.IdealExists(bits[0], bits[1] if len(bits) > 1 else None)
     if kind == "rootideal":
         return liesolver.RootSpaceIdeal(*_ints([rest], token))
@@ -313,7 +317,7 @@ def cmd_lie_tables(args) -> int:
                 }
             )
     elif args.which == "lieframed":
-        cov = liesolver.lieframed_coverage()
+        cov = liesolver.lieframed_coverage(liesolver.run_ledger(args.ledger))
         rows = [
             {
                 "no": c["no"],
@@ -443,15 +447,21 @@ def _verify_checks(quick: bool, ledger_path: str | None):
 
     yield "lie_candidate_tables", candidate_tables
 
+    ledger_runs = []  # one ledger run serves both ledger checks
+
+    def ledger_reports():
+        if not ledger_runs:
+            ledger_runs.append(liesolver.run_ledger(ledger_path))
+        return ledger_runs[0]
+
     def ledger():
-        reports = liesolver.run_ledger(ledger_path)
-        bad = [(r.case_id, r.problems) for r in reports if not r.ok]
+        bad = [(r.case_id, r.problems) for r in ledger_reports() if not r.ok]
         assert not bad, bad
 
     yield "lie_ledger", ledger
 
     def coverage():
-        cov = liesolver.lieframed_coverage()
+        cov = liesolver.lieframed_coverage(ledger_reports())
         assert all(c["ok"] for c in cov), [c for c in cov if not c["ok"]]
 
     yield "lie_lieframed_coverage", coverage

@@ -32,16 +32,17 @@ from .gf2 import (
 )
 from .modlabels import (
     CHI0_PLUS,
+    RV_DIM,
+    TABLE_ROW_LOWEST2,
     ZERO_MINUS,
     RXLabel,
     RXCoordinates,
+    _add_packed,
+    _row,
     coordinatize,
     normal_form,
-    orbit_class,
     qx,
     rv_model,
-    rx_add,
-    ZERO_PLUS,
 )
 from .quadspace import (
     QuadraticSpace,
@@ -108,9 +109,6 @@ class PairAmbient:
 
     def split(self, v: int) -> tuple[int, int]:
         return (v & ((1 << 18) - 1), v >> 18)
-
-    def label_of(self, v: int) -> RXLabel:
-        return self.coords.from_coords(v & ((1 << 18) - 1))
 
 
 @functools.lru_cache(maxsize=1)
@@ -482,6 +480,8 @@ def section47_orbifold_choices(s: MtsSubspace, limit: int = 5) -> list[tuple[int
     t_block, s1, z = comps["T"], comps["S1"], comps["z"]
     out = []
     for t0 in enumerate_rows(t_block):
+        if len(out) >= limit:
+            break
         if t0 == 0 or space.q(t0):
             continue
         s0 = next((sv for sv in enumerate_rows(s1) if space.bilinear(sv, t0)), None)
@@ -489,8 +489,6 @@ def section47_orbifold_choices(s: MtsSubspace, limit: int = 5) -> list[tuple[int
             continue
         w = amb.embed(t0, 0) | amb.embed(z, 2)
         out.append((s0, t0, w))
-        if len(out) >= limit:
-            break
     return out
 
 
@@ -716,7 +714,9 @@ def _wreath_generators(m: int):
 @functools.lru_cache(maxsize=None)
 def census_small(m: int) -> CensusReport:
     """Enumerate, classify and orbit-partition all maximal t.s. subspaces."""
-    if m not in (1, 2):
+    if m < 1:
+        raise UsageError(f"census needs m >= 1, got {m}")
+    if m > 2:
         raise ResourceLimitError("full census only at m = 1 and 2")
     w = 2 * m
     info = _census_tables(m)
@@ -879,48 +879,51 @@ def rho_invariants(s: MtsSubspace) -> dict:
     }
 
 
-def _iter_labels_of(sub: Subspace, amb: PairAmbient) -> Iterator[tuple[RXLabel, int]]:
-    """Walk a pair-ambient subspace, tracking the X label incrementally."""
-    row_labels = [amb.label_of(r) for r in sub.rows]
-    cur = ZERO_PLUS
-    v = 0
-    yield cur, 0
+def _iter_labels_of(sub: Subspace, amb: PairAmbient) -> Iterator[tuple[int, int]]:
+    """Walk a pair-ambient subspace in Gray-code order, yielding the packed
+    X label and the V part of each vector."""
+    row_labels = [amb.coords.packed_label(r & ((1 << 18) - 1)) for r in sub.rows]
+    cur = v = 0
+    yield cur, v
     for i in range(1, 1 << sub.dim):
         j = (i & -i).bit_length() - 1
-        cur = rx_add(cur, row_labels[j])
+        cur = _add_packed(cur, row_labels[j])
         v ^= sub.rows[j] >> 18
         yield cur, v
 
 
-def _iter_x_labels(sub18: Subspace, amb: PairAmbient) -> Iterator[RXLabel]:
-    row_labels = [amb.coords.from_coords(r) for r in sub18.rows]
-    cur = ZERO_PLUS
+def _iter_x_labels(sub18: Subspace, amb: PairAmbient) -> Iterator[int]:
+    """Packed labels of an X-side subspace in Gray-code order."""
+    row_labels = [amb.coords.packed_label(r) for r in sub18.rows]
+    cur = 0
     yield cur
     for i in range(1, 1 << sub18.dim):
-        cur = rx_add(cur, row_labels[(i & -i).bit_length() - 1])
+        cur = _add_packed(cur, row_labels[(i & -i).bit_length() - 1])
         yield cur
 
 
 def weight1_dim_pair(s: MtsSubspace) -> dict:
     """Weight-one dimension two ways: direct enumeration and the five-term
-    projection formula; a mismatch aborts loudly."""
+    projection formula; a mismatch aborts loudly.
+
+    A vector counts when the doubled lowest weights of its X and V labels
+    add to 2, with the product of their lowest dims.
+    """
     amb = s.ambient
     if not isinstance(amb, PairAmbient):
         raise UsageError("pair weight computation needs the pair ambient")
     inv = rho_invariants(s)
+    small = amb.rv.lowest2
     direct = 0
-    for label, v in _iter_labels_of(s.sub, amb):
-        oc = orbit_class(label)
-        lw2, d2 = amb.rv.lowest(v)
-        if oc.lowest_weight + lw2 == 1:
-            direct += oc.lowest_dim * d2
+    for x, v in _iter_labels_of(s.sub, amb):
+        lw2, dim = TABLE_ROW_LOWEST2[_row(x)]
+        if small[v] == 2 - lw2:
+            direct += dim * RV_DIM[2 - lw2]
     rows_hist = {r: 0 for r in range(1, 9)}
-    for label in _iter_x_labels(inv["rho1_of_kernel2"], amb):
-        if label != ZERO_PLUS:
-            rows_hist[orbit_class(label).row] += 1
-    n_row3_full = sum(
-        1 for label in _iter_x_labels(inv["rho1"], amb) if orbit_class(label).row == 3
-    )
+    for x in _iter_x_labels(inv["rho1_of_kernel2"], amb):
+        if x:
+            rows_hist[_row(x)] += 1
+    n_row3_full = sum(1 for x in _iter_x_labels(inv["rho1"], amb) if _row(x) == 3)
     size_ker1 = 1 << inv["rho2_of_kernel1"].dim
     terms = (
         16 * rows_hist[2],

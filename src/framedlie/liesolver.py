@@ -600,12 +600,11 @@ def candidate_table_report() -> list[dict]:
     return out
 
 
-def lieframed_coverage(reports: Sequence[CaseReport] | None = None) -> list[dict]:
-    """Match every row of the final classification table to its sources."""
+def lieframed_coverage(reports: Sequence[CaseReport]) -> list[dict]:
+    """Match every row of the final classification table to its sources:
+    the ledger cases in ``reports`` and the reference rows."""
     from . import tables
 
-    if reports is None:
-        reports = run_ledger()
     by_alg: dict[tuple[int, frozenset], list[str]] = {}
     for rep in reports:
         rec_answer = parse_decomposition(rep.answer)

@@ -12,6 +12,11 @@ of the entries, c the canonical even-weight half-vector with first
 coordinate 0, delta the leftover integer-carry bit.  Complement flips of c
 leave delta alone because complements of even-weight words have even
 weight.
+
+The group law, the form and the orbit rows are computed on packed labels:
+one int with c in bits 0-15, then eps, delta, sign and twist in bits 16-19.
+``RXLabel`` is the checked view of a packed label for parsing, printing
+and the public API.
 """
 
 from __future__ import annotations
@@ -20,13 +25,18 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .gf2 import FalsificationError, UsageError
 from .quadspace import QuadraticSpace, standard_plus
 
 N_COORDS = 16
 C_MASK = (1 << N_COORDS) - 1
+# flag bits of a packed label, above the 16 bits of c
+_EPS = 1 << 16
+_DELTA = 1 << 17
+_SIGN = 1 << 18
+_TWIST = 1 << 19
 
 TABLE_ROW_SIZES = (1, 3, 480, 7280, 32032, 25740, 98304, 98304)
 TABLE_ROW_LOWEST = {
@@ -39,6 +49,12 @@ TABLE_ROW_LOWEST = {
     7: (Fraction(1), 1),
     8: (Fraction(3, 2), 16),
 }
+# the same rows with doubled lowest weights, indexed by row (0 unused)
+TABLE_ROW_LOWEST2 = ((0, 0),) + tuple(
+    (int(2 * lw), dim) for lw, dim in (TABLE_ROW_LOWEST[r] for r in range(1, 9))
+)
+# lowest dim of a small label by its doubled lowest weight
+RV_DIM = (1, 1, 8)
 
 
 @dataclass(frozen=True)
@@ -65,6 +81,20 @@ class RXLabel:
     def lam(self) -> tuple[int, int, int]:
         """The coset part (eps, c, delta), forgetting twist and sign."""
         return (self.eps, self.c, self.delta)
+
+    @property
+    def packed(self) -> int:
+        return (
+            self.c
+            | self.eps << 16
+            | self.delta << 17
+            | self.sign << 18
+            | self.twist << 19
+        )
+
+    @classmethod
+    def from_packed(cls, x: int) -> RXLabel:
+        return cls(x >> 19 & 1, x >> 16 & 1, x & C_MASK, x >> 17 & 1, x >> 18 & 1)
 
 
 ZERO_PLUS = RXLabel(0, 0, 0, 0, 0)
@@ -112,43 +142,51 @@ def label_to_w(label: RXLabel) -> tuple[int, ...]:
     return tuple(out)
 
 
-def nu_bit(eps: int, c: int, delta: int) -> int:
-    """Coset norm mod 2 (0 plays the roles of the sign '+')."""
-    if eps:
-        return delta
-    return (c.bit_count() >> 1) & 1
+def _nu(x: int) -> int:
+    """Coset norm mod 2 of a packed label (0 plays the role of the sign '+')."""
+    if x & _EPS:
+        return x >> 17 & 1
+    return (x & C_MASK).bit_count() >> 1 & 1
 
 
-def nu(label: RXLabel) -> int:
-    return nu_bit(*label.lam())
+def _qx(x: int) -> int:
+    """The quadratic form on a packed label."""
+    return x >> 18 & 1 if x & _TWIST else _nu(x)
 
 
-def qx(label: RXLabel) -> int:
-    """The quadratic form: weight one grading class of the module."""
-    if label.twist:
-        return label.sign
-    return nu(label)
-
-
-def rx_add(a: RXLabel, b: RXLabel) -> RXLabel:
-    """The fusion product; an elementary abelian group law of order 2^18.
+def _add_packed(a: int, b: int) -> int:
+    """The fusion product of two packed labels.
 
     The coset parts add with an integer-carry correction to delta; the sign
     cocycle for a product involving a twisted label is nu(coset of the
     twisted factor) + nu(coset of the sum), and for two twisted factors it
     is nu of both cosets.
     """
-    eps = a.eps ^ b.eps
-    c = a.c ^ b.c
-    delta = a.delta ^ b.delta ^ ((a.c & b.c).bit_count() & 1)
-    sign = a.sign ^ b.sign
-    if a.twist and b.twist:
-        sign ^= nu(a) ^ nu(b)
-    elif a.twist:
-        sign ^= nu(a) ^ nu_bit(eps, c, delta)
-    elif b.twist:
-        sign ^= nu(b) ^ nu_bit(eps, c, delta)
-    return RXLabel(a.twist ^ b.twist, eps, c, delta, sign)
+    s = a ^ b
+    if (a & b & C_MASK).bit_count() & 1:
+        s ^= _DELTA
+    if (a | b) & _TWIST:
+        if a & b & _TWIST:
+            cocycle = _nu(a) ^ _nu(b)
+        else:
+            cocycle = _nu(a if a & _TWIST else b) ^ _nu(s)
+        if cocycle:
+            s ^= _SIGN
+    return s
+
+
+def nu(label: RXLabel) -> int:
+    return _nu(label.packed)
+
+
+def qx(label: RXLabel) -> int:
+    """The quadratic form: weight one grading class of the module."""
+    return _qx(label.packed)
+
+
+def rx_add(a: RXLabel, b: RXLabel) -> RXLabel:
+    """The fusion product; an elementary abelian group law of order 2^18."""
+    return RXLabel.from_packed(_add_packed(a.packed, b.packed))
 
 
 def rx_add_via_vectors(a: RXLabel, b: RXLabel) -> RXLabel:
@@ -222,6 +260,38 @@ class OrbitClass:
     lowest_dim: int
 
 
+def _row_table() -> bytes:
+    """Orbit row of a packed label x at index (x >> 16) << 4 | wt(c).
+
+    The row depends on the four flag bits and, for untwisted labels with
+    eps = 0, on the weight of c: c = 0 is split by delta and sign, and
+    otherwise min(wt, 16 - wt) = 2, 4, 6, 8 gives rows 3-6.  Odd weights
+    never occur in a normal form and stay 0.
+    """
+    out = bytearray(16 << 4)
+    for flags in range(16):
+        eps, delta, sign, twist = (flags >> k & 1 for k in range(4))
+        for wt in range(0, N_COORDS, 2):
+            if twist:
+                row = 7 if sign == 0 else 8
+            elif eps:
+                row = 7 if delta == 0 else 8
+            elif wt == 0:
+                row = 1 if (delta == 0 and sign == 0) else 2
+            else:
+                row = {2: 3, 4: 4, 6: 5, 8: 6}[min(wt, N_COORDS - wt)]
+            out[flags << 4 | wt] = row
+    return bytes(out)
+
+
+_ROW_TABLE = _row_table()
+
+
+def _row(x: int) -> int:
+    """Orbit-table row of a packed label."""
+    return _ROW_TABLE[(x >> 16) << 4 | (x & C_MASK).bit_count()]
+
+
 def orbit_class(label: RXLabel, verify: bool = False) -> OrbitClass:
     """Orbit-table row of a label with its lowest weight and lowest dim.
 
@@ -229,15 +299,7 @@ def orbit_class(label: RXLabel, verify: bool = False) -> OrbitClass:
     min-norm decoder (the zero coset is exempt: the sign splits it across
     rows 1 and 2 regardless of norms).
     """
-    if label.twist:
-        row = 7 if label.sign == 0 else 8
-    elif label.eps:
-        row = 7 if label.delta == 0 else 8
-    elif label.c == 0:
-        row = 1 if (label.delta == 0 and label.sign == 0) else 2
-    else:
-        weff = min(label.c.bit_count(), N_COORDS - label.c.bit_count())
-        row = {2: 3, 4: 4, 6: 5, 8: 6}[weff]
+    row = _row(label.packed)
     lw, dim = TABLE_ROW_LOWEST[row]
     if verify and not label.twist and label.lam() != (0, 0, 0):
         if lw != Fraction(coset_min_norm(label), 2):
@@ -245,16 +307,6 @@ def orbit_class(label: RXLabel, verify: bool = False) -> OrbitClass:
                 f"orbit table and min-norm decoder disagree on {format_label(label)}"
             )
     return OrbitClass(row, lw, dim)
-
-
-def all_labels() -> Iterator[RXLabel]:
-    """All 2^18 normal forms, deterministically ordered."""
-    for c in canonical_c_values():
-        for twist in (0, 1):
-            for eps in (0, 1):
-                for delta in (0, 1):
-                    for sign in (0, 1):
-                        yield RXLabel(twist, eps, c, delta, sign)
 
 
 @functools.lru_cache(maxsize=1)
@@ -268,17 +320,22 @@ def canonical_c_values() -> tuple[int, ...]:
 def rx_census() -> tuple[int, ...]:
     """Classify every normal form; abort if the row sizes are off."""
     counts = [0] * 9
-    for label in all_labels():
-        counts[orbit_class(label).row] += 1
+    for c in canonical_c_values():
+        for x in range(c, c + (16 << 16), 1 << 16):  # c under every flag setting
+            counts[_row(x)] += 1
     got = tuple(counts[1:])
     if got != TABLE_ROW_SIZES or sum(got) != 1 << 18:
         raise FalsificationError(f"orbit census mismatch: {got}")
     return got
 
 
+def _pairing(x: int, y: int) -> int:
+    return _qx(_add_packed(x, y)) ^ _qx(x) ^ _qx(y)
+
+
 def pairing(a: RXLabel, b: RXLabel) -> int:
     """Polarization of qx under the fusion product."""
-    return qx(rx_add(a, b)) ^ qx(a) ^ qx(b)
+    return _pairing(a.packed, b.packed)
 
 
 def random_label(rng: random.Random, twisted: bool | None = None) -> RXLabel:
@@ -296,20 +353,15 @@ class RXCoordinates:
     """
 
     def __init__(self) -> None:
-        basis: list[RXLabel] = []
-        for j in range(1, 15):
-            basis.append(RXLabel(0, 0, (1 << j) | (1 << (j + 1)), 0, 0))
-        basis.append(RXLabel(0, 1, 0, 0, 0))
-        basis.append(RXLabel(0, 0, 0, 1, 0))
-        basis.append(ZERO_MINUS)
-        basis.append(CHI0_PLUS)
-        self.basis = tuple(basis)
+        basis = [RXLabel(0, 0, (1 << j) | (1 << (j + 1)), 0, 0) for j in range(1, 15)]
+        basis += [RXLabel(0, 1, 0, 0, 0), RXLabel(0, 0, 0, 1, 0), ZERO_MINUS, CHI0_PLUS]
+        self.basis = tuple(b.packed for b in basis)
         n = len(basis)
         self.gram_rows = tuple(
-            sum(pairing(basis[i], basis[j]) << j for j in range(n) if j != i)
+            sum(_pairing(self.basis[i], self.basis[j]) << j for j in range(n) if j != i)
             for i in range(n)
         )
-        self.q_values = tuple(qx(b) for b in basis)
+        self.q_values = tuple(_qx(b) for b in self.basis)
         self._ginv = _invert_gf2(self.gram_rows, n)
         u_rows = []
         for i in range(n):
@@ -318,27 +370,32 @@ class RXCoordinates:
                 row |= ((self.gram_rows[i] >> j) & 1) << j
             u_rows.append(row)
         self.space = QuadraticSpace(n, tuple(u_rows))
-        for i, b in enumerate(self.basis):
+        for i, b in enumerate(basis):
             if self.to_coords(b) != 1 << i:
                 raise FalsificationError("chosen label basis is group-dependent")
 
     def to_coords(self, label: RXLabel) -> int:
+        x = label.packed
         p = 0
         for i, b in enumerate(self.basis):
-            p |= pairing(label, b) << i
+            p |= _pairing(x, b) << i
         coords = 0
         for i, row in enumerate(self._ginv):
             coords |= ((row & p).bit_count() & 1) << i
         return coords
 
-    def from_coords(self, coords: int) -> RXLabel:
-        out = ZERO_PLUS
+    def packed_label(self, coords: int) -> int:
+        """The packed label with these coordinates: a sum of basis labels."""
+        out = 0
         m = coords
         while m:
             low = m & -m
-            out = rx_add(out, self.basis[low.bit_length() - 1])
+            out = _add_packed(out, self.basis[low.bit_length() - 1])
             m ^= low
         return out
+
+    def from_coords(self, coords: int) -> RXLabel:
+        return RXLabel.from_packed(self.packed_label(coords))
 
 
 def _invert_gf2(rows: Sequence[int], n: int) -> tuple[int, ...]:
@@ -377,12 +434,17 @@ class RVModel:
 
     space: QuadraticSpace
 
+    @functools.cached_property
+    def lowest2(self) -> bytes:
+        """Doubled lowest weight of every label: 0 zero, 2 nonzero singular,
+        1 nonsingular; the lowest dim is RV_DIM[lowest2[v]]."""
+        return bytes(
+            2 - self.space.q(v) if v else 0 for v in range(1 << self.space.dim)
+        )
+
     def lowest(self, v: int) -> tuple[Fraction, int]:
-        if v == 0:
-            return (Fraction(0), 1)
-        if self.space.q(v) == 0:
-            return (Fraction(1), 8)
-        return (Fraction(1, 2), 1)
+        lw2 = self.lowest2[v]
+        return (Fraction(lw2, 2), RV_DIM[lw2])
 
 
 @functools.lru_cache(maxsize=1)

@@ -104,6 +104,11 @@ def test_bad_tokens_exit_2(capsys):
         ("lie", "solve", "--dim", "60", "--constraint", "ideal:x"),
         ("lie", "solve", "--dim", "60", "--constraint", "partition:3"),
         ("frame", "orbifold", "--base", "even:5"),
+        ("frame", "orbifold", "--base", "odd:5,4,0", "--choices", "0"),
+        ("frame", "orbifold", "--base", "odd:5,4,0", "--choices", "-1"),
+        ("lie", "solve", "--dim", "60", "--constraint", "ideal:28:4:9"),
+        ("frame", "census", "--m", "0"),
+        ("frame", "census", "--m", "-1"),
     ):
         code, _ = run(capsys, *argv)
         assert code == 2, argv
@@ -232,3 +237,17 @@ def test_verify_quick_detects_corruption(capsys, tmp_path):
     assert code == 1
     assert "FAIL lie_ledger" in out
     assert "pcl4_3" in out
+
+
+def test_ledger_flag_reaches_lieframed_coverage(capsys, tmp_path):
+    text = open(default_ledger_path()).read()
+    # row 13 of the lieframed table has this ledger case as its only source
+    p = tmp_path / "bad.ledger"
+    p.write_text(text.replace("answer D4,4 (A2,2)^4", "answer D4,1 (A2,1)^4", 1))
+    code, out = run(capsys, "lie", "tables", "--which", "lieframed", "--ledger", str(p))
+    assert code == 1
+    data = json.loads(out)
+    assert [r["no"] for r in data["rows"] if r["status"] == "UNCOVERED"] == [13]
+    code, out = run(capsys, "verify", "--quick", "--ledger", str(p))
+    assert code == 1
+    assert "FAIL lie_lieframed_coverage" in out

@@ -365,10 +365,77 @@ def test_pair_weight1_coset_pairing_property():
     amb = pair_ambient()
     s = build_pair_case("pcl5_3", seed=1)
     from framedlie.framed import _iter_labels_of
-    from framedlie.modlabels import qx
+    from framedlie.modlabels import RXLabel, qx
 
-    for label, v in _iter_labels_of(s.sub, amb):
-        assert qx(label) == amb.rv.space.q(v)
+    for x, v in _iter_labels_of(s.sub, amb):
+        assert qx(RXLabel.from_packed(x)) == amb.rv.space.q(v)
+
+
+def _label_walk(rows, coords):
+    """(label, V part) of every vector spanned by 28-bit rows, as RXLabels."""
+    from framedlie.modlabels import ZERO_PLUS, rx_add
+
+    labels = [coords.from_coords(r & ((1 << 18) - 1)) for r in rows]
+    cur, v = ZERO_PLUS, 0
+    yield cur, v
+    for i in range(1, 1 << len(rows)):
+        j = (i & -i).bit_length() - 1
+        cur = rx_add(cur, labels[j])
+        v ^= rows[j] >> 18
+        yield cur, v
+
+
+def _weight1_oracle(s: MtsSubspace) -> dict:
+    """The weight-one walk on RXLabels and Fractions, lowest weights of the
+    small labels taken from the form itself."""
+    from fractions import Fraction
+
+    from framedlie.modlabels import ZERO_PLUS, orbit_class
+
+    amb = s.ambient
+    inv = rho_invariants(s)
+
+    def lowest_v(v):
+        if v == 0:
+            return Fraction(0), 1
+        return (Fraction(1), 8) if amb.rv.space.q(v) == 0 else (Fraction(1, 2), 1)
+
+    direct = 0
+    for label, v in _label_walk(s.sub.rows, amb.coords):
+        oc = orbit_class(label)
+        lw2, d2 = lowest_v(v)
+        if oc.lowest_weight + lw2 == 1:
+            direct += oc.lowest_dim * d2
+    rows_hist = {r: 0 for r in range(1, 9)}
+    for label, _ in _label_walk(inv["rho1_of_kernel2"].rows, amb.coords):
+        if label != ZERO_PLUS:
+            rows_hist[orbit_class(label).row] += 1
+    n_row3_full = sum(
+        1 for label, _ in _label_walk(inv["rho1"].rows, amb.coords)
+        if orbit_class(label).row == 3
+    )
+    size_ker1 = 1 << inv["rho2_of_kernel1"].dim
+    terms = (
+        16 * rows_hist[2],
+        4 * rows_hist[4],
+        rows_hist[7],
+        8 * (size_ker1 - 1),
+        n_row3_full * size_ker1,
+    )
+    return {
+        "value": direct,
+        "terms": terms,
+        "direct": direct,
+        "kernel_rows": rows_hist,
+        "row3_in_rho1": n_row3_full,
+    }
+
+
+def test_weight1_dim_pair_matches_label_walk_oracle():
+    for case_id in framed.PAIR_CASE_IDS:
+        for seed in range(5):
+            s = build_pair_case(case_id, seed=seed)
+            assert weight1_dim_pair(s) == _weight1_oracle(s), (case_id, seed)
 
 
 def test_serialization_roundtrip():

@@ -202,7 +202,7 @@ def test_published_tables_match_ledger():
 
 
 def test_lieframed_coverage():
-    cov = lieframed_coverage()
+    cov = lieframed_coverage(run_ledger())
     assert len(cov) == len(LIEFRAMED_ROWS) == 17
     assert all(c["ok"] for c in cov)
 

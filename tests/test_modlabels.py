@@ -11,6 +11,8 @@ from framedlie.modlabels import (
     ZERO_MINUS,
     ZERO_PLUS,
     RXLabel,
+    _add_packed,
+    _row,
     canonical_c_values,
     coordinatize,
     coset_min_norm,
@@ -109,10 +111,15 @@ def test_halfvector_addition_overlap_rule():
 
 
 def test_rx_add_matches_vector_oracle():
+    # 2500 seeded pairs for each twist pattern: untwisted, one, both twisted
     rng = random.Random(4)
-    for _ in range(400):
-        a, b = random_label(rng), random_label(rng)
-        assert rx_add(a, b) == rx_add_via_vectors(a, b)
+    for ta, tb in itertools.product((False, True), repeat=2):
+        for _ in range(2500):
+            a, b = random_label(rng, twisted=ta), random_label(rng, twisted=tb)
+            expect = rx_add_via_vectors(a, b)
+            assert rx_add(a, b) == expect
+            assert RXLabel.from_packed(a.packed) == a
+            assert RXLabel.from_packed(_add_packed(a.packed, b.packed)) == expect
 
 
 def test_group_laws():
@@ -223,6 +230,29 @@ def test_coset_min_norm_against_bruteforce():
     for _ in range(150):
         lbl = random_label(rng, twisted=False)
         assert coset_min_norm(lbl) == brute_min_norm(lbl)
+
+
+def _row_oracle(label: RXLabel) -> int:
+    """Orbit row by the branch logic the packed row table is built from."""
+    if label.twist:
+        return 7 if label.sign == 0 else 8
+    if label.eps:
+        return 7 if label.delta == 0 else 8
+    if label.c == 0:
+        return 1 if (label.delta == 0 and label.sign == 0) else 2
+    weff = min(label.c.bit_count(), 16 - label.c.bit_count())
+    return {2: 3, 4: 4, 6: 5, 8: 6}[weff]
+
+
+def test_row_table_matches_branch_oracle():
+    # every one of the 2^18 normal forms
+    seen = 0
+    for c in canonical_c_values():
+        for twist, eps, delta, sign in itertools.product((0, 1), repeat=4):
+            label = RXLabel(twist, eps, c, delta, sign)
+            assert _row(label.packed) == _row_oracle(label), format_label(label)
+            seen += 1
+    assert seen == 1 << 18
 
 
 def test_orbit_class_examples():
