@@ -9,8 +9,10 @@ csv and markdown render the same rows for eyeballing.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
+import random
 import sys
 import time
 from fractions import Fraction
@@ -38,10 +40,10 @@ def _emit(payload: dict, rows: list[dict] | None, fmt: str) -> None:
         for key in row:
             if key not in headers:
                 headers.append(key)
-    if fmt == "csv":
-        print(",".join(headers))
-        for row in rows:
-            print(",".join(str(row.get(h, "")) for h in headers))
+    if fmt == "csv":  # quoted where a field holds a comma, as case names do
+        writer = csv.DictWriter(sys.stdout, headers, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     else:  # markdown
         print("| " + " | ".join(headers) + " |")
         print("|" + "|".join("---" for _ in headers) + "|")
@@ -198,15 +200,14 @@ def cmd_frame_orbifold(args) -> int:
 
 def cmd_frame_pair(args) -> int:
     sub = framed.build_pair_case(args.case, seed=args.seed)
-    inv = framed.rho_invariants(sub)
     data = framed.weight1_dim_pair(sub)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "frame pair",
         "case": args.case,
-        "dim_rho1": inv["rho1"].dim,
-        "dim_rho1_of_kernel": inv["rho1_of_kernel2"].dim,
-        "dim_rho2_of_kernel": inv["rho2_of_kernel1"].dim,
+        "dim_rho1": data["dim_rho1"],
+        "dim_rho1_of_kernel": data["dim_rho1_of_kernel"],
+        "dim_rho2_of_kernel": data["dim_rho2_of_kernel"],
         "weight1_formula": sum(data["terms"]),
         "weight1_direct": data["direct"],
         "terms": list(data["terms"]),
@@ -290,6 +291,12 @@ def cmd_lie_ledger(args) -> int:
     return EXIT_OK if payload["all_match"] else EXIT_FALSIFIED
 
 
+def _matches_published(rep: liesolver.CaseReport, dim: int, alg: str, number: int) -> bool:
+    """A published table row agrees with the ledger report of its case."""
+    parse = liesolver.parse_decomposition
+    return (rep.dim_computed, parse(rep.answer), rep.schellekens) == (dim, parse(alg), number)
+
+
 def cmd_lie_tables(args) -> int:
     ok = True
     if args.which in ("ta8", "ta16"):
@@ -298,13 +305,7 @@ def cmd_lie_tables(args) -> int:
         rows = []
         for case_id, dim, alg, number, ref in published:
             rep = reports[case_id]
-            match = (
-                rep.ok
-                and rep.dim_computed == dim
-                and liesolver.parse_decomposition(alg)
-                == liesolver.parse_decomposition(rep.answer)
-                and rep.schellekens == number
-            )
+            match = rep.ok and _matches_published(rep, dim, alg, number)
             ok &= match
             rows.append(
                 {
@@ -347,27 +348,25 @@ def cmd_lie_tables(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _verify_checks(quick: bool, ledger_path: str | None):
-    """Yield (name, callable) pairs; callables raise on failure."""
-    from fractions import Fraction
+def verify_checks(quick: bool, ledger_path: str | None):
+    """Yield (name, callable) pairs; callables raise on failure.
 
-    from .modlabels import (
-        ZERO_PLUS,
-        coordinatize,
-        orbit_class,
-        random_label,
-        rx_add,
-        rx_census,
-    )
-
+    The one list of acceptance checks: `framedlie verify` runs it and
+    `tests/test_acceptance.py` makes one test of each full-mode check.
+    Quick mode leaves out the three slowest censuses.
+    """
+    if not __debug__:  # python -O strips assert statements, so every check would pass
+        raise UsageError("the verify checks are assert statements; run without python -O")
     published = {row[0]: row[1] for row in tables.TA8_ROWS}
+    cases = framed.valid_params(5)
 
     def weight_one(case_str):
-        case = _parse_case_token(case_str.replace("(", ":").replace(")", ""))
+        assert len(cases) == 15 and {str(c) for c in cases} == set(published)
+        case = next(c for c in cases if str(c) == case_str)
         sub = framed.build_case(case, seed=0)
         n1, n2 = framed.profile(sub)
         assert (n1, n2) == framed.lnumber_closed(case), "profile vs closed form"
-        assert 8 * n1 + n2 == published[str(case)], "published weight-one value"
+        assert 8 * n1 + n2 == published[case_str], "published weight-one value"
         assert framed.classify_triple(sub) == case, "classification round-trip"
 
     for case_str in published:
@@ -385,50 +384,56 @@ def _verify_checks(quick: bool, ledger_path: str | None):
             name = f"lnum_{'plus' if plus else 'minus'}_{dim}"
             yield name, (lambda d=dim, p=plus: lnum(d, p))
 
+    def label_census():
+        sizes = modlabels.rx_census()
+        assert sizes == (1, 3, 480, 7280, 32032, 25740, 98304, 98304), sizes
+        assert sum(sizes) == 1 << 18
+
     if not quick:
-        yield "table2_census", lambda: rx_census()
+        yield "table2_census", label_census
 
     def minnorm_sample():
-        import random as _r
-
-        rng = _r.Random(20260810)
+        rng = random.Random(20260810)
         n = 0
         while n < 10**4:
-            lbl = random_label(rng, twisted=False)
+            lbl = modlabels.random_label(rng, twisted=False)
             if lbl.lam() == (0, 0, 0):
                 continue  # the zero coset is split by sign, not by norms
-            orbit_class(lbl, verify=True)
+            modlabels.orbit_class(lbl, verify=True)
             n += 1
 
     yield "table2_minnorm_sample", minnorm_sample
 
+    # weight-one value, row-3 count of the full X projection, formula terms
     pair_expect = {
-        "pcl5_3": (132, 36),
-        "pcl4_3": (288, 192),
-        "pcl4_4": (216, 144),
-        "pcl4_5": (144, 96),
-        "pcl4_6": (72, 48),
-        "niemeier_a17e7": (456, 144),
+        "pcl5_3": (132, 36, (0, 28, 24, 8, 72)),
+        "pcl4_3": (288, 192, (48, 48, 0, 0, 192)),
+        "pcl4_4": (216, 144, (16, 56, 0, 0, 144)),
+        "pcl4_5": (144, 96, (16, 24, 8, 0, 96)),
+        "pcl4_6": (72, 48, (0, 12, 12, 0, 48)),
+        "niemeier_a17e7": (456, 144, (48, 112, 0, 8, 288)),
     }
 
     def pair(case_id):
-        value, row3 = pair_expect[case_id]
-        sub = framed.build_pair_case(case_id, seed=0)
-        data = framed.weight1_dim_pair(sub)
-        assert data["value"] == value and data["direct"] == value, data["terms"]
-        assert data["row3_in_rho1"] == row3, data["row3_in_rho1"]
+        value, row3, terms = pair_expect[case_id]
+        for seed in range(5):
+            # runs rho_invariants, which asserts the projection identities
+            data = framed.weight1_dim_pair(framed.build_pair_case(case_id, seed=seed))
+            got = (data["value"], data["direct"], data["row3_in_rho1"], data["terms"])
+            assert got == (value, value, row3, terms), (seed, got)
 
     for case_id in pair_expect:
         yield f"pair_{case_id}", (lambda c=case_id: pair(c))
 
-    def census(m):
+    def census(m, total):
         report = framed.census_small(m)
-        assert report.total == framed.mts_count_formula(m), report.total
+        assert report.total == framed.mts_count_formula(m) == total, report.total
+        assert sum(report.per_case.values()) == total, report.per_case
         assert report.built_distinct, report.built_case_orbits
 
-    yield "census_m1", lambda: census(1)
+    yield "census_m1", lambda: census(1, 30)
     if not quick:
-        yield "census_m2", lambda: census(2)
+        yield "census_m2", lambda: census(2, 151470)
 
     def orbifold():
         sub = framed.build_odd(5, 4, 0, seed=0)
@@ -442,12 +447,13 @@ def _verify_checks(quick: bool, ledger_path: str | None):
 
     def candidate_tables():
         rep = liesolver.candidate_table_report()
-        bad = [r["case"] for r in rep if not r["ok"]]
+        assert len(rep) == 21, len(rep)
+        bad = [(r["case"], r["problems"]) for r in rep if not r["ok"]]
         assert not bad, bad
 
     yield "lie_candidate_tables", candidate_tables
 
-    ledger_runs = []  # one ledger run serves both ledger checks
+    ledger_runs = []  # one ledger run serves all three ledger checks
 
     def ledger_reports():
         if not ledger_runs:
@@ -459,6 +465,26 @@ def _verify_checks(quick: bool, ledger_path: str | None):
         assert not bad, bad
 
     yield "lie_ledger", ledger
+
+    exact_solutions = {
+        "even(5,4,1,+)": {"E8,2 B8,1"},
+        "even(5,5,0,+)": {"(E8,1)^3", "D16,1 E8,1"},
+        "odd(5,4,0)": {"A15,1 D9,1"},
+        "pcl5_3": {"A8,2 F4,2"},
+        "pcl4_3": {"C10,1 B6,1"},
+    }
+
+    def published_tables():
+        by_case = {r.case_id: r for r in ledger_reports()}
+        for case_id, dim, alg, number, _ in tables.TA8_ROWS + tables.TA16_ROWS:
+            rep = by_case[case_id]
+            got = (rep.dim_computed, rep.answer, rep.schellekens)
+            assert _matches_published(rep, dim, alg, number), (case_id, got)
+        for case_id, solutions in exact_solutions.items():
+            got = set(by_case[case_id].solutions)
+            assert got == solutions, (case_id, got)
+
+    yield "lie_published_tables", published_tables
 
     def coverage():
         cov = liesolver.lieframed_coverage(ledger_reports())
@@ -496,26 +522,26 @@ def _verify_checks(quick: bool, ledger_path: str | None):
 
     def codes_golay():
         we = codes_mod.weight_enumerator(codes_mod.builtin("g24"))
-        assert we[0] == 1 and we[8] == 759 and we[12] == 2576 and we[16] == 759 and we[24] == 1
+        assert (we[0], we[8], we[12], we[16], we[24]) == (1, 759, 2576, 759, 1)
+        assert sum(we) == 4096
 
     yield "codes_golay_enumerator", codes_golay
 
     def fusion_laws():
-        import random as _r
-
-        rng = _r.Random(7)
-        for _ in range(2000):
-            a, b, c = (random_label(rng) for _ in range(3))
-            assert rx_add(a, b) == rx_add(b, a)
-            assert rx_add(rx_add(a, b), c) == rx_add(a, rx_add(b, c))
-            assert rx_add(a, a) == ZERO_PLUS
+        rng = random.Random(7)
+        add, zero = modlabels.rx_add, modlabels.ZERO_PLUS
+        for _ in range(10**4):
+            a, b, c = (modlabels.random_label(rng) for _ in range(3))
+            ab = add(a, b)
+            assert ab == add(b, a)
+            assert add(ab, c) == add(a, add(b, c))
+            assert add(a, a) == zero
+            assert add(zero, a) == a
 
     yield "fusion_group_laws", fusion_laws
 
     def polarization():
-        import random as _r
-
-        rng = _r.Random(8)
+        rng = random.Random(8)
         for dim in (10, 18, 28):
             space = quadspace.standard_plus(dim)
             for _ in range(500):
@@ -524,10 +550,27 @@ def _verify_checks(quick: bool, ledger_path: str | None):
 
     yield "polarization_identity", polarization
 
+    def pairings():
+        rng = random.Random(9)
+        pairing, chi0 = modlabels.pairing, modlabels.CHI0_PLUS
+        for _ in range(500):
+            lam = modlabels.random_label(rng, twisted=False)
+            plus = modlabels.RXLabel(0, lam.eps, lam.c, lam.delta, 0)
+            minus = modlabels.RXLabel(0, lam.eps, lam.c, lam.delta, 1)
+            tw = modlabels.random_label(rng, twisted=True)
+            wa = modlabels.label_to_w(plus)
+            wb = modlabels.label_to_w(modlabels.random_label(rng, twisted=False))
+            dot = sum(x * y for x, y in zip(wa, wb))
+            assert pairing(plus, modlabels.label_from_w(wb)) == (dot // 4) % 2
+            assert pairing(plus, chi0) == 0 and pairing(minus, chi0) == 1
+            assert pairing(modlabels.ZERO_MINUS, tw) == 1
+
+    yield "label_pairings", pairings
+
     if not quick:
 
         def coords_census():
-            got = quadspace.singular_census(coordinatize().space)
+            got = quadspace.singular_census(modlabels.coordinatize().space)
             assert got == (131327, 130816), got
 
         yield "label_coordinates_census", coords_census
@@ -563,22 +606,39 @@ def _verify_checks(quick: bool, ledger_path: str | None):
 
 
 def cmd_verify(args) -> int:
+    """Run the checks; text (the default) streams PASS/FAIL lines, and
+    --format renders one record per check after the run."""
     t0 = time.time()
-    passed = failed = 0
-    for name, fn in _verify_checks(args.quick, args.ledger):
+    checks = []
+    for name, fn in verify_checks(args.quick, args.ledger):
+        start = time.perf_counter()
         try:
             fn()
         except Exception as exc:  # report and continue: the summary decides
-            failed += 1
-            print(f"FAIL {name}: {exc}")
+            status, error = "FAIL", f"{type(exc).__name__}: {exc}"
+            line = f"FAIL {name}: {exc}"
         else:
-            passed += 1
-            print(f"PASS {name}")
-    total = passed + failed
-    print(
-        f"verify: {passed}/{total} checks passed in {time.time() - t0:.1f}s"
-        + (" [quick]" if args.quick else "")
-    )
+            status, error, line = "PASS", None, f"PASS {name}"
+        seconds = round(time.perf_counter() - start, 3)
+        checks.append({"name": name, "status": status, "seconds": seconds, "error": error})
+        if args.format is None:
+            print(line)
+    failed = sum(c["status"] == "FAIL" for c in checks)
+    if args.format is None:
+        print(
+            f"verify: {len(checks) - failed}/{len(checks)} checks passed in "
+            f"{time.time() - t0:.1f}s" + (" [quick]" if args.quick else "")
+        )
+    else:
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "command": "verify",
+            "quick": args.quick,
+            "passed": len(checks) - failed,
+            "failed": failed,
+            "checks": checks,
+        }
+        _emit(payload, checks, args.format)
     return EXIT_OK if failed == 0 else EXIT_FALSIFIED
 
 
@@ -661,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--quick", action="store_true")
     v.add_argument("--ledger", default=None)
     add_common(v)
-    v.set_defaults(fn=cmd_verify)
+    v.set_defaults(fn=cmd_verify, format=None)  # PASS/FAIL text unless --format
 
     return parser
 

@@ -80,10 +80,6 @@ def _all_weights_divisible(code: BinaryCode, modulus: int) -> bool:
     return all(w.bit_count() % modulus == 0 for w in code.codewords())
 
 
-def is_even(code: BinaryCode) -> bool:
-    return _all_weights_divisible(code, 2)
-
-
 def is_doubly_even(code: BinaryCode) -> bool:
     return _all_weights_divisible(code, 4)
 

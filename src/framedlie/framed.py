@@ -402,11 +402,6 @@ def weight1_dim_triple(s: MtsSubspace) -> int:
     return 8 * n1 + n2
 
 
-def weight1_closed(case: TCCase) -> int:
-    n1, n2 = lnumber_closed(case)
-    return 8 * n1 + n2
-
-
 def classify_triple(s: MtsSubspace) -> TCCase:
     """Decide which of the four classification branches the subspace is in."""
     ones, n2, cond2 = _triple_invariants(s)
@@ -907,7 +902,8 @@ def weight1_dim_pair(s: MtsSubspace) -> dict:
     projection formula; a mismatch aborts loudly.
 
     A vector counts when the doubled lowest weights of its X and V labels
-    add to 2, with the product of their lowest dims.
+    add to 2, with the product of their lowest dims.  The result also
+    carries the dimensions of the projections `rho_invariants` checked.
     """
     amb = s.ambient
     if not isinstance(amb, PairAmbient):
@@ -942,17 +938,11 @@ def weight1_dim_pair(s: MtsSubspace) -> dict:
         "direct": direct,
         "kernel_rows": rows_hist,
         "row3_in_rho1": n_row3_full,
+        "dim_rho1": inv["rho1"].dim,
+        "dim_rho1_of_kernel": inv["rho1_of_kernel2"].dim,
+        "dim_rho2_of_kernel": inv["rho2_of_kernel1"].dim,
     }
 
 
 def build_pair_case_weight1(case_id: str, seed: int = 0) -> int:
     return weight1_dim_pair(build_pair_case(case_id, seed))["value"]
-
-
-def orbit_intersection_counts(s: MtsSubspace) -> dict:
-    """Row-3 count of the full X projection plus the kernel-shadow histogram."""
-    data = weight1_dim_pair(s)
-    return {
-        "row3_in_rho1": data["row3_in_rho1"],
-        "kernel_rows": data["kernel_rows"],
-    }

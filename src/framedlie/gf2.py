@@ -56,9 +56,6 @@ class Bitvec:
     def bit(self, i: int) -> int:
         return (self.bits >> i) & 1
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
     def __str__(self) -> str:
         return "".join(str(self.bit(i)) for i in range(self.width))
 
@@ -148,9 +145,6 @@ class Subspace:
         if x:
             raise UsageError("vector is not in the subspace")
         return mask
-
-    def key(self) -> tuple[int, ...]:
-        return self.rows
 
 
 def rref(rows: Iterable["Bitvec | int"], width: int | None = None) -> Subspace:
@@ -257,11 +251,6 @@ def enumerate_rows(s: Subspace) -> Iterator[int]:
     for i in range(1, 1 << s.dim):
         v ^= s.rows[(i & -i).bit_length() - 1]
         yield v
-
-
-def enumerate_subspace(s: Subspace) -> Iterator[Bitvec]:
-    for v in enumerate_rows(s):
-        yield Bitvec(s.ambient_width, v)
 
 
 def kernel(functionals: Sequence[int], width: int) -> Subspace:

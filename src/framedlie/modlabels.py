@@ -203,14 +203,6 @@ def rx_add_via_vectors(a: RXLabel, b: RXLabel) -> RXLabel:
     return label_from_w(wsum, a.twist ^ b.twist, sign)
 
 
-def coset_norm(label: RXLabel) -> int:
-    """|w|^2 / 8 of the canonical representative (always an integer)."""
-    sq = sum(wi * wi for wi in label_to_w(label))
-    if sq % 8:
-        raise FalsificationError("coset representative has non-integral norm")
-    return sq // 8
-
-
 def coset_min_norm(label: RXLabel) -> int:
     """Minimum of |w'|^2/8 over the reduction-lattice coset of the label.
 

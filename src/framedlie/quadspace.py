@@ -103,9 +103,6 @@ class QuadraticSpace:
     def full(self) -> Subspace:
         return full_subspace(self.dim)
 
-    def is_nonsingular(self) -> bool:
-        return len(rref_ints(self.gram)) == self.dim
-
 
 def standard_plus(dim: int) -> QuadraticSpace:
     """q(x) = x1 x2 + x3 x4 + ...  (a sum of hyperbolic planes)."""
@@ -336,9 +333,6 @@ class LinearMap:
 
     def apply(self, v: Bitvec | int) -> int:
         return apply_map(self.images, self.domain.coefficients(v))
-
-    def image(self) -> tuple[int, ...]:
-        return self.images
 
 
 def isometry(

@@ -1,4 +1,8 @@
+import csv
+import io
 import json
+import os
+import subprocess
 import sys
 
 import pytest
@@ -201,6 +205,9 @@ def test_output_formats(capsys):
     code, out = run(capsys, "lie", "solve", "--dim", "384", "--format", "markdown")
     assert code == 0
     assert out.startswith("| solution | rank |")
+    code, out = run(capsys, "frame", "census", "--m", "1", "--format", "csv")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert {r["case"] for r in rows} == {"cond1", "cond2", "even(1,1,0,+)", "odd(1,0,0)"}
 
 
 def test_output_determinism(capsys):
@@ -227,16 +234,31 @@ def test_verify_quick(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) >= 40
     assert all(ln.startswith("PASS") for ln in lines)
+    code, out = run(capsys, "verify", "--quick", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    summary = (data["command"], data["quick"], data["passed"], data["failed"])
+    assert summary == ("verify", True, len(lines), 0)
+    assert [c["name"] for c in data["checks"]] == [ln.split()[1] for ln in lines]
+    assert all(c["status"] == "PASS" and c["error"] is None for c in data["checks"])
+
+
+def test_verify_refuses_optimized_python():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-O", "-m", "framedlie.cli", "verify", "--quick"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "python -O" in done.stderr and "PASS" not in done.stdout
 
 
 def test_verify_quick_detects_corruption(capsys, tmp_path):
     text = open(default_ledger_path()).read()
     p = tmp_path / "bad.ledger"
     p.write_text(text.replace("answer C10,1 B6,1", "answer (A10,1)^2 B6,1"))
-    code, out = run(capsys, "verify", "--quick", "--ledger", str(p))
+    code, out = run(capsys, "verify", "--quick", "--ledger", str(p), "--format", "json")
     assert code == 1
-    assert "FAIL lie_ledger" in out
-    assert "pcl4_3" in out
+    ledger = next(c for c in json.loads(out)["checks"] if c["name"] == "lie_ledger")
+    assert ledger["status"] == "FAIL" and "ledger line" in ledger["error"]
 
 
 def test_ledger_flag_reaches_lieframed_coverage(capsys, tmp_path):

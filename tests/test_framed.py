@@ -20,7 +20,6 @@ from framedlie.framed import (
     lnumber_closed,
     mts_count_formula,
     odd_case,
-    orbit_intersection_counts,
     pair_ambient,
     pair_case_prescription,
     profile,
@@ -28,31 +27,15 @@ from framedlie.framed import (
     section47_orbifold_choices,
     to_text,
     valid_params,
-    weight1_closed,
     weight1_dim_pair,
     weight1_dim_triple,
     z2_orbifold,
 )
 from framedlie.gf2 import Subspace, UsageError, enumerate_rows, rref
 from framedlie.quadspace import max_ts_extend, standard_plus
+from framedlie.tables import TA8_ROWS
 
-WEIGHT1_PUBLISHED = {
-    "even(5,1,0,+)": 60,
-    "even(5,1,0,-)": 84,
-    "even(5,3,0,+)": 192,
-    "even(5,3,0,-)": 240,
-    "even(5,5,0,+)": 744,
-    "even(5,2,1,+)": 120,
-    "even(5,2,1,-)": 168,
-    "even(5,4,1,+)": 384,
-    "even(5,3,2,+)": 240,
-    "odd(5,0,0)": 48,
-    "odd(5,2,0)": 120,
-    "odd(5,4,0)": 408,
-    "odd(5,1,1)": 96,
-    "odd(5,3,1)": 240,
-    "odd(5,2,2)": 192,
-}
+WEIGHT1_PUBLISHED = {row[0]: row[1] for row in TA8_ROWS}
 
 
 def test_valid_params_small_m():
@@ -102,7 +85,8 @@ def test_weight1_published_values():
         s = build_case(case, seed=0)
         got = weight1_dim_triple(s)
         assert got == WEIGHT1_PUBLISHED[str(case)]
-        assert got == weight1_closed(case)
+        n1, n2 = lnumber_closed(case)
+        assert got == 8 * n1 + n2
 
 
 def test_weight1_closed_matches_stated_formula():
@@ -114,7 +98,8 @@ def test_weight1_closed_matches_stated_formula():
             expect = 3 * (2 ** (k1 + 3) + 2 ** (k2 + 3) + (-corr if case.eps == "+" else corr))
         else:
             expect = 3 * (2 ** (k1 + 3) + 2 ** (k2 + 3))
-        assert weight1_closed(case) == expect
+        n1, n2 = lnumber_closed(case)
+        assert 8 * n1 + n2 == expect
 
 
 def test_profile_examples():
@@ -135,6 +120,23 @@ def test_seed_and_choice_invariance():
         case = next(c for c in valid_params(5) if str(c) == case_str)
         for seed in range(5):
             assert weight1_dim_triple(build_case(case, seed=seed)) == expect
+
+
+def test_builders_seed_sweep():
+    # every builder case at m = 1..6 (seeds 0-9) and m = 10 (seed 0)
+    # classifies to itself with its closed-form profile
+    sweep = [(c, seed) for m in range(1, 7) for c in valid_params(m) for seed in range(10)]
+    sweep += [(c, 0) for c in valid_params(10)]
+    for case, seed in sweep:
+        sub = build_case(case, seed=seed)
+        sub.validate()  # perp-idempotence and maximality
+        assert classify_triple(sub) == case, (case, seed)
+        assert profile(sub) == lnumber_closed(case), (case, seed)
+        if str(case) in WEIGHT1_PUBLISHED:
+            assert weight1_dim_triple(sub) == WEIGHT1_PUBLISHED[str(case)]
+    for case_id, value in (("pcl5_3", 132), ("pcl4_4", 216)):
+        for seed in (1, 2):
+            assert framed.build_pair_case_weight1(case_id, seed=seed) == value
 
 
 def _walk(s):
@@ -248,7 +250,6 @@ def test_z2_orbifold_basics():
         out = z2_orbifold(s, w)
         out.validate()
         assert out.sub.contains(w)
-        fixed = [r for r in s.sub.rows]
         assert classify_triple(out) == even_case(5, 3, 0, "+")
     with pytest.raises(UsageError):
         z2_orbifold(s, s.sub.rows[0])  # inside the subspace
@@ -350,14 +351,11 @@ def test_pair_prescriptions():
 def test_pair_case_smoke():
     s = build_pair_case("pcl4_6", seed=0)
     s.validate()
-    inv = rho_invariants(s)
-    assert inv["rho1"].dim == 14
-    assert inv["rho2_of_kernel1"].dim == 0
     data = weight1_dim_pair(s)
     assert data["value"] == 72
     assert data["terms"] == (0, 12, 12, 0, 48)
-    counts = orbit_intersection_counts(s)
-    assert counts["row3_in_rho1"] == 48
+    assert data["row3_in_rho1"] == 48
+    assert (data["dim_rho1"], data["dim_rho2_of_kernel"]) == (14, 0)
 
 
 def test_pair_weight1_coset_pairing_property():
@@ -428,6 +426,9 @@ def _weight1_oracle(s: MtsSubspace) -> dict:
         "direct": direct,
         "kernel_rows": rows_hist,
         "row3_in_rho1": n_row3_full,
+        "dim_rho1": inv["rho1"].dim,
+        "dim_rho1_of_kernel": inv["rho1_of_kernel2"].dim,
+        "dim_rho2_of_kernel": inv["rho2_of_kernel1"].dim,
     }
 
 

@@ -16,7 +16,6 @@ from framedlie.modlabels import (
     canonical_c_values,
     coordinatize,
     coset_min_norm,
-    coset_norm,
     format_label,
     label_from_w,
     label_to_w,
@@ -35,18 +34,18 @@ from framedlie.modlabels import (
 from framedlie.quadspace import singular_census
 
 
-def wvec(**coords):
-    w = [0] * 16
-    for k, v in coords.items():
-        w[int(k[1:])] = v
-    return w
-
-
 def c_of(*positions):
     out = 0
     for p in positions:
         out |= 1 << p
     return out
+
+
+def _coset_norm(label):
+    """|w|^2 / 8 of the canonical representative: the oracle of nu."""
+    sq = sum(wi * wi for wi in label_to_w(label))
+    assert sq % 8 == 0, "coset representative has non-integral norm"
+    return sq // 8
 
 
 def test_normal_form_basics():
@@ -143,7 +142,7 @@ def test_nu_examples():
     rng = random.Random(6)
     for _ in range(200):
         lbl = random_label(rng, twisted=False)
-        assert nu(lbl) == coset_norm(lbl) % 2
+        assert nu(lbl) == _coset_norm(lbl) % 2
 
 
 def test_qx_examples():

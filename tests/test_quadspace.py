@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from framedlie.gf2 import FalsificationError, UsageError, enumerate_rows, rref
+from framedlie.gf2 import FalsificationError, UsageError, enumerate_rows, rref, rref_ints
 from framedlie.quadspace import (
     MINUS,
     PLUS,
@@ -87,7 +87,7 @@ def test_gram_is_symplectic():
             assert (space.gram[i] >> i) & 1 == 0
             for j in range(6):
                 assert (space.gram[i] >> j) & 1 == (space.gram[j] >> i) & 1
-        assert space.is_nonsingular()
+        assert len(rref_ints(space.gram)) == space.dim
 
 
 def test_census_examples():
