@@ -425,15 +425,33 @@ def verify_checks(quick: bool, ledger_path: str | None):
     for case_id in pair_expect:
         yield f"pair_{case_id}", (lambda c=case_id: pair(c))
 
-    def census(m, total):
+    # (subspaces, orbits) per case; every orbit size divides the order
+    # 2^10 * 3^7 of the wreath group at m = 2
+    census_expect = {
+        1: {"cond1": (8, 1), "cond2": (8, 1), "even(1,1,0,+)": (12, 1), "odd(1,0,0)": (2, 1)},
+        2: {
+            "cond1": (10422, 4),
+            "cond2": (62208, 3),
+            "even(2,0,0,+)": (46656, 1),
+            "even(2,0,0,-)": (1728, 1),
+            "even(2,1,1,+)": (17496, 1),
+            "even(2,2,0,+)": (1296, 1),
+            "odd(2,1,0)": (11664, 1),
+        },
+    }
+
+    def census(m, total, orbits):
         report = framed.census_small(m)
         assert report.total == framed.mts_count_formula(m) == total, report.total
         assert sum(report.per_case.values()) == total, report.per_case
+        got = {c: (n, report.per_case_orbits.get(c)) for c, n in report.per_case.items()}
+        assert got == census_expect[m], got
+        assert report.orbit_count == orbits, report.orbit_count
         assert report.built_distinct, report.built_case_orbits
 
-    yield "census_m1", lambda: census(1, 30)
+    yield "census_m1", lambda: census(1, 30, 4)
     if not quick:
-        yield "census_m2", lambda: census(2, 151470)
+        yield "census_m2", lambda: census(2, 151470, 12)
 
     def orbifold():
         sub = framed.build_odd(5, 4, 0, seed=0)
@@ -463,6 +481,7 @@ def verify_checks(quick: bool, ledger_path: str | None):
     def ledger():
         bad = [(r.case_id, r.problems) for r in ledger_reports() if not r.ok]
         assert not bad, bad
+        assert len(ledger_reports()) == 21, len(ledger_reports())
 
     yield "lie_ledger", ledger
 
@@ -480,6 +499,9 @@ def verify_checks(quick: bool, ledger_path: str | None):
             rep = by_case[case_id]
             got = (rep.dim_computed, rep.answer, rep.schellekens)
             assert _matches_published(rep, dim, alg, number), (case_id, got)
+        # the exact sets follow from the dimension alone
+        for rec in liesolver.load_ledger(ledger_path):
+            assert not (rec.case_id in exact_solutions and rec.constraints), rec.case_id
         for case_id, solutions in exact_solutions.items():
             got = set(by_case[case_id].solutions)
             assert got == solutions, (case_id, got)
@@ -489,6 +511,7 @@ def verify_checks(quick: bool, ledger_path: str | None):
     def coverage():
         cov = liesolver.lieframed_coverage(ledger_reports())
         assert all(c["ok"] for c in cov), [c for c in cov if not c["ok"]]
+        assert len(cov) == len(tables.LIEFRAMED_ROWS) == 17, len(cov)
 
     yield "lie_lieframed_coverage", coverage
 

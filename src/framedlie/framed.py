@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 import zlib
+from array import array
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .gf2 import (
     MAX_WIDTH,
@@ -27,7 +30,6 @@ from .gf2 import (
     intersect,
     kernel,
     rref,
-    rref_ints,
     subspace_sum,
 )
 from .modlabels import (
@@ -373,12 +375,6 @@ def _triple_invariants(s: MtsSubspace) -> tuple[tuple[int, ...], int, bool]:
     return tuple((1 << d) - 1 for d in dims), n2, cond2
 
 
-@functools.lru_cache(maxsize=None)
-def _block_q_table(m: int) -> bytes:
-    space = standard_plus(2 * m)
-    return bytes(space.q(v) for v in range(1 << (2 * m)))
-
-
 def lnumber_closed(case: TCCase) -> tuple[int, int]:
     """Closed forms for the profile of a built parameter case."""
     if case.kind == "even":
@@ -408,6 +404,7 @@ def classify_triple(s: MtsSubspace) -> TCCase:
     return _decide_branch(s.ambient.m, ones, n2, cond2)
 
 
+@functools.lru_cache(maxsize=None)
 def _decide_branch(m: int, ones: tuple[int, ...], n2: int, cond2: bool) -> TCCase:
     """Map the one-coordinate counts per block, n2 and condition two to a case.
 
@@ -568,33 +565,36 @@ def _all_subspace_rrefs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ..
                 yield tuple(rows), pivots
 
 
-def enumerate_maximal_ts(m: int) -> Iterator[tuple[int, ...]]:
-    """Every maximal totally singular subspace of the triple ambient, once.
+def _mts_spans(m: int) -> Iterator[list[int]]:
+    """Every maximal totally singular subspace of the triple ambient, once,
+    as the list of all its vectors; span[1 << i] is the i-th basis row.
 
     Independent of the classification theory: subspaces are parameterized
     by their shadow on the even-coordinate half together with an
     alternating form on it (plus the annihilator on the odd half), which
-    hits each subspace exactly once.
+    hits each subspace exactly once.  The form's code bit for pivot pair
+    (i, j) adds pivot j to the odd part of row i and pivot i to that of
+    row j, so stepping the code to code + 1 XORs one table into the span.
     """
     n = 3 * m
     spread_even = [_spread(v, n, 0) for v in range(1 << n)]
     spread_odd = [_spread(v, n, 1) for v in range(1 << n)]
     for brows, pivots in _all_subspace_rrefs(n):
-        k = len(brows)
         ann = kernel(list(brows), n)
-        ann_rows = [spread_odd[wv] for wv in ann.rows]
-        npairs = k * (k - 1) // 2
-        pairs = list(itertools.combinations(range(k), 2))
-        for code in range(1 << npairs):
-            lifts = [0] * k
-            for bit, (i, j) in enumerate(pairs):
-                if (code >> bit) & 1:
-                    lifts[i] |= 1 << pivots[j]
-                    lifts[j] |= 1 << pivots[i]
-            rows = [
-                spread_even[brows[i]] | spread_odd[lifts[i]] for i in range(k)
+        span = _span([spread_even[b] for b in brows] + [spread_odd[a] for a in ann.rows])
+        flips = [
+            [
+                spread_odd[((x >> i) & 1) << pivots[j] | ((x >> j) & 1) << pivots[i]]
+                for x in range(1 << n)
             ]
-            yield tuple(rref_ints(rows + ann_rows))
+            for i, j in itertools.combinations(range(len(brows)), 2)
+        ]
+        # code - 1 -> code flips the code bits up to the lowest set bit of code
+        steps = list(itertools.accumulate(flips, lambda a, b: list(map(operator.xor, a, b))))
+        yield span
+        for code in range(1, 1 << len(flips)):
+            span = list(map(operator.xor, span, steps[(code & -code).bit_length() - 1]))
+            yield span
 
 
 def _spread(v: int, n: int, offset: int) -> int:
@@ -614,96 +614,150 @@ def mts_count_formula(m: int) -> int:
     return out
 
 
-def _census_tables(m: int):
-    """Per-element lookup: zero pattern and per-block nonsingular flags."""
+# Chain slots (j, o): slots 2j and 2j + 1 hold the two partners o of block j.
+_CHAIN_SLOTS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+
+
+def _census_tables(m: int) -> tuple[list[int], list[int]]:
+    """Per-vector tables of the triple ambient for _classify_rows_fast.
+
+    counts[v] is 1 << 8b when v lies in block b alone, and 1 << 24 when v
+    has two nonzero parts, both nonsingular; summed over a span at m <= 2
+    no byte overflows.  chains[v], for v with two nonzero parts x in block
+    a and y in block b and a singular x, sets bit x of slot (a, b) and bit
+    y of slot (b, a); each slot is 2^(2m) bits wide.
+    """
     w = 2 * m
-    qtab = _block_q_table(m)
     mask = (1 << w) - 1
-    info = bytearray(1 << (6 * m))
-    for v in range(1 << (6 * m)):
-        b = (v & mask, (v >> w) & mask, (v >> (2 * w)) & mask)
-        pat = (b[0] != 0) | ((b[1] != 0) << 1) | ((b[2] != 0) << 2)
-        ns = qtab[b[0]] | (qtab[b[1]] << 1) | (qtab[b[2]] << 2)
-        info[v] = pat | (ns << 3)
-    return info
+    qtab = bytes(map(standard_plus(w).q, range(1 << w)))
+    slot = {pair: i << w for i, pair in enumerate(_CHAIN_SLOTS)}
+    counts = [0] * (1 << (6 * m))
+    chains = [0] * (1 << (6 * m))
+    for v in range(1, 1 << (6 * m)):
+        parts = (v & mask, (v >> w) & mask, v >> (2 * w))
+        a, *rest = [b for b in range(3) if parts[b]]
+        if not rest:
+            counts[v] = 1 << (8 * a)
+        elif len(rest) == 1:
+            (b,) = rest
+            if qtab[parts[a]] and qtab[parts[b]]:
+                counts[v] = 1 << 24
+            elif not qtab[parts[a]]:
+                chains[v] = (1 << (slot[a, b] + parts[a])) | (1 << (slot[b, a] + parts[b]))
+    return counts, chains
 
 
-def _classify_rows_fast(rows, m, info, w):
-    """classify_triple specialized to the small census representation."""
-    mask = (1 << w) - 1
-    counts = [0] * 8
-    n2 = 0
-    chain = {(j, o): set() for j in range(3) for o in range(3) if o != j}
-    v = 0
-    dim = len(rows)
-    counts[0] += 1
-    for i in range(1, 1 << dim):
-        v ^= rows[(i & -i).bit_length() - 1]
-        byte = info[v]
-        pat = byte & 7
-        counts[pat] += 1
-        if pat in (3, 5, 6):
-            ns = byte >> 3
-            a = 0 if pat & 1 else 1
-            b = 2 if pat & 4 else 1
-            if (ns >> a) & 1 and (ns >> b) & 1:
-                n2 += 1
-            elif not ((ns >> a) & 1):
-                blocks = (v & mask, (v >> w) & mask, (v >> (2 * w)) & mask)
-                chain[(a, b)].add(blocks[a])
-                chain[(b, a)].add(blocks[b])
-    return _decide_branch(m, (counts[1], counts[2], counts[4]), n2, _cond2_from_sets(chain))
+def _classify_rows_fast(span, m, counts, chains) -> TCCase:
+    """classify_triple for the census: the invariants summed over a span
+    (every vector of the subspace) from the _census_tables tables."""
+    c = sum(map(counts.__getitem__, span))
+    chain = functools.reduce(operator.or_, filter(None, map(chains.__getitem__, span)), 0)
+    width = 1 << (2 * m)
+    low = (1 << width) - 1
+    # condition two: slot 2j meets slot 2j + 1 for some block j
+    cond2 = bool(chain & (chain >> width) & (low | low << (2 * width) | low << (4 * width)))
+    return _decide_branch(m, (c & 255, (c >> 8) & 255, (c >> 16) & 255), c >> 24, cond2)
 
 
-def _cond2_from_sets(chain) -> bool:
-    for j in range(3):
-        others = [o for o in range(3) if o != j]
-        if chain[(j, others[0])] & chain[(j, others[1])]:
-            return True
-    return False
+def _span(rows) -> list[int]:
+    """Every vector of the span of independent rows, by doubling."""
+    span = [0]
+    for r in rows:
+        span += [x ^ r for x in span]
+    return span
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
-def _wreath_generators(m: int):
+def _wreath_generators(m: int) -> list[list[int]]:
     """Maps on the triple ambient: the block group on coordinate one plus
-    the two coordinate permutations, as full-width row-transform tables."""
+    the two coordinate permutations, each as its table of images of all
+    2^(6m) vectors."""
     w = 2 * m
     mask = (1 << w) - 1
+    vectors = range(1 << (3 * w))
     gens = []
     for g in orthogonal_generators(standard_plus(w)):
-        tab = [apply_map(g, x) for x in range(1 << w)]
-        gens.append(("block", tab))
-    gens.append(("swap12", None))
-    gens.append(("cycle", None))
+        block = [apply_map(g, x) for x in range(1 << w)]
+        gens.append([(v & ~mask) | block[v & mask] for v in vectors])
+    # new block i is old block src[i]: swap blocks one and two, then cycle
+    for src in ((1, 0, 2), (2, 0, 1)):
+        gens.append([
+            sum(((v >> (w * s)) & mask) << (w * i) for i, s in enumerate(src))
+            for v in vectors
+        ])
+    return gens
 
-    def apply(gen, row: int) -> int:
-        kind, tab = gen
-        b1, b2, b3 = row & mask, (row >> w) & mask, (row >> (2 * w)) & mask
-        if kind == "block":
-            b1 = tab[b1]
-        elif kind == "swap12":
-            b1, b2 = b2, b1
-        else:
-            b1, b2, b3 = b3, b1, b2
-        return b1 | (b2 << w) | (b3 << (2 * w))
 
-    return gens, apply
+def _check_isometry(tab: list[int], q: bytes) -> None:
+    """Raise unless tab, a table of images, is a linear isometry of the
+    space whose quadratic form has the value table q."""
+    n = len(q)
+    if (
+        sorted(tab) != list(range(n))
+        or bytes(map(q.__getitem__, tab)) != q
+        or any(tab[v] != tab[v & (v - 1)] ^ tab[v & -v] for v in range(1, n))
+    ):
+        raise FalsificationError("a census generator is not a linear isometry")
+
+
+def _fingerprint_words(m: int) -> list[int]:
+    """One fixed random word per vector of the triple ambient.  Words are
+    below 2^56, so a sum over the 2^(3m) <= 64 vectors of a span fits an
+    array('q') entry."""
+    rng = random.Random(f"census fingerprint m={m}")
+    return [rng.getrandbits(56) for _ in range(1 << (6 * m))]
+
+
+def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, ...]], int]]:
+    """Enumerate, classify and orbit-partition all maximal t.s. subspaces.
+
+    Returns each subspace's class and orbit root, in enumeration order, and
+    a function from a basis of a maximal t.s. subspace to its census index.
+
+    A subspace's key is the sum of fixed random words over its span.  The
+    keys are checked to be distinct and as many as the product formula, so
+    each key names one subspace and every subspace is there.  The
+    generators are checked to be linear isometries, so each image is a
+    census subspace, and its key is the same sum over the word table
+    composed with the generator: the orbit pass does no row reduction.
+    """
+    counts, chains = _census_tables(m)
+    words = _fingerprint_words(m)
+    gens = _wreath_generators(m)
+    q = bytes(map(TripleAmbient(m).space.q, range(len(words))))
+    for tab in gens:
+        _check_isometry(tab, q)
+    gen_words = [list(map(words.__getitem__, tab)) for tab in gens]
+    index: dict[int, int] = {}
+    images = array("q")
+    cases: list[TCCase] = []
+    for span in _mts_spans(m):
+        if index.setdefault(sum(map(words.__getitem__, span)), len(cases)) != len(cases):
+            raise FalsificationError("duplicate subspace or key collision in the census")
+        images.extend([sum(map(gw.__getitem__, span)) for gw in gen_words])
+        cases.append(_classify_rows_fast(span, m, counts, chains))
+    total = len(cases)
+    if total != mts_count_formula(m):
+        raise FalsificationError(
+            f"census total {total} disagrees with the product formula"
+        )
+    parent = list(range(total))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    # union each subspace with its generator images, in subspace order
+    for i, j in enumerate(map(index.__getitem__, images)):
+        ri, rj = find(i // len(gens)), find(j)
+        if ri != rj:
+            parent[rj] = ri
+
+    def locate(rows) -> int:
+        return index[sum(map(words.__getitem__, _span(rows)))]
+
+    return cases, [find(i) for i in range(total)], locate
 
 
 @functools.lru_cache(maxsize=None)
@@ -713,56 +767,23 @@ def census_small(m: int) -> CensusReport:
         raise UsageError(f"census needs m >= 1, got {m}")
     if m > 2:
         raise ResourceLimitError("full census only at m = 1 and 2")
-    w = 2 * m
-    info = _census_tables(m)
-    keys: dict[tuple[int, ...], int] = {}
-    all_rows: list[tuple[int, ...]] = []
-    cases: list[TCCase] = []
-    for rows in enumerate_maximal_ts(m):
-        if rows in keys:
-            raise FalsificationError("duplicate subspace in the enumeration")
-        keys[rows] = len(all_rows)
-        all_rows.append(rows)
-        cases.append(_classify_rows_fast(rows, m, info, w))
-    total = len(all_rows)
-    if total != mts_count_formula(m):
-        raise FalsificationError(
-            f"census total {total} disagrees with the product formula"
-        )
-    gens, apply = _wreath_generators(m)
-    uf = _UnionFind(total)
-    for idx, rows in enumerate(all_rows):
-        for gen in gens:
-            image = tuple(rref_ints([apply(gen, r) for r in rows]))
-            uf.union(idx, keys[image])
-    roots: dict[int, int] = {}
-    per_case: dict[TCCase, int] = {}
+    cases, roots, locate = _census_pass(m)
     orbit_case: dict[int, TCCase] = {}
-    for idx in range(total):
-        root = uf.find(idx)
-        roots[root] = roots.get(root, 0) + 1
-        per_case[cases[idx]] = per_case.get(cases[idx], 0) + 1
-        if root in orbit_case:
-            if orbit_case[root] != cases[idx]:
-                raise FalsificationError("one orbit received two classifications")
-        else:
-            orbit_case[root] = cases[idx]
-    per_case_orbits: dict[TCCase, int] = {}
-    for root, case in orbit_case.items():
-        per_case_orbits[case] = per_case_orbits.get(case, 0) + 1
-    built_case_orbits: dict[TCCase, int] = {}
-    for case in valid_params(m):
-        built = build_case(case, seed=0)
-        key = built.sub.rows
-        if key not in keys:
-            raise FalsificationError("built subspace missing from the census")
-        built_case_orbits[case] = uf.find(keys[key])
+    for root, case in zip(roots, cases):
+        if orbit_case.setdefault(root, case) != case:
+            raise FalsificationError("one orbit received two classifications")
+    per_case = Counter(cases)
+    per_case_orbits = Counter(orbit_case.values())
+    # the builders validate, so a built subspace is in the census
+    built_case_orbits = {
+        case: roots[locate(build_case(case, seed=0).sub.rows)] for case in valid_params(m)
+    }
     built_distinct = len(set(built_case_orbits.values())) == len(built_case_orbits)
     return CensusReport(
         m=m,
-        total=total,
+        total=len(cases),
         per_case={str(c): n for c, n in sorted(per_case.items())},
-        orbit_count=len(roots),
+        orbit_count=len(orbit_case),
         per_case_orbits={str(c): n for c, n in sorted(per_case_orbits.items())},
         built_case_orbits={str(c): r for c, r in sorted(built_case_orbits.items())},
         built_distinct=built_distinct,

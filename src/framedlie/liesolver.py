@@ -464,6 +464,8 @@ def parse_ledger(text: str) -> list[CaseRecord]:
                 cur = None
             else:
                 raise UsageError(f"unknown ledger field {key!r}")
+        except UsageError as exc:
+            raise UsageError(f"ledger line {lineno}: {exc}") from exc
         except (IndexError, ValueError) as exc:
             raise UsageError(f"ledger line {lineno}: {raw!r}") from exc
     if cur is not None:

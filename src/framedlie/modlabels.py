@@ -189,20 +189,6 @@ def rx_add(a: RXLabel, b: RXLabel) -> RXLabel:
     return RXLabel.from_packed(_add_packed(a.packed, b.packed))
 
 
-def rx_add_via_vectors(a: RXLabel, b: RXLabel) -> RXLabel:
-    """Oracle path for rx_add: add scaled representatives and re-reduce."""
-    wa, wb = label_to_w(a), label_to_w(b)
-    wsum = tuple(x + y for x, y in zip(wa, wb))
-    sign = a.sign ^ b.sign
-    if a.twist and b.twist:
-        sign ^= nu(a) ^ nu(b)
-    elif a.twist or b.twist:
-        twisted = a if a.twist else b
-        summed = label_from_w(wsum)
-        sign ^= nu(twisted) ^ nu(summed)
-    return label_from_w(wsum, a.twist ^ b.twist, sign)
-
-
 def coset_min_norm(label: RXLabel) -> int:
     """Minimum of |w'|^2/8 over the reduction-lattice coset of the label.
 

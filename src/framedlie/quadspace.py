@@ -10,6 +10,7 @@ independent cross-check at small dimensions.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -445,16 +446,18 @@ def nonsingular_inside(
 def orthogonal_group(space: QuadraticSpace) -> tuple[tuple[int, ...], ...]:
     """All q-preserving invertible maps, as tuples of basis-vector images.
 
-    Exhaustive filter over GL(dim, 2); only dimensions 2 and 4 are allowed.
+    Exhaustive filter over the maps of GL(dim, 2) that keep q on the basis,
+    in the order of their packed images; only dimensions 2 and 4 are allowed.
     """
     d = space.dim
     if d not in (2, 4):
         raise ResourceLimitError("orthogonal groups are only enumerated at dim 2 and 4")
     vectors = list(range(1 << d))
     qs = [space.q(v) for v in vectors]
+    choices = [[v for v in vectors if qs[v] == qs[1 << i]] for i in range(d)]
     out = []
-    for code in range(1 << (d * d)):
-        images = tuple((code >> (d * i)) & ((1 << d) - 1) for i in range(d))
+    for rev in itertools.product(*reversed(choices)):  # the image of e_1 varies fastest
+        images = rev[::-1]
         if len(rref_ints(list(images))) != d:
             continue
         if all(qs[apply_map(images, v)] == qs[v] for v in vectors):

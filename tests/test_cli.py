@@ -259,6 +259,7 @@ def test_verify_quick_detects_corruption(capsys, tmp_path):
     assert code == 1
     ledger = next(c for c in json.loads(out)["checks"] if c["name"] == "lie_ledger")
     assert ledger["status"] == "FAIL" and "ledger line" in ledger["error"]
+    assert ledger["error"].endswith("case pcl4_3: answer dimension is off")
 
 
 def test_ledger_flag_reaches_lieframed_coverage(capsys, tmp_path):

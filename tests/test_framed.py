@@ -14,11 +14,9 @@ from framedlie.framed import (
     build_pair_case,
     census_small,
     classify_triple,
-    enumerate_maximal_ts,
     even_case,
     from_text,
     lnumber_closed,
-    mts_count_formula,
     odd_case,
     pair_ambient,
     pair_case_prescription,
@@ -31,7 +29,8 @@ from framedlie.framed import (
     weight1_dim_triple,
     z2_orbifold,
 )
-from framedlie.gf2 import Subspace, UsageError, enumerate_rows, rref
+from framedlie.cli import main
+from framedlie.gf2 import FalsificationError, UsageError, enumerate_rows, rref, rref_ints
 from framedlie.quadspace import max_ts_extend, standard_plus
 from framedlie.tables import TA8_ROWS
 
@@ -73,22 +72,6 @@ def test_builders_are_maximal_totally_singular():
             assert space.q(v) == 0
 
 
-def test_profile_matches_closed_forms_m1_to_5():
-    for m in (1, 2, 3, 4, 5):
-        for case in valid_params(m):
-            s = build_case(case, seed=0)
-            assert profile(s) == lnumber_closed(case), str(case)
-
-
-def test_weight1_published_values():
-    for case in valid_params(5):
-        s = build_case(case, seed=0)
-        got = weight1_dim_triple(s)
-        assert got == WEIGHT1_PUBLISHED[str(case)]
-        n1, n2 = lnumber_closed(case)
-        assert got == 8 * n1 + n2
-
-
 def test_weight1_closed_matches_stated_formula():
     # 3(2^{k1+3} + 2^{k2+3} -+ 2^{(3+k1+k2)/2}) at m = 5
     for case in valid_params(5):
@@ -109,17 +92,6 @@ def test_profile_examples():
     assert lnumber_closed(odd_case(5, 0, 0)) == (0, 48)
     with pytest.raises(UsageError):
         lnumber_closed(odd_case(5, 2, 1))
-
-
-def test_seed_and_choice_invariance():
-    for case_str, expect in (
-        ("even(5,3,2,+)", 240),
-        ("odd(5,3,1)", 240),
-        ("even(5,1,0,-)", 84),
-    ):
-        case = next(c for c in valid_params(5) if str(c) == case_str)
-        for seed in range(5):
-            assert weight1_dim_triple(build_case(case, seed=seed)) == expect
 
 
 def test_builders_seed_sweep():
@@ -184,17 +156,17 @@ def _walk_mismatches(m, stride):
     """Census subspaces, every stride-th, whose profile, invariants or class
     disagree with the walk oracle and with the census classifier."""
     amb = TripleAmbient(m)
-    info = framed._census_tables(m)
+    counts, chains = framed._census_tables(m)
     bad = []
-    for rows in itertools.islice(enumerate_maximal_ts(m), 0, None, stride):
-        s = MtsSubspace(amb, Subspace(amb.dim, rows))
+    for span in itertools.islice(framed._mts_spans(m), 0, None, stride):
+        s = MtsSubspace(amb, rref([span[1 << i] for i in range(3 * m)], amb.dim))
         ones, n2, _, cond2 = _walk(s)
         if (
             framed._triple_invariants(s) != (ones, n2, cond2)
             or profile(s) != (sum(ones), n2)
-            or classify_triple(s) != framed._classify_rows_fast(rows, m, info, 2 * m)
+            or classify_triple(s) != framed._classify_rows_fast(span, m, counts, chains)
         ):
-            bad.append(rows)
+            bad.append(s.sub.rows)
     return bad
 
 
@@ -233,13 +205,6 @@ def test_invariants_match_walk_oracle():
     assert _walk_mismatches(2, 53) == []
 
 
-def test_classifier_roundtrip():
-    for m in (1, 2, 3, 4, 5):
-        for case in valid_params(m):
-            for seed in (0, 3):
-                assert classify_triple(build_case(case, seed=seed)) == case
-
-
 def test_z2_orbifold_basics():
     s = build_odd(5, 4, 0, seed=0)
     space = s.space()
@@ -274,44 +239,76 @@ def test_z2_orbifold_random_property():
             found += 1
 
 
+def _rref_census(m):
+    """Every census subspace as its rref rows, in enumeration order."""
+    return [tuple(rref_ints(span[1 << i] for i in range(3 * m))) for span in framed._mts_spans(m)]
+
+
+def _rref_orbit_roots(m):
+    """Oracle of the census orbit pass: the same union-find over the same
+    generator tables, with each subspace keyed by its rref rows."""
+    keys = {rows: i for i, rows in enumerate(_rref_census(m))}
+    parent = list(range(len(keys)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    gens = framed._wreath_generators(m)
+    for rows, i in keys.items():
+        for tab in gens:
+            ri, rj = find(i), find(keys[tuple(rref_ints([tab[r] for r in rows]))])
+            if ri != rj:
+                parent[rj] = ri
+    return keys, [find(i) for i in range(len(keys))]
+
+
 def test_census_m1():
-    report = census_small(1)
-    assert report.total == 30 == mts_count_formula(1)
-    assert report.per_case == {
-        "cond1": 8,
-        "cond2": 8,
-        "even(1,1,0,+)": 12,
-        "odd(1,0,0)": 2,
-    }
-    assert report.built_distinct
-    assert sum(report.per_case.values()) == 30
+    # the fingerprint-keyed orbit pass against the rref-keyed oracle
+    keys, oracle_roots = _rref_orbit_roots(1)
+    _, roots, locate = framed._census_pass(1)
+    assert roots == oracle_roots
+    assert all(locate(rows) == i for rows, i in keys.items())
+    assert len(set(roots)) == census_small(1).orbit_count == 4
 
 
-def test_census_m2_frozen_breakdown():
-    # values frozen from the exhaustive enumeration; sizes factor over the
-    # wreath group order 2^10 * 3^7 as orbit sums must
-    report = census_small(2)
-    assert report.total == 151470
-    assert report.per_case == {
-        "cond1": 10422,
-        "cond2": 62208,
-        "even(2,0,0,+)": 46656,
-        "even(2,0,0,-)": 1728,
-        "even(2,1,1,+)": 17496,
-        "even(2,2,0,+)": 1296,
-        "odd(2,1,0)": 11664,
-    }
-    assert report.orbit_count == 12
-    assert report.per_case_orbits == {
-        "cond1": 4,
-        "cond2": 3,
-        "even(2,0,0,+)": 1,
-        "even(2,0,0,-)": 1,
-        "even(2,1,1,+)": 1,
-        "even(2,2,0,+)": 1,
-        "odd(2,1,0)": 1,
-    }
-    assert report.built_distinct
+def _bad_generator(kind):
+    """A generator table on the m = 1 ambient that is not a linear isometry."""
+    if kind == "nonlinear":
+        tab = list(range(64))
+        tab[1], tab[4] = tab[4], tab[1]  # two singular vectors trade places
+        return tab
+    return [v ^ ((v & 1) << 1) for v in range(64)]  # linear, but q(e1) becomes 1
+
+
+@pytest.mark.parametrize("kind", ["nonlinear", "non_isometric"])
+def test_census_rejects_bad_generator(monkeypatch, capsys, kind):
+    gens = framed._wreath_generators(1)
+    monkeypatch.setattr(framed, "_wreath_generators", lambda m: gens + [_bad_generator(kind)])
+    census_small.cache_clear()
+    try:
+        with pytest.raises(FalsificationError, match="not a linear isometry"):
+            census_small(1)
+        capsys.readouterr()
+        assert main(["frame", "census", "--m", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "falsification: a census generator is not a linear isometry" in err
+        assert "Traceback" not in err
+    finally:
+        census_small.cache_clear()
+
+
+def test_census_rejects_key_collision(monkeypatch):
+    # a word table of zeros gives every subspace the key 0
+    monkeypatch.setattr(framed, "_fingerprint_words", lambda m: [0] * (1 << (6 * m)))
+    census_small.cache_clear()
+    try:
+        with pytest.raises(FalsificationError, match="duplicate subspace or key collision"):
+            census_small(1)
+    finally:
+        census_small.cache_clear()
 
 
 def test_census_m1_against_independent_scan():
@@ -327,7 +324,7 @@ def test_census_m1_against_independent_scan():
         if sub.dim == 3:
             keys.add(sub.rows)
     assert len(keys) == 30
-    assert keys == set(enumerate_maximal_ts(1))
+    assert keys == set(_rref_census(1))
 
 
 def test_pair_ambient_is_plus_type_dim_28():

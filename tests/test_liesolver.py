@@ -16,15 +16,12 @@ from framedlie.liesolver import (
     decompose,
     default_ledger_path,
     leveled,
-    lieframed_coverage,
     load_ledger,
     parse_decomposition,
     parse_ledger,
     ratio_from_dim,
     run_case,
-    run_ledger,
 )
-from framedlie.tables import LIEFRAMED_ROWS, TA16_ROWS, TA8_ROWS
 
 
 ROOT_COUNTS = {
@@ -169,42 +166,13 @@ def test_ledger_rejects_bad_text():
         parse_ledger(bad)  # answer dimension off
 
 
-def test_run_ledger_all_match():
-    reports = run_ledger()
-    assert len(reports) == 21
-    for rep in reports:
-        assert rep.ok, (rep.case_id, rep.problems)
-        assert rep.dim_computed == rep.dim_published
-
-
-def test_arithmetic_unique_exact_sets():
-    expect = {
-        "even(5,4,1,+)": {"E8,2 B8,1"},
-        "even(5,5,0,+)": {"(E8,1)^3", "D16,1 E8,1"},
-        "odd(5,4,0)": {"A15,1 D9,1"},
-        "pcl5_3": {"A8,2 F4,2"},
-        "pcl4_3": {"C10,1 B6,1"},
-    }
-    for rec in load_ledger():
-        if rec.case_id in expect:
-            assert not rec.constraints  # purely arithmetic sets
-            sols = {str(s) for s in decompose(rec.dim, [])}
-            assert sols == expect[rec.case_id], rec.case_id
-
-
-def test_published_tables_match_ledger():
-    reports = {r.case_id: r for r in run_ledger()}
-    for case_id, dim, alg, number, _ in TA8_ROWS + TA16_ROWS:
-        rep = reports[case_id]
-        assert rep.dim_computed == dim
-        assert parse_decomposition(rep.answer) == parse_decomposition(alg)
-        assert rep.schellekens == number
-
-
-def test_lieframed_coverage():
-    cov = lieframed_coverage(run_ledger())
-    assert len(cov) == len(LIEFRAMED_ROWS) == 17
-    assert all(c["ok"] for c in cov)
+def test_ledger_error_keeps_record_message():
+    text = open(default_ledger_path()).read()
+    bad = text.replace("answer C10,1 B6,1", "answer (A10,1)^2 B6,1")  # pcl4_3, dim 318
+    # the record is checked at its 'end' line
+    message = r"^ledger line \d+: case pcl4_3: answer dimension is off$"
+    with pytest.raises(UsageError, match=message):
+        parse_ledger(bad)
 
 
 def test_corrupted_ledger_detected():
