@@ -98,11 +98,7 @@ def is_self_dual(code: BinaryCode) -> bool:
 
 def double_word(word: int, n: int) -> int:
     """d(a_1..a_n) = (a_1,a_1,...,a_n,a_n)."""
-    out = 0
-    for i in range(n):
-        if (word >> i) & 1:
-            out |= 0b11 << (2 * i)
-    return out
+    return 3 * interleave_word(word, n)
 
 
 def interleave_word(word: int, n: int) -> int:

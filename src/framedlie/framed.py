@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from .codes import interleave_word
 from .gf2 import (
     MAX_WIDTH,
     Bitvec,
@@ -25,6 +26,7 @@ from .gf2 import (
     ResourceLimitError,
     Subspace,
     UsageError,
+    apply_map,
     complement_in,
     enumerate_rows,
     intersect,
@@ -48,7 +50,6 @@ from .modlabels import (
 )
 from .quadspace import (
     QuadraticSpace,
-    apply_map,
     direct_sum,
     gauss_sum,
     isometry,
@@ -94,11 +95,6 @@ class TripleAmbient:
     def embed(self, v: int, block: int) -> int:
         return v << (2 * self.m * block)
 
-    def split(self, v: int) -> tuple[int, int, int]:
-        mask = (1 << (2 * self.m)) - 1
-        w = 2 * self.m
-        return (v & mask, (v >> w) & mask, (v >> (2 * w)) & mask)
-
 
 class PairAmbient:
     """Coordinatized big label block (dim 18) followed by the small one."""
@@ -108,9 +104,6 @@ class PairAmbient:
         self.rv = rv_model()
         self.space = direct_sum(self.coords.space, self.rv.space)
         self.dim = 28
-
-    def split(self, v: int) -> tuple[int, int]:
-        return (v & ((1 << 18) - 1), v >> 18)
 
 
 @functools.lru_cache(maxsize=1)
@@ -231,6 +224,18 @@ def _singular_line_basis(k: int) -> list[int]:
     return [1 << (2 * i) for i in range(k)]
 
 
+def _block_rows(amb: TripleAmbient, s1, s2, p, q, t, phi) -> list[int]:
+    """Rows shared by both families: S1 in block 0, S2 in block 1, P
+    diagonally in blocks 0 and 1, Q in blocks 0 and 2, and T in block 1
+    with its image under phi in block 2."""
+    rows = [amb.embed(v, 0) for v in s1.rows]
+    rows += [amb.embed(v, 1) for v in s2.rows]
+    rows += [amb.embed(v, 0) | amb.embed(v, 1) for v in p.rows]
+    rows += [amb.embed(v, 0) | amb.embed(v, 2) for v in q.rows]
+    rows += [amb.embed(v, 1) | amb.embed(phi.apply(v), 2) for v in t.rows]
+    return rows
+
+
 def build_even(m: int, k1: int, k2: int, eps: str, seed: int = 0) -> MtsSubspace:
     """The even-parity family of maximal totally singular subspaces."""
     _check_even_params(m, k1, k2, eps)
@@ -246,16 +251,8 @@ def build_even(m: int, k1: int, k2: int, eps: str, seed: int = 0) -> MtsSubspace
     u = space.perp(q)
     if q.dim != m - k1 + k2 or t.dim != m + k1 - k2 or u.dim != t.dim:
         raise FalsificationError("even builder produced wrong block dimensions")
-    phi = isometry(space, t, u, rng)
-    rows = [amb.embed(v, 0) for v in s1.rows]
-    rows += [amb.embed(v, 1) for v in s2.rows]
-    rows += [amb.embed(v, 0) | amb.embed(v, 1) for v in p.rows]
-    rows += [amb.embed(v, 0) | amb.embed(v, 2) for v in q.rows]
-    rows += [amb.embed(v, 1) | amb.embed(phi.apply(v), 2) for v in t.rows]
-    sub = rref(rows, amb.dim)
-    out = MtsSubspace(
-        amb, sub, {"S1": s1, "S2": s2, "P": p, "Q": q, "T": t, "U": u, "phi": phi}
-    )
+    rows = _block_rows(amb, s1, s2, p, q, t, isometry(space, t, u, rng))
+    out = MtsSubspace(amb, rref(rows, amb.dim))
     out.validate()
     return out
 
@@ -287,32 +284,12 @@ def build_odd(m: int, k1: int, k2: int, seed: int = 0) -> MtsSubspace:
     u = space.perp(subspace_sum(q, b))
     if t.dim != m + k1 - k2 - 1 or u.dim != t.dim:
         raise FalsificationError("odd builder produced wrong block dimensions")
-    phi = isometry(space, t, u, rng)
-    rows = [amb.embed(v, 0) for v in s1.rows]
-    rows += [amb.embed(v, 1) for v in s2.rows]
-    rows += [amb.embed(v, 0) | amb.embed(v, 1) for v in p.rows]
-    rows += [amb.embed(v, 0) | amb.embed(v, 2) for v in q.rows]
-    rows += [amb.embed(v, 1) | amb.embed(phi.apply(v), 2) for v in t.rows]
+    rows = _block_rows(amb, s1, s2, p, q, t, isometry(space, t, u, rng))
     rows.append(amb.embed(y, 0) | amb.embed(y, 1))
     rows.append(amb.embed(y, 0) | amb.embed(y, 2))
     rows.append(amb.embed(z, 0) | amb.embed(z, 1) | amb.embed(z, 2))
-    sub = rref(rows, amb.dim)
-    out = MtsSubspace(
-        amb,
-        sub,
-        {
-            "S1": s1,
-            "S2": s2,
-            "P": p,
-            "Q": q,
-            "T": t,
-            "U": u,
-            "B": b,
-            "y": y,
-            "z": z,
-            "phi": phi,
-        },
-    )
+    # section47_orbifold_choices reads S1, T and z
+    out = MtsSubspace(amb, rref(rows, amb.dim), {"S1": s1, "T": t, "z": z})
     out.validate()
     return out
 
@@ -491,15 +468,10 @@ def section47_orbifold_choices(s: MtsSubspace, limit: int = 5) -> list[tuple[int
 
 def to_text(s: MtsSubspace) -> str:
     amb = s.ambient
-    if isinstance(amb, TripleAmbient):
-        header = f"ambient=triple m={amb.m}"
-        width = amb.dim
-    else:
-        header = "ambient=pair"
-        width = 28
+    header = f"ambient=triple m={amb.m}" if isinstance(amb, TripleAmbient) else "ambient=pair"
     lines = [header]
     for r in s.sub.rows:
-        lines.append(str(Bitvec(width, r)))
+        lines.append(str(Bitvec(amb.dim, r)))
     return "\n".join(lines) + "\n"
 
 
@@ -510,21 +482,22 @@ def from_text(text: str) -> MtsSubspace:
     head = lines[0][len("ambient=") :]
     if head == "pair":
         amb: object = pair_ambient()
-        width = 28
     elif head.startswith("triple m="):
         try:
             m = int(head[len("triple m=") :])
         except ValueError:
             raise UsageError(f"bad triple ambient header {head!r}") from None
         amb = TripleAmbient(m)
-        width = amb.dim
     else:
         raise UsageError(f"unknown ambient {head!r}")
     rows = [Bitvec.from_string(ln) for ln in lines[1:]]
-    if any(r.width != width for r in rows):
+    if any(r.width != amb.dim for r in rows):
         raise UsageError("row width does not match the ambient")
-    out = MtsSubspace(amb, rref(rows, width))
-    out.validate()
+    out = MtsSubspace(amb, rref(rows, amb.dim))
+    try:
+        out.validate()
+    except FalsificationError as exc:  # bad input, not a failed theorem
+        raise UsageError(f"not a maximal totally singular subspace: {exc}") from None
     return out
 
 
@@ -577,8 +550,8 @@ def _mts_spans(m: int) -> Iterator[list[int]]:
     row j, so stepping the code to code + 1 XORs one table into the span.
     """
     n = 3 * m
-    spread_even = [_spread(v, n, 0) for v in range(1 << n)]
-    spread_odd = [_spread(v, n, 1) for v in range(1 << n)]
+    spread_even = [interleave_word(v, n) for v in range(1 << n)]
+    spread_odd = [x << 1 for x in spread_even]
     for brows, pivots in _all_subspace_rrefs(n):
         ann = kernel(list(brows), n)
         span = _span([spread_even[b] for b in brows] + [spread_odd[a] for a in ann.rows])
@@ -595,14 +568,6 @@ def _mts_spans(m: int) -> Iterator[list[int]]:
         for code in range(1, 1 << len(flips)):
             span = list(map(operator.xor, span, steps[(code & -code).bit_length() - 1]))
             yield span
-
-
-def _spread(v: int, n: int, offset: int) -> int:
-    out = 0
-    for i in range(n):
-        if (v >> i) & 1:
-            out |= 1 << (2 * i + offset)
-    return out
 
 
 def mts_count_formula(m: int) -> int:
@@ -846,9 +811,7 @@ def build_pair_case(case_id: str, seed: int = 0) -> MtsSubspace:
             continue
         realized = _rho_kernel_projection(sub, side=0)
         if realized.rows == prescription.rows:
-            out = MtsSubspace(
-                amb, sub, {"case_id": case_id, "prescription": prescription}
-            )
+            out = MtsSubspace(amb, sub)
             out.validate()
             return out
         last_error = f"shadow grew to dimension {realized.dim}"
@@ -859,13 +822,9 @@ def build_pair_case(case_id: str, seed: int = 0) -> MtsSubspace:
 
 def _rho_kernel_projection(sub: Subspace, side: int) -> Subspace:
     """rho_i of the part of sub that vanishes on the other side."""
-    if side == 0:
-        coord = rref([1 << i for i in range(18)], 28)
-        part = intersect(sub, coord)
-        return rref([r & ((1 << 18) - 1) for r in part.rows], 18)
-    coord = rref([1 << i for i in range(18, 28)], 28)
-    part = intersect(sub, coord)
-    return rref([r >> 18 for r in part.rows], 10)
+    lo, hi = (0, 18) if side == 0 else (18, 28)
+    part = intersect(sub, rref([1 << i for i in range(lo, hi)], 28))
+    return rref([r >> lo for r in part.rows], hi - lo)
 
 
 def rho_invariants(s: MtsSubspace) -> dict:

@@ -1,4 +1,5 @@
-"""Bit-packed GF(2) vectors, subspaces and row reduction.
+"""Bit-packed GF(2) vectors, subspaces, row reduction, row combination by a
+mask and solving in a basis.
 
 Vectors live in ``F_2^width`` with coordinate ``i`` stored in bit ``i`` of a
 Python int (LSB = first coordinate).  Widths are capped at one machine word;
@@ -80,6 +81,43 @@ def _as_int(v: "Bitvec | int", width: int) -> int:
     return v
 
 
+def apply_map(images: Sequence[int], v: int) -> int:
+    """XOR of the images that the bits of v select."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= images[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+class EchelonSolver:
+    """Expresses vectors in a fixed (not necessarily rref) basis."""
+
+    def __init__(self, basis: Sequence[int]):
+        self.rows: list[tuple[int, int]] = []  # (vector, coefficient mask)
+        for i, v in enumerate(basis):
+            m = 1 << i
+            for r, rm in self.rows:
+                if v & (r & -r):
+                    v ^= r
+                    m ^= rm
+            if not v:
+                raise UsageError("basis rows are dependent")
+            self.rows.append((v, m))
+
+    def coefficients(self, v: int) -> int:
+        """The mask m with apply_map(basis, m) == v."""
+        m = 0
+        for r, rm in self.rows:
+            if v & (r & -r):
+                v ^= r
+                m ^= rm
+        if v:
+            raise UsageError("vector not in span")
+        return m
+
+
 def rref_ints(rows: Iterable[int]) -> list[int]:
     """Reduced row echelon form of integer rows; pivots are lowest set bits."""
     basis: list[int] = []
@@ -133,18 +171,6 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
-
-    def coefficients(self, v: "Bitvec | int") -> int:
-        """Coordinates of a member vector in the rref basis, as a bit mask."""
-        x = _as_int(v, self.ambient_width)
-        mask = 0
-        for i, b in enumerate(self.rows):
-            if x & (b & -b):
-                x ^= b
-                mask |= 1 << i
-        if x:
-            raise UsageError("vector is not in the subspace")
-        return mask
 
 
 def rref(rows: Iterable["Bitvec | int"], width: int | None = None) -> Subspace:
@@ -223,20 +249,11 @@ def complement_in(a: Subspace, b: Subspace, rng: random.Random | None = None) ->
                     pool[i] ^= pool[j]
         rng.shuffle(pool)
     picked: list[int] = []
-    span = list(a.rows)
+    span = a
     for v in pool:
-        x = v
-        for bas in span:
-            if x & (bas & -bas):
-                x ^= bas
-        if x:
+        if span.reduce(v):
             picked.append(v)
-            # keep span in echelon form for the membership reductions
-            for i, bas in enumerate(span):
-                if bas & (x & -x):
-                    span[i] = bas ^ x
-            span.append(x)
-            span.sort(key=lambda r: r & -r)
+            span = Subspace(span.ambient_width, tuple(rref_ints(span.rows + (v,))))
     if len(picked) != b.dim - a.dim:
         raise FalsificationError("complement extraction lost rank")
     return Subspace(a.ambient_width, tuple(rref_ints(picked)))

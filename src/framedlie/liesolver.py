@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .gf2 import UsageError
+from .gf2 import MAX_WIDTH, UsageError
 
 MAX_TOTAL_RANK = 24
 
@@ -373,6 +373,8 @@ class CaseRecord:
     also: list[Decomposition] = field(default_factory=list)
     uniqueness: str = ""
     identified: str | None = None
+    # what case_id names, set by _validate_record: a pair case id or a TCCase
+    case: object = field(default=None, init=False, compare=False, repr=False)
 
     def expected_set(self) -> set[Decomposition]:
         assert self.answer is not None
@@ -487,6 +489,23 @@ def _validate_record(rec: CaseRecord) -> None:
     for alt in rec.also:
         if alt.total_dim != rec.dim:
             raise UsageError(f"case {rec.case_id}: alternate dimension is off")
+    rec.case = _resolve_case(rec.case_id)
+
+
+def _resolve_case(case_id: str) -> object:
+    """A pair case id as is, or the TCCase that an id such as even(5,1,0,+)
+    spells, if its parameters pass the builder checks."""
+    from . import framed
+
+    if case_id in framed.PAIR_CASE_IDS:
+        return case_id
+    kind, _, body = case_id.partition("(")
+    m = body.split(",", 1)[0]
+    if kind in ("even", "odd") and m.isdecimal() and 1 <= int(m) <= MAX_WIDTH // 6:
+        for case in framed.valid_params(int(m)):
+            if str(case) == case_id:
+                return case
+    raise UsageError(f"case {case_id}: not a pair case or a buildable triple case")
 
 
 @functools.lru_cache(maxsize=None)
@@ -516,23 +535,18 @@ class CaseReport:
     problems: list[str]
 
 
-def _computed_dim(case_id: str) -> int:
+def _computed_dim(case: object) -> int:
+    """Weight-one dimension of a case that _resolve_case returned."""
     from . import framed
 
-    if case_id.startswith(("even(", "odd(")):
-        kind, body = case_id.split("(", 1)
-        bits = body.rstrip(")").split(",")
-        if kind == "even":
-            case = framed.even_case(int(bits[0]), int(bits[1]), int(bits[2]), bits[3])
-        else:
-            case = framed.odd_case(int(bits[0]), int(bits[1]), int(bits[2]))
-        return framed.weight1_dim_triple(framed.build_case(case, seed=0))
-    return framed.build_pair_case_weight1(case_id, seed=0)
+    if isinstance(case, str):
+        return framed.build_pair_case_weight1(case, seed=0)
+    return framed.weight1_dim_triple(framed.build_case(case, seed=0))
 
 
 def run_case(rec: CaseRecord, computed_dim: int | None = None) -> CaseReport:
     problems: list[str] = []
-    dim = computed_dim if computed_dim is not None else _computed_dim(rec.case_id)
+    dim = computed_dim if computed_dim is not None else _computed_dim(rec.case)
     if dim != rec.dim:
         problems.append(f"computed dimension {dim} != published {rec.dim}")
     sols = decompose(rec.dim, rec.constraints)

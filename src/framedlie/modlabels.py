@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gf2 import FalsificationError, UsageError
+from .gf2 import EchelonSolver, FalsificationError, UsageError
 from .quadspace import QuadraticSpace, standard_plus
 
 N_COORDS = 16
@@ -326,8 +326,8 @@ class RXCoordinates:
     """Linear coordinates on the label group with its quadratic form.
 
     Eighteen group-independent labels are fixed; any label is decomposed by
-    pairing against them through the inverse Gram matrix.  The transported
-    form lives on F_2^18 as a QuadraticSpace.
+    pairing against them and solving in the rows of the symmetric Gram
+    matrix.  The transported form lives on F_2^18 as a QuadraticSpace.
     """
 
     def __init__(self) -> None:
@@ -340,7 +340,10 @@ class RXCoordinates:
             for i in range(n)
         )
         self.q_values = tuple(_qx(b) for b in self.basis)
-        self._ginv = _invert_gf2(self.gram_rows, n)
+        try:
+            self._solver = EchelonSolver(self.gram_rows)
+        except UsageError:
+            raise FalsificationError("Gram matrix of the label basis is singular") from None
         u_rows = []
         for i in range(n):
             row = self.q_values[i] << i
@@ -357,10 +360,7 @@ class RXCoordinates:
         p = 0
         for i, b in enumerate(self.basis):
             p |= _pairing(x, b) << i
-        coords = 0
-        for i, row in enumerate(self._ginv):
-            coords |= ((row & p).bit_count() & 1) << i
-        return coords
+        return self._solver.coefficients(p)
 
     def packed_label(self, coords: int) -> int:
         """The packed label with these coordinates: a sum of basis labels."""
@@ -374,21 +374,6 @@ class RXCoordinates:
 
     def from_coords(self, coords: int) -> RXLabel:
         return RXLabel.from_packed(self.packed_label(coords))
-
-
-def _invert_gf2(rows: Sequence[int], n: int) -> tuple[int, ...]:
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    for col in range(n):
-        pivot = next(
-            (r for r in range(col, n) if (aug[r] >> col) & 1), None
-        )
-        if pivot is None:
-            raise FalsificationError("Gram matrix of the label basis is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(n):
-            if r != col and (aug[r] >> col) & 1:
-                aug[r] ^= aug[col]
-    return tuple(row >> n for row in aug)
 
 
 @functools.lru_cache(maxsize=1)

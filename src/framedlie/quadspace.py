@@ -2,9 +2,9 @@
 
 A form is stored through its upper-triangular coefficient rows U (diagonal
 included), so ``q(x) = x . U . x`` and the polarized symplectic form is
-``B = U + U^T``.  Types (plus/minus) are decided by the Arf invariant of a
-symplectic basis; exhaustive singular-vector censuses serve as the
-independent cross-check at small dimensions.
+``B = U + U^T``.  Types (plus/minus) are decided by the sign of the Gauss
+sum; exhaustive singular-vector censuses serve as the independent
+cross-check at small dimensions.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from typing import Callable, Sequence
 from .gf2 import (
     ENUM_GUARD,
     Bitvec,
+    EchelonSolver,
     FalsificationError,
     ResourceLimitError,
     Subspace,
     UsageError,
+    apply_map,
     enumerate_rows,
     full_subspace,
     intersect,
@@ -32,16 +34,6 @@ from .gf2 import (
 )
 
 _SAMPLE_RETRIES = 64
-
-
-def apply_map(images: Sequence[int], v: int) -> int:
-    """XOR of the images that the bits of v select."""
-    out = 0
-    while v:
-        low = v & -v
-        out ^= images[low.bit_length() - 1]
-        v ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -76,13 +68,7 @@ class QuadraticSpace:
         x = v.bits if isinstance(v, Bitvec) else v
         if x >> self.dim:
             raise UsageError("vector width exceeds space dimension")
-        acc = 0
-        y = x
-        while y:
-            low = y & -y
-            acc ^= (self.u_rows[low.bit_length() - 1] & x).bit_count()
-            y ^= low
-        return acc & 1
+        return (apply_map(self.u_rows, x) & x).bit_count() & 1
 
     def bilinear(self, a: Bitvec | int, b: Bitvec | int) -> int:
         x = a.bits if isinstance(a, Bitvec) else a
@@ -115,9 +101,7 @@ def standard_plus(dim: int) -> QuadraticSpace:
 
 def standard_minus(dim: int) -> QuadraticSpace:
     """Standard plus form with the last plane made anisotropic."""
-    rows = []
-    for i in range(dim):
-        rows.append((1 << (i + 1)) if i % 2 == 0 else 0)
+    rows = list(standard_plus(dim).u_rows)
     rows[dim - 2] |= 1 << (dim - 2)
     rows[dim - 1] |= 1 << (dim - 1)
     return QuadraticSpace(dim, tuple(rows))
@@ -233,13 +217,6 @@ def symplectic_basis(
     return pairs
 
 
-def arf_invariant(space: QuadraticSpace, s: Subspace) -> int:
-    acc = 0
-    for a, b in symplectic_basis(space, s):
-        acc ^= space.q(a) & space.q(b)
-    return acc
-
-
 def gauss_sum(space: QuadraticSpace, s: Subspace) -> int:
     """The character sum over s of (-1)^q(x), without enumerating s.
 
@@ -270,11 +247,11 @@ def gauss_sum(space: QuadraticSpace, s: Subspace) -> int:
     return -size if arf else size
 
 
-def type_of(space: QuadraticSpace, s: Subspace | None = None, cross_check: bool | None = None) -> SpaceType:
+def type_of(space: QuadraticSpace, s: Subspace | None = None) -> SpaceType:
     """Type of the form restricted to s: plus, minus, or degenerate(r).
 
-    The Arf invariant decides plus/minus; for small subspaces the census
-    closed forms are recomputed as a cross-check unless disabled.
+    The sign of the Gauss sum decides plus/minus; up to dimension 12 the
+    census closed forms are recomputed as a cross-check.
     """
     if s is None:
         s = space.full()
@@ -283,12 +260,9 @@ def type_of(space: QuadraticSpace, s: Subspace | None = None, cross_check: bool 
         return SpaceType("degenerate", rad.dim)
     if s.dim % 2:
         raise FalsificationError("non-singular odd-dimensional subspace over GF(2)")
-    plus = arf_invariant(space, s) == 0
-    if cross_check is None:
-        cross_check = s.dim <= 12
-    if cross_check:
-        if singular_census(space, s) != lnum_closed(s.dim // 2, plus):
-            raise FalsificationError("Arf invariant disagrees with the singular census")
+    plus = gauss_sum(space, s) > 0
+    if s.dim <= 12 and singular_census(space, s) != lnum_closed(s.dim // 2, plus):
+        raise FalsificationError("Gauss sum sign disagrees with the singular census")
     return PLUS if plus else MINUS
 
 
@@ -324,16 +298,16 @@ def _require_totally_singular(space: QuadraticSpace, s: Subspace) -> None:
 
 
 class LinearMap:
-    """A linear map defined on a subspace by images of its rref basis."""
+    """A linear map on the span of a basis, given by the images of that basis."""
 
-    def __init__(self, domain: Subspace, images: Sequence[int]):
-        if len(images) != domain.dim:
+    def __init__(self, basis: Sequence[int], images: Sequence[int]):
+        if len(images) != len(basis):
             raise UsageError("need one image per basis vector")
-        self.domain = domain
+        self.solver = EchelonSolver(basis)
         self.images = tuple(images)
 
-    def apply(self, v: Bitvec | int) -> int:
-        return apply_map(self.images, self.domain.coefficients(v))
+    def apply(self, v: int) -> int:
+        return apply_map(self.images, self.solver.coefficients(v))
 
 
 def isometry(
@@ -350,48 +324,18 @@ def isometry(
     if t.dim != u.dim:
         raise UsageError("isometry requires equal dimensions")
     if t.dim == 0:
-        return LinearMap(t, ())
+        return LinearMap((), ())
     if type_of(space, t) != type_of(space, u):
         raise UsageError("isometry requires equal types")
     tb = [v for pair in symplectic_basis(space, t, rng) for v in pair]
     ub = [v for pair in symplectic_basis(space, u, rng) for v in pair]
-    dom = rref(tb, space.dim)
-    # images must follow the rref basis of the domain, not the pair order
-    helper = _EchelonSolver(tb)
-    phi = LinearMap(dom, [apply_map(ub, helper.coefficients(row)) for row in dom.rows])
-    for i, a in enumerate(dom.rows):
-        if space.q(phi.apply(a)) != space.q(a):
+    for i, (a, x) in enumerate(zip(tb, ub)):
+        if space.q(x) != space.q(a):
             raise FalsificationError("isometry failed to preserve q on a basis vector")
-        for b in dom.rows[:i]:
-            if space.bilinear(phi.apply(a), phi.apply(b)) != space.bilinear(a, b):
+        for b, y in zip(tb[:i], ub[:i]):
+            if space.bilinear(x, y) != space.bilinear(a, b):
                 raise FalsificationError("isometry failed to preserve the pairing")
-    return phi
-
-
-class _EchelonSolver:
-    """Expresses vectors in a fixed (not necessarily rref) basis."""
-
-    def __init__(self, basis: Sequence[int]):
-        self.rows: list[tuple[int, int]] = []  # (vector, coefficient mask)
-        for i, v in enumerate(basis):
-            m = 1 << i
-            for r, rm in self.rows:
-                if v & (r & -r):
-                    v ^= r
-                    m ^= rm
-            if not v:
-                raise UsageError("basis rows are dependent")
-            self.rows.append((v, m))
-
-    def coefficients(self, v: int) -> int:
-        m = 0
-        for r, rm in self.rows:
-            if v & (r & -r):
-                v ^= r
-                m ^= rm
-        if v:
-            raise UsageError("vector not in span")
-        return m
+    return LinearMap(tb, ub)
 
 
 def nonsingular_inside(

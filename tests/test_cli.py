@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from framedlie import cli
 from framedlie.cli import main
 from framedlie.liesolver import default_ledger_path
 
@@ -15,6 +16,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def lie_checks_only(monkeypatch):
+    """Make verify run only the registry's lie_* checks, which read the ledger."""
+    registry = cli.verify_checks
+
+    def lie_checks(quick, ledger_path):
+        return ((n, fn) for n, fn in registry(quick, ledger_path) if n.startswith("lie_"))
+
+    monkeypatch.setattr(cli, "verify_checks", lie_checks)
 
 
 def test_qspace_json(capsys):
@@ -94,11 +105,19 @@ def test_frame_classify_roundtrip(capsys, tmp_path):
 
 
 def test_frame_classify_bad_input_exits_2(capsys, tmp_path):
-    for header in ("ambient=triple m=x", "ambient=triple m=11", "ambient=triple m=0"):
-        p = tmp_path / "bad.txt"
-        p.write_text(header + "\n" + "0" * 12 + "\n")
-        code, _ = run(capsys, "frame", "classify", "--input", str(p))
-        assert code == 2, header
+    texts = [
+        header + "\n" + "0" * 12 + "\n"
+        for header in ("ambient=triple m=x", "ambient=triple m=11", "ambient=triple m=0")
+    ]
+    # well-formed, but not a maximal totally singular subspace: no rows, and
+    # three singular rows of which e1 and e2 pair to 1
+    texts += ["ambient=triple m=1\n", "ambient=triple m=1\n100000\n010000\n001000\n"]
+    p = tmp_path / "bad.txt"
+    for text in texts:
+        p.write_text(text)
+        code = main(["frame", "classify", "--input", str(p)])
+        assert code == 2, text
+        assert capsys.readouterr().err.startswith("usage error: "), text
     code, _ = run(capsys, "frame", "classify", "--input", str(tmp_path / "missing.txt"))
     assert code == 2
 
@@ -251,7 +270,31 @@ def test_verify_refuses_optimized_python():
     assert "python -O" in done.stderr and "PASS" not in done.stdout
 
 
-def test_verify_quick_detects_corruption(capsys, tmp_path):
+def test_ledger_bad_case_id_exits_2(capsys, monkeypatch, tmp_path):
+    lie_checks_only(monkeypatch)
+    text = open(default_ledger_path()).read()
+    p = tmp_path / "bad.ledger"
+    for old, new in (
+        ("case even(5,1,0,+)", "case even(5,1,0)"),
+        ("case even(5,1,0,-)", "case even(5,x,0,-)"),
+        ("case odd(5,0,0)", "case odd(5,1,0)"),
+        ("case pcl4_6", "case pcl4_7"),
+    ):
+        assert old in text
+        p.write_text(text.replace(old, new, 1))
+        code = main(["lie", "ledger", "--ledger", str(p)])
+        err = capsys.readouterr().err
+        assert code == 2, new
+        assert err.startswith("usage error: ledger line ") and new[5:] + ":" in err, err
+        code, out = run(capsys, "verify", "--ledger", str(p), "--format", "json")
+        assert code == 1
+        errors = {c["name"]: c["error"] for c in json.loads(out)["checks"]}
+        for name in ("lie_ledger", "lie_published_tables", "lie_lieframed_coverage"):
+            assert errors[name].startswith("UsageError: ledger line "), errors[name]
+
+
+def test_verify_quick_detects_corruption(capsys, monkeypatch, tmp_path):
+    lie_checks_only(monkeypatch)
     text = open(default_ledger_path()).read()
     p = tmp_path / "bad.ledger"
     p.write_text(text.replace("answer C10,1 B6,1", "answer (A10,1)^2 B6,1"))
@@ -262,7 +305,7 @@ def test_verify_quick_detects_corruption(capsys, tmp_path):
     assert ledger["error"].endswith("case pcl4_3: answer dimension is off")
 
 
-def test_ledger_flag_reaches_lieframed_coverage(capsys, tmp_path):
+def test_ledger_flag_reaches_lieframed_coverage(capsys, monkeypatch, tmp_path):
     text = open(default_ledger_path()).read()
     # row 13 of the lieframed table has this ledger case as its only source
     p = tmp_path / "bad.ledger"
@@ -271,6 +314,7 @@ def test_ledger_flag_reaches_lieframed_coverage(capsys, tmp_path):
     assert code == 1
     data = json.loads(out)
     assert [r["no"] for r in data["rows"] if r["status"] == "UNCOVERED"] == [13]
+    lie_checks_only(monkeypatch)
     code, out = run(capsys, "verify", "--quick", "--ledger", str(p))
     assert code == 1
     assert "FAIL lie_lieframed_coverage" in out

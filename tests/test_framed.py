@@ -332,7 +332,7 @@ def test_pair_ambient_is_plus_type_dim_28():
 
     amb = pair_ambient()
     assert amb.space.dim == 28
-    assert str(type_of(amb.space, cross_check=False)) == "plus"
+    assert str(type_of(amb.space)) == "plus"
     # closed-form census of the whole ambient: 2^27 +- 2^13 split
     assert lnum_closed(14, True) == (2**27 + 2**13 - 1, 2**27 - 2**13)
 

@@ -4,9 +4,11 @@ import pytest
 
 from framedlie.gf2 import (
     Bitvec,
+    EchelonSolver,
     ResourceLimitError,
     Subspace,
     UsageError,
+    apply_map,
     complement_in,
     enumerate_rows,
     intersect,
@@ -174,12 +176,21 @@ def test_kernel():
 
 def test_coefficients_roundtrip():
     rng = random.Random(11)
-    s = rref([rng.getrandbits(12) for _ in range(5)], 12)
-    for v in enumerate_rows(s):
-        mask = s.coefficients(v)
-        back = 0
-        for i in range(s.dim):
-            if (mask >> i) & 1:
-                back ^= s.rows[i]
-        assert back == v
+    for _ in range(50):
+        width = rng.randrange(2, 20)
+        # random independent rows in draw order: a basis, seldom in rref
+        basis = []
+        for _ in range(width):
+            v = rng.getrandbits(width)
+            if rref(basis + [v], width).dim > len(basis):
+                basis.append(v)
+        solver = EchelonSolver(basis)
+        for _ in range(20):
+            m = rng.getrandbits(len(basis))
+            assert solver.coefficients(apply_map(basis, m)) == m
+    with pytest.raises(UsageError, match="dependent"):
+        EchelonSolver([0b011, 0b110, 0b101])
+    solver = EchelonSolver([0b011, 0b110])
+    with pytest.raises(UsageError, match="not in span"):
+        solver.coefficients(0b001)
     assert zero_subspace(12).reduce(0) == 0

@@ -2,11 +2,10 @@ import random
 
 import pytest
 
-from framedlie.gf2 import FalsificationError, UsageError, enumerate_rows, rref, rref_ints
+from framedlie.gf2 import FalsificationError, UsageError, apply_map, enumerate_rows, rref, rref_ints
 from framedlie.quadspace import (
     MINUS,
     PLUS,
-    apply_map,
     direct_sum,
     gauss_sum,
     isometry,
