@@ -24,6 +24,12 @@ Ledger schema (plain text, '#' comments, one record per case):
     identified <text>         lattice-model identification, when published
     end
 
+Constraints are facts about a solution's simple components.  `rank` fixes
+their rank sum; `ideal` and `rootideal` ask for some sub-multiset with that
+dim (and rank) or root count.  `rootpart` and `partition` use every
+component, in exactly the listed blocks; block sums that differ from the
+components' sum are rejected before any search.
+
 All rationals are exact; no floating point enters this module.
 """
 
@@ -223,16 +229,9 @@ class IdealExists:
     note: str = ""
 
     def check(self, parts: Sequence[LeveledType]) -> bool:
-        reach = {(0, 0)}
-        for p in parts:
-            reach |= {
-                (d + p.dim, r + p.rank)
-                for d, r in reach
-                if d + p.dim <= self.dim
-            }
         if self.rank is None:
-            return any(d == self.dim for d, _ in reach)
-        return (self.dim, self.rank) in reach
+            return _ideal_exists([(p.dim,) for p in parts], (self.dim,))
+        return _ideal_exists([(p.dim, p.rank) for p in parts], (self.dim, self.rank))
 
 
 @dataclass(frozen=True)
@@ -241,10 +240,7 @@ class RootSpaceIdeal:
     note: str = ""
 
     def check(self, parts: Sequence[LeveledType]) -> bool:
-        reach = {0}
-        for p in parts:
-            reach |= {v + p.n_roots for v in reach if v + p.n_roots <= self.roots}
-        return self.roots in reach
+        return _ideal_exists([(p.n_roots,) for p in parts], (self.roots,))
 
 
 @dataclass(frozen=True)
@@ -253,9 +249,7 @@ class RootSpacePartition:
     note: str = ""
 
     def check(self, comps: Sequence[LeveledType]) -> bool:
-        return _partition_exists(
-            comps, list(self.parts), lambda p: p.n_roots
-        )
+        return _split_exists([(p.n_roots,) for p in comps], [(v,) for v in self.parts])
 
 
 @dataclass(frozen=True)
@@ -264,48 +258,48 @@ class PartitionDims:
     note: str = ""
 
     def check(self, comps: Sequence[LeveledType]) -> bool:
-        return _partition_exists(
-            comps, list(self.blocks), lambda p: (p.dim, p.rank)
-        )
+        return _split_exists([(p.dim, p.rank) for p in comps], self.blocks)
 
 
 Constraint = TotalRank | IdealExists | RootSpaceIdeal | RootSpacePartition | PartitionDims
 
 
-def _partition_exists(comps: Sequence[LeveledType], targets: list, measure) -> bool:
-    """Can comps be split into blocks whose measure-sums are exactly targets?
+def _ideal_exists(measures: list[tuple[int, ...]], want: tuple[int, ...]) -> bool:
+    """Some sub-multiset of measures sums to want: the split [want, total - want]."""
+    rest = tuple(sum(m[k] for m in measures) - w for k, w in enumerate(want))
+    return _split_exists(measures, [want, rest])
 
-    Measures are ints or int tuples; every component must be used."""
 
-    def add(total, m):
-        if isinstance(total, tuple):
-            return tuple(a + b for a, b in zip(total, m))
-        return total + m
+def _split_exists(measures: list[tuple[int, ...]], targets: Sequence[tuple[int, ...]]) -> bool:
+    """Can the measures (nonnegative int tuples) be split into blocks whose
+    sums are exactly targets, each measure in one block?  Failed states are
+    memoized on (index, sorted (target, fill) pairs), so interchangeable
+    blocks are one state."""
+    width = len(targets[0]) if targets else 0
+    if any(sum(m[k] for m in measures) != sum(t[k] for t in targets) for k in range(width)):
+        return False
+    measures = sorted(measures, reverse=True)
+    failed: set = set()
 
-    zero = (0, 0) if targets and isinstance(targets[0], tuple) else 0
-    comps = sorted(comps, key=lambda p: -p.dim)
-
-    def rec(i, fills):
-        if i == len(comps):
-            return all(f == t for f, t in zip(fills, targets))
-        m = measure(comps[i])
-        seen = set()
-        for b in range(len(targets)):
-            nxt = add(fills[b], m)
-            if (targets[b], nxt) in seen:
+    def rec(i: int, state: tuple) -> bool:
+        if i == len(measures):
+            return all(target == fill for target, fill in state)
+        if (i, state) in failed:
+            return False
+        m = measures[i]
+        for b, (target, fill) in enumerate(state):
+            if b and state[b - 1] == (target, fill):
                 continue
-            seen.add((targets[b], nxt))
-            ok = (
-                nxt <= targets[b]
-                if not isinstance(nxt, tuple)
-                else all(x <= y for x, y in zip(nxt, targets[b]))
-            )
-            if ok:
-                if rec(i + 1, fills[:b] + [nxt] + fills[b + 1 :]):
-                    return True
+            nxt = tuple(f + x for f, x in zip(fill, m))
+            if all(f <= t for f, t in zip(nxt, target)) and rec(
+                i + 1, tuple(sorted(state[:b] + ((target, nxt),) + state[b + 1 :]))
+            ):
+                return True
+        failed.add((i, state))
         return False
 
-    return rec(0, [zero] * len(targets))
+    zero = (0,) * width
+    return rec(0, tuple(sorted((t, zero) for t in targets)))
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +307,14 @@ def _partition_exists(comps: Sequence[LeveledType], targets: list, measure) -> b
 # ---------------------------------------------------------------------------
 
 
-def decompose(
-    dim_v1: int,
-    constraints: Sequence[Constraint] = (),
-    cands: Sequence[LeveledType] | None = None,
-) -> list[Decomposition]:
+def decompose(dim_v1: int, constraints: Sequence[Constraint] = ()) -> list[Decomposition]:
     """Every multiset of ratio-compatible types of total dimension dim_v1.
 
-    Complete depth-first search with dimension and rank pruning; the result
-    list is duplicate-free and canonically ordered.
+    Complete depth-first search with dimension and rank pruning; the start
+    index never moves back, so each multiset of the distinct candidates is
+    met once.  The result list is canonically ordered.
     """
-    if cands is None:
-        cands = candidates(ratio_from_dim(dim_v1), dim_v1)
-    cands = sorted(cands, key=lambda lt: (-lt.dim, str(lt)))
+    cands = candidates(ratio_from_dim(dim_v1), dim_v1)
     out: list[Decomposition] = []
     chosen: list[LeveledType] = []
     min_dim = min((c.dim for c in cands), default=0)
@@ -336,7 +325,7 @@ def decompose(
             if all(c.check(dec.parts) for c in constraints):
                 out.append(dec)
             return
-        if not cands or remaining < min_dim:
+        if remaining < min_dim:
             return
         for i in range(start, len(cands)):
             c = cands[i]
@@ -347,14 +336,8 @@ def decompose(
             chosen.pop()
 
     rec(0, dim_v1, 0)
-    seen = set()
-    unique = []
-    for d in out:
-        if d.parts not in seen:
-            seen.add(d.parts)
-            unique.append(d)
-    unique.sort(key=lambda d: tuple(str(p) for p in d.parts))
-    return unique
+    out.sort(key=lambda d: tuple(str(p) for p in d.parts))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,16 +395,22 @@ def _parse_constraint(parts: list[str]) -> Constraint:
         kv, note = _parse_kv(parts[2:])
         return TotalRank(int(parts[1]), note)
     kv, note = _parse_kv(parts[1:])
+
+    def need(key: str) -> str:
+        if key not in kv:
+            raise UsageError(f"constraint {kind} is missing {key}=")
+        return kv[key]
+
     if kind == "ideal":
         rank = int(kv["rank"]) if "rank" in kv else None
-        return IdealExists(int(kv["dim"]), rank, note)
+        return IdealExists(int(need("dim")), rank, note)
     if kind == "rootideal":
-        return RootSpaceIdeal(int(kv["roots"]), note)
+        return RootSpaceIdeal(int(need("roots")), note)
     if kind == "rootpart":
-        return RootSpacePartition(tuple(int(x) for x in kv["parts"].split(",")), note)
+        return RootSpacePartition(tuple(int(x) for x in need("parts").split(",")), note)
     if kind == "partition":
         blocks = []
-        for blk in kv["blocks"].split(","):
+        for blk in need("blocks").split(","):
             d, _, r = blk.partition("/")
             blocks.append((int(d), int(r)))
         return PartitionDims(tuple(blocks), note)
@@ -431,17 +420,20 @@ def _parse_constraint(parts: list[str]) -> Constraint:
 def parse_ledger(text: str) -> list[CaseRecord]:
     records: list[CaseRecord] = []
     cur: CaseRecord | None = None
+    case_line = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
         key = parts[0]
+        where = lineno
         try:
             if key == "case":
                 if cur is not None:
                     raise UsageError("record not closed before a new 'case'")
                 cur = CaseRecord(case_id=parts[1], table="", dim=-1, schellekens=-1)
+                case_line = lineno
             elif cur is None:
                 raise UsageError(f"field {key!r} outside a record")
             elif key == "table":
@@ -461,13 +453,14 @@ def parse_ledger(text: str) -> list[CaseRecord]:
             elif key == "identified":
                 cur.identified = " ".join(parts[1:])
             elif key == "end":
+                where = case_line  # a record-level error points at its 'case' line
                 _validate_record(cur)
                 records.append(cur)
                 cur = None
             else:
                 raise UsageError(f"unknown ledger field {key!r}")
         except UsageError as exc:
-            raise UsageError(f"ledger line {lineno}: {exc}") from exc
+            raise UsageError(f"ledger line {where}: {exc}") from exc
         except (IndexError, ValueError) as exc:
             raise UsageError(f"ledger line {lineno}: {raw!r}") from exc
     if cur is not None:

@@ -186,6 +186,13 @@ def test_lie_solve(capsys):
     assert data["solutions"] == ["D4,4 (A2,2)^4"] and data["unique"]
 
 
+def test_lie_solve_impossible_root_split(capsys):
+    code, out = run(capsys, "lie", "solve", "--dim", "48", "--constraint", "rootpart:8,12,30,30")
+    assert code == 0
+    data = json.loads(out)
+    assert data["solutions"] == [] and not data["unique"]
+
+
 def test_lie_ledger(capsys):
     code, out = run(capsys, "lie", "ledger")
     assert code == 0
@@ -291,6 +298,21 @@ def test_ledger_bad_case_id_exits_2(capsys, monkeypatch, tmp_path):
         errors = {c["name"]: c["error"] for c in json.loads(out)["checks"]}
         for name in ("lie_ledger", "lie_published_tables", "lie_lieframed_coverage"):
             assert errors[name].startswith("UsageError: ledger line "), errors[name]
+
+
+def test_ledger_constraint_missing_key_exits_2(capsys, tmp_path):
+    text = open(default_ledger_path()).read()
+    p = tmp_path / "bad.ledger"
+    for old, new, message in (
+        ("ideal dim=28 rank=4", "ideal rank=4", "line 13: constraint ideal is missing dim="),
+        ("rootideal roots=56", "rootideal root=56", "line 60: constraint rootideal is missing roots="),
+    ):
+        assert old in text
+        p.write_text(text.replace(old, new, 1))
+        code = main(["lie", "ledger", "--ledger", str(p)])
+        err = capsys.readouterr().err
+        assert code == 2, new
+        assert err == f"usage error: ledger {message}\n", err
 
 
 def test_verify_quick_detects_corruption(capsys, monkeypatch, tmp_path):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from framedlie.gf2 import UsageError
 from framedlie.liesolver import (
@@ -124,7 +126,9 @@ def test_decompose_complete_vs_bruteforce():
         cands = candidates(ratio_from_dim(dim), dim)
         if len(cands) > 10:
             continue
-        assert set(decompose(dim, [])) == brute_decompositions(dim, cands), dim
+        sols = decompose(dim, [])
+        assert len(sols) == len(set(sols)), dim
+        assert set(sols) == brute_decompositions(dim, cands), dim
 
 
 def test_constraints():
@@ -142,6 +146,93 @@ def test_constraints():
     d3 = parse_decomposition("(A3,4)^3 A1,2")
     assert PartitionDims(((3, 1), (15, 3), (15, 3), (15, 3))).check(d3.parts)
     assert not PartitionDims(((3, 1), (15, 3), (15, 3), (15, 4))).check(d3.parts)
+
+
+def _ideal_reach(parts, dim, rank):
+    """The reach-set check that IdealExists used before the split search."""
+    reach = {(0, 0)}
+    for p in parts:
+        reach |= {(d + p.dim, r + p.rank) for d, r in reach if d + p.dim <= dim}
+    if rank is None:
+        return any(d == dim for d, _ in reach)
+    return (dim, rank) in reach
+
+
+def _root_ideal_reach(parts, roots):
+    """The reach-set check that RootSpaceIdeal used before the split search."""
+    reach = {0}
+    for p in parts:
+        reach |= {v + p.n_roots for v in reach if v + p.n_roots <= roots}
+    return roots in reach
+
+
+def _partition_backtrack(comps, targets, measure):
+    """The plain backtracking search that the partition constraints used
+    before the split search; measures are ints or int tuples."""
+
+    def add(total, m):
+        if isinstance(total, tuple):
+            return tuple(a + b for a, b in zip(total, m))
+        return total + m
+
+    zero = (0, 0) if targets and isinstance(targets[0], tuple) else 0
+    comps = sorted(comps, key=lambda p: -p.dim)
+
+    def rec(i, fills):
+        if i == len(comps):
+            return all(f == t for f, t in zip(fills, targets))
+        m = measure(comps[i])
+        seen = set()
+        for b in range(len(targets)):
+            nxt = add(fills[b], m)
+            if (targets[b], nxt) in seen:
+                continue
+            seen.add((targets[b], nxt))
+            ok = (
+                nxt <= targets[b]
+                if not isinstance(nxt, tuple)
+                else all(x <= y for x, y in zip(nxt, targets[b]))
+            )
+            if ok and rec(i + 1, fills[:b] + [nxt] + fills[b + 1 :]):
+                return True
+        return False
+
+    return rec(0, [zero] * len(targets))
+
+
+def _oracle(c, parts):
+    if isinstance(c, TotalRank):
+        return sum(p.rank for p in parts) == c.value
+    if isinstance(c, IdealExists):
+        return _ideal_reach(parts, c.dim, c.rank)
+    if isinstance(c, RootSpaceIdeal):
+        return _root_ideal_reach(parts, c.roots)
+    if isinstance(c, RootSpacePartition):
+        return _partition_backtrack(parts, list(c.parts), lambda p: p.n_roots)
+    return _partition_backtrack(parts, list(c.blocks), lambda p: (p.dim, p.rank))
+
+
+def test_split_search_matches_old_checks_on_ledger():
+    checks = 0
+    for rec in load_ledger():
+        for dec in decompose(rec.dim, []):
+            for c in rec.constraints:
+                assert c.check(dec.parts) == _oracle(c, dec.parts), (rec.case_id, str(dec), c)
+                checks += 1
+    assert checks == 202
+
+
+def test_ideal_larger_than_every_component_sum():
+    # the second block [total - want] is negative and stays unfilled
+    d = parse_decomposition("(A1,2)^16")  # 32 roots, dimension 48, rank 16
+    for c in (RootSpaceIdeal(56), IdealExists(49), IdealExists(48, 17), IdealExists(30, 40)):
+        assert not c.check(d.parts) and not _oracle(c, d.parts), c
+
+
+def test_impossible_root_split_finishes():
+    # the root counts 8+12+30+30 exceed every dimension-48 candidate total,
+    # so the sum check rejects each split before any search
+    assert decompose(48, [RootSpacePartition((8, 12, 30, 30))]) == []
 
 
 def test_ledger_loads_and_validates():
@@ -169,8 +260,8 @@ def test_ledger_rejects_bad_text():
 def test_ledger_error_keeps_record_message():
     text = open(default_ledger_path()).read()
     bad = text.replace("answer C10,1 B6,1", "answer (A10,1)^2 B6,1")  # pcl4_3, dim 318
-    # the record is checked at its 'end' line
-    message = r"^ledger line \d+: case pcl4_3: answer dimension is off$"
+    # a record-level error points at the record's 'case' line
+    message = r"^ledger line 162: case pcl4_3: answer dimension is off$"
     with pytest.raises(UsageError, match=message):
         parse_ledger(bad)
 
@@ -189,3 +280,39 @@ def test_corrupted_ledger_detected():
     rep2 = run_case(target2, computed_dim=132)
     assert not rep2.ok
     assert any("not a solver output" in p for p in rep2.problems)
+
+
+LEDGER_LINES = open(default_ledger_path()).read().splitlines()
+FIELD_LINES = [i for i, ln in enumerate(LEDGER_LINES) if ln.strip() and not ln.startswith("#")]
+
+
+def _first_line(prefix):
+    return next(i for i, ln in enumerate(LEDGER_LINES) if ln.startswith(prefix))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    i=st.sampled_from(FIELD_LINES),
+    j=st.integers(0, 15),
+    op=st.sampled_from(["drop", "duplicate", "truncate"]),
+    cut=st.integers(0, 40),
+)
+@example(i=_first_line("constraint ideal"), j=2, op="drop", cut=0)  # no dim=
+@example(i=_first_line("constraint rootideal"), j=2, op="drop", cut=0)  # no roots=
+def test_mutated_ledger_parses_or_raises_usage_error(i, j, op, cut):
+    # a note is one token: mutating the words inside it changes nothing parsed
+    head, sep, note = LEDGER_LINES[i].partition(' note="')
+    toks = head.split() + ([sep.strip() + note] if sep else [])
+    j %= len(toks)
+    if op == "drop":
+        del toks[j]
+    elif op == "duplicate":
+        toks.insert(j, toks[j])
+    else:
+        toks[j] = toks[j][: cut % len(toks[j])]
+    lines = list(LEDGER_LINES)
+    lines[i] = " ".join(toks)
+    try:
+        assert parse_ledger("\n".join(lines))
+    except UsageError:
+        pass
