@@ -17,6 +17,7 @@ import sys
 import time
 from fractions import Fraction
 
+from . import __version__
 from . import codes as codes_mod
 from . import framed, liesolver, modlabels, quadspace, tables
 from .gf2 import FalsificationError, ResourceLimitError, UsageError
@@ -29,8 +30,12 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-def _emit(payload: dict, rows: list[dict] | None, fmt: str) -> None:
+def _emit(payload: dict, rows: list[dict] | None, args) -> None:
+    """Print the payload as JSON, or its rows as csv or markdown.  JSON also
+    records the package version and the run's --seed."""
+    fmt = args.format
     if fmt == "json":
+        payload = {**payload, "version": __version__, "seed": args.seed}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return
     if rows is None:
@@ -76,7 +81,7 @@ def cmd_qspace(args) -> int:
         "closed_form_match": (singular, nonsingular) == expect,
         "arf_type": str(quadspace.type_of(space)),
     }
-    _emit(payload, [payload], args.format)
+    _emit(payload, [payload], args)
     return EXIT_OK if payload["closed_form_match"] else EXIT_FALSIFIED
 
 
@@ -120,7 +125,7 @@ def cmd_frame_build(args) -> int:
         "classified": str(framed.classify_triple(sub)),
         "subspace": framed.to_text(sub).splitlines(),
     }
-    _emit(payload, [payload], args.format)
+    _emit(payload, [payload], args)
     ok = payload["classified"] == str(case) and payload["profile"] == payload[
         "profile_closed_form"
     ]
@@ -143,7 +148,7 @@ def cmd_frame_classify(args) -> int:
         "classified": str(framed.classify_triple(sub)),
         "profile": list(framed.profile(sub)),
     }
-    _emit(payload, [payload], args.format)
+    _emit(payload, [payload], args)
     return EXIT_OK
 
 
@@ -164,7 +169,7 @@ def cmd_frame_census(args) -> int:
         {"case": c, "count": n, "orbits": report.per_case_orbits.get(c, 0)}
         for c, n in report.per_case.items()
     ]
-    _emit(payload, rows, args.format)
+    _emit(payload, rows, args)
     return EXIT_OK if report.built_distinct else EXIT_FALSIFIED
 
 
@@ -194,7 +199,7 @@ def cmd_frame_orbifold(args) -> int:
         "base": str(base),
         "results": rows,
     }
-    _emit(payload, rows, args.format)
+    _emit(payload, rows, args)
     return EXIT_OK
 
 
@@ -215,7 +220,7 @@ def cmd_frame_pair(args) -> int:
         "kernel_rows": {str(k): v for k, v in data["kernel_rows"].items() if v},
         "subspace": framed.to_text(sub).splitlines(),
     }
-    _emit(payload, [payload], args.format)
+    _emit(payload, [payload], args)
     return EXIT_OK
 
 
@@ -258,7 +263,7 @@ def cmd_lie_solve(args) -> int:
         "unique": len(sols) == 1,
     }
     rows = [{"solution": str(s), "rank": s.total_rank} for s in sols]
-    _emit(payload, rows, args.format)
+    _emit(payload, rows, args)
     return EXIT_OK
 
 
@@ -287,7 +292,7 @@ def cmd_lie_ledger(args) -> int:
         ],
         "all_match": all(r.ok for r in reports),
     }
-    _emit(payload, rows, args.format)
+    _emit(payload, rows, args)
     return EXIT_OK if payload["all_match"] else EXIT_FALSIFIED
 
 
@@ -339,7 +344,7 @@ def cmd_lie_tables(args) -> int:
         "rows": rows,
         "all_match": ok,
     }
-    _emit(payload, rows, args.format)
+    _emit(payload, rows, args)
     return EXIT_OK if ok else EXIT_FALSIFIED
 
 
@@ -661,7 +666,7 @@ def cmd_verify(args) -> int:
             "failed": failed,
             "checks": checks,
         }
-        _emit(payload, checks, args.format)
+        _emit(payload, checks, args)
     return EXIT_OK if failed == 0 else EXIT_FALSIFIED
 
 

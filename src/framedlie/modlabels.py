@@ -189,45 +189,66 @@ def rx_add(a: RXLabel, b: RXLabel) -> RXLabel:
     return RXLabel.from_packed(_add_packed(a.packed, b.packed))
 
 
+def _reduce_coord(v: int) -> tuple[int, int, int]:
+    """Reduce one scaled coordinate into [-2, 2] by steps of 4.
+
+    Returns (t, parity of the steps, cost of the cheapest repair): moving t
+    one more step changes t^2 by 16 from 0, by 8 from +-1 and by 0 from 2.
+    """
+    res = v % 4  # non-negative in Python
+    t = (0, 1, 2, -1)[res]
+    return t, (t - v) // 4 & 1, (16, 8, 0, 8)[res]
+
+
+@functools.lru_cache(maxsize=1)
+def _norm_tables() -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Byte tables of the coset decoder, one per (eps, shift) at index
+    2 * eps + shift // 2.
+
+    Entry b holds (sum of t^2, step parity, cheapest repair) over eight
+    coordinates eps + 2 * c_i + shift whose bits c_i are those of b, each
+    reduced by `_reduce_coord`.  Built on first use, not at import.
+    """
+    out = []
+    for eps in (0, 1):
+        for shift in (0, 2):
+            coord = [_reduce_coord(eps + 2 * bit + shift) for bit in (0, 1)]
+            table = []
+            for byte in range(256):
+                sq = parity = 0
+                cheapest = 16
+                for j in range(8):
+                    t, steps, cost = coord[byte >> j & 1]
+                    sq += t * t
+                    parity ^= steps
+                    cheapest = min(cheapest, cost)
+                table.append((sq, parity, cheapest))
+            out.append(tuple(table))
+    return tuple(out)
+
+
 def coset_min_norm(label: RXLabel) -> int:
     """Minimum of |w'|^2/8 over the reduction-lattice coset of the label.
 
     Per-coordinate reduction into [-2, 2] for both half-vector shifts, with
     the cheapest single-coordinate repair when the even-sum parity fails;
-    a +-2 residue makes the repair free.
+    a +-2 residue makes the repair free.  The reduction is read from the
+    byte tables of c, two lookups per shift; delta adds 4 to coordinate 0,
+    which only flips the step parity.  The tables come from the lattice
+    rule alone, so this decoder checks the orbit table independently.
     """
-    w = label_to_w(label)
-    best = None
-    for shift in (0, 2):
-        total = 0
-        parity = 0
-        cheapest = 16
-        for wi in w:
-            vi = wi + shift
-            res = vi % 4  # non-negative in Python
-            if res == 0:
-                t, steps = 0, (0 - vi) // 4
-            elif res == 1:
-                t, steps = 1, (1 - vi) // 4
-            elif res == 3:
-                t, steps = -1, (-1 - vi) // 4
-            else:
-                t, steps = 2, (2 - vi) // 4
-            total += t * t
-            parity ^= steps & 1
-            if t == 0:
-                cost = 16
-            elif t in (1, -1):
-                cost = 8
-            else:
-                cost = 0
-            if cost < cheapest:
-                cheapest = cost
-        if parity:
-            total += cheapest
-        if best is None or total < best:
+    eps, c, delta = label.eps, label.c, label.delta
+    lo, hi = c & 0xFF, c >> 8
+    best = 1 << 10  # above any decoded |w'|^2, which is at most 16 * 2^2 + 16
+    for table in _norm_tables()[2 * eps : 2 * eps + 2]:
+        sq_lo, par_lo, cost_lo = table[lo]
+        sq_hi, par_hi, cost_hi = table[hi]
+        total = sq_lo + sq_hi
+        if par_lo ^ par_hi ^ delta:
+            total += min(cost_lo, cost_hi)
+        if total < best:
             best = total
-    assert best is not None and best % 8 == 0
+    assert best % 8 == 0
     return best // 8
 
 
@@ -277,10 +298,11 @@ def orbit_class(label: RXLabel, verify: bool = False) -> OrbitClass:
     min-norm decoder (the zero coset is exempt: the sign splits it across
     rows 1 and 2 regardless of norms).
     """
-    row = _row(label.packed)
+    x = label.packed
+    row = _row(x)
     lw, dim = TABLE_ROW_LOWEST[row]
-    if verify and not label.twist and label.lam() != (0, 0, 0):
-        if lw != Fraction(coset_min_norm(label), 2):
+    if verify and not x & _TWIST and x & (C_MASK | _EPS | _DELTA):
+        if TABLE_ROW_LOWEST2[row][0] != coset_min_norm(label):
             raise FalsificationError(
                 f"orbit table and min-norm decoder disagree on {format_label(label)}"
             )

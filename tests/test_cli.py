@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from framedlie import cli
+from framedlie import __version__, cli, modlabels
 from framedlie.cli import main
+from framedlie.gf2 import FalsificationError
 from framedlie.liesolver import default_ledger_path
 
 
@@ -18,14 +19,18 @@ def run(capsys, *argv):
     return code, out
 
 
-def lie_checks_only(monkeypatch):
-    """Make verify run only the registry's lie_* checks, which read the ledger."""
+def checks_only(monkeypatch, prefix):
+    """Make verify run only the registry's checks whose names start with prefix."""
     registry = cli.verify_checks
 
-    def lie_checks(quick, ledger_path):
-        return ((n, fn) for n, fn in registry(quick, ledger_path) if n.startswith("lie_"))
+    def some_checks(quick, ledger_path):
+        return ((n, fn) for n, fn in registry(quick, ledger_path) if n.startswith(prefix))
 
-    monkeypatch.setattr(cli, "verify_checks", lie_checks)
+    monkeypatch.setattr(cli, "verify_checks", some_checks)
+
+
+def assert_run_metadata(data, seed):
+    assert (data["schema_version"], data["version"], data["seed"]) == (1, __version__, seed)
 
 
 def test_qspace_json(capsys):
@@ -34,7 +39,7 @@ def test_qspace_json(capsys):
     data = json.loads(out)
     assert data["singular_nonzero"] == 527
     assert data["nonsingular"] == 496
-    assert data["schema_version"] == 1
+    assert_run_metadata(data, 0)
 
 
 def test_qspace_minus(capsys):
@@ -169,6 +174,7 @@ def test_frame_pair(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["weight1_formula"] == 72 == data["weight1_direct"]
+    assert_run_metadata(data, 0)
 
 
 def test_frame_orbifold(capsys):
@@ -184,6 +190,7 @@ def test_lie_solve(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["solutions"] == ["D4,4 (A2,2)^4"] and data["unique"]
+    assert_run_metadata(data, 0)
 
 
 def test_lie_solve_impossible_root_split(capsys):
@@ -260,9 +267,10 @@ def test_verify_quick(capsys):
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
     assert len(lines) >= 40
     assert all(ln.startswith("PASS") for ln in lines)
-    code, out = run(capsys, "verify", "--quick", "--format", "json")
+    code, out = run(capsys, "verify", "--quick", "--format", "json", "--seed", "5")
     assert code == 0
     data = json.loads(out)
+    assert_run_metadata(data, 5)
     summary = (data["command"], data["quick"], data["passed"], data["failed"])
     assert summary == ("verify", True, len(lines), 0)
     assert [c["name"] for c in data["checks"]] == [ln.split()[1] for ln in lines]
@@ -278,7 +286,7 @@ def test_verify_refuses_optimized_python():
 
 
 def test_ledger_bad_case_id_exits_2(capsys, monkeypatch, tmp_path):
-    lie_checks_only(monkeypatch)
+    checks_only(monkeypatch, "lie_")  # the checks that read the ledger
     text = open(default_ledger_path()).read()
     p = tmp_path / "bad.ledger"
     for old, new in (
@@ -316,7 +324,7 @@ def test_ledger_constraint_missing_key_exits_2(capsys, tmp_path):
 
 
 def test_verify_quick_detects_corruption(capsys, monkeypatch, tmp_path):
-    lie_checks_only(monkeypatch)
+    checks_only(monkeypatch, "lie_")  # the checks that read the ledger
     text = open(default_ledger_path()).read()
     p = tmp_path / "bad.ledger"
     p.write_text(text.replace("answer C10,1 B6,1", "answer (A10,1)^2 B6,1"))
@@ -336,7 +344,23 @@ def test_ledger_flag_reaches_lieframed_coverage(capsys, monkeypatch, tmp_path):
     assert code == 1
     data = json.loads(out)
     assert [r["no"] for r in data["rows"] if r["status"] == "UNCOVERED"] == [13]
-    lie_checks_only(monkeypatch)
+    checks_only(monkeypatch, "lie_")  # the checks that read the ledger
     code, out = run(capsys, "verify", "--quick", "--ledger", str(p))
     assert code == 1
     assert "FAIL lie_lieframed_coverage" in out
+
+
+def test_minnorm_cross_check_catches_a_wrong_row(capsys, monkeypatch):
+    # send untwisted labels with eps = delta = sign = 0 and wt(c) = 4 to row 5
+    table = bytearray(modlabels._ROW_TABLE)
+    assert table[4] == 4
+    table[4] = 5
+    monkeypatch.setattr(modlabels, "_ROW_TABLE", bytes(table))
+    label = modlabels.RXLabel(0, 0, 0b11110, 0, 0)
+    assert modlabels.orbit_class(label).row == 5
+    with pytest.raises(FalsificationError, match="min-norm decoder disagree"):
+        modlabels.orbit_class(label, verify=True)
+    checks_only(monkeypatch, "table2_")
+    code, out = run(capsys, "verify", "--quick")
+    assert code == 1
+    assert out.startswith("FAIL table2_minnorm_sample: orbit table and min-norm decoder disagree")

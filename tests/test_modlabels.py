@@ -225,6 +225,43 @@ def brute_min_norm(label):
     return best // 8
 
 
+def _coset_min_norm_loop(label):
+    """Oracle of coset_min_norm: the per-coordinate reduction loop."""
+    w = label_to_w(label)
+    best = None
+    for shift in (0, 2):
+        total = 0
+        parity = 0
+        cheapest = 16
+        for wi in w:
+            vi = wi + shift
+            res = vi % 4  # non-negative in Python
+            if res == 0:
+                t, steps = 0, (0 - vi) // 4
+            elif res == 1:
+                t, steps = 1, (1 - vi) // 4
+            elif res == 3:
+                t, steps = -1, (-1 - vi) // 4
+            else:
+                t, steps = 2, (2 - vi) // 4
+            total += t * t
+            parity ^= steps & 1
+            if t == 0:
+                cost = 16
+            elif t in (1, -1):
+                cost = 8
+            else:
+                cost = 0
+            if cost < cheapest:
+                cheapest = cost
+        if parity:
+            total += cheapest
+        if best is None or total < best:
+            best = total
+    assert best is not None and best % 8 == 0
+    return best // 8
+
+
 def test_coset_min_norm_examples():
     assert coset_min_norm(ZERO_PLUS) == 0
     assert coset_min_norm(normal_form(0, 0, c_of(1, 2, 3, 4), 0, 0)) == 2  # wt 4
@@ -242,6 +279,17 @@ def test_coset_min_norm_against_bruteforce():
     for _ in range(150):
         lbl = random_label(rng, twisted=False)
         assert coset_min_norm(lbl) == brute_min_norm(lbl)
+
+
+def test_coset_min_norm_matches_loop_on_every_coset():
+    # all 65,536 coset parts (eps, canonical c, delta)
+    seen = 0
+    for c in canonical_c_values():
+        for eps, delta in itertools.product((0, 1), repeat=2):
+            label = RXLabel(0, eps, c, delta, 0)
+            assert coset_min_norm(label) == _coset_min_norm_loop(label), format_label(label)
+            seen += 1
+    assert seen == 1 << 16
 
 
 def _row_oracle(label: RXLabel) -> int:

@@ -1,0 +1,105 @@
+"""Property tests of the text parsers: every input gives a value or a
+UsageError (exit 2 at the CLI), never another exception."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from framedlie import codes, framed, modlabels
+from framedlie.gf2 import UsageError
+
+# characters that the parsers give meaning to, drawn more often than the rest
+SYNTAX = "01 \n:=+-tecdsambientriplpair"
+
+FRAME_TEXTS = [
+    framed.to_text(sub)
+    for sub in (
+        framed.build_even(2, 1, 1, "+", seed=0),
+        framed.build_odd(3, 0, 0, seed=0),
+        framed.build_pair_case("pcl4_5", seed=0),
+    )
+]
+CODE_TEXTS = [codes.to_text(codes.builtin(name)) for name in ("d8", "e7", "g24", "d16plus")]
+CODE_TEXTS.append(codes.to_text(codes.from_rows([], 5)))
+
+
+@st.composite
+def normal_forms(draw):
+    """A packed label in normal form: canonical c under any four flag bits."""
+    c = modlabels.canonical_c_values()[draw(st.integers(0, (1 << 14) - 1))]
+    return c | draw(st.integers(0, 15)) << 16
+
+
+@st.composite
+def mutated(draw, texts):
+    """One of the valid texts after one to three character or line edits,
+    half of them in the header line."""
+    text = draw(texts)
+    char = st.one_of(st.sampled_from(SYNTAX), st.characters())
+    for _ in range(draw(st.integers(1, 3))):
+        header = text.find("\n") + 1 or len(text)
+        i = draw(st.integers(0, draw(st.sampled_from([header, len(text)]))))
+        op = draw(st.sampled_from(["delete", "insert", "replace", "truncate", "line"]))
+        if op == "delete":
+            text = text[:i] + text[i + 1 :]
+        elif op == "insert":
+            text = text[:i] + draw(char) + text[i:]
+        elif op == "replace":
+            text = text[:i] + draw(char) + text[i + 1 :]
+        elif op == "truncate":
+            text = text[:i]
+        else:  # drop, duplicate or swap whole lines
+            lines = text.split("\n")
+            j = draw(st.integers(0, len(lines) - 1))
+            k = draw(st.integers(0, len(lines) - 1))
+            how = draw(st.sampled_from(["drop", "duplicate", "swap"]))
+            if how == "drop":
+                del lines[j]
+            elif how == "duplicate":
+                lines.insert(k, lines[j])
+            else:
+                lines[j], lines[k] = lines[k], lines[j]
+            text = "\n".join(lines)
+    return text
+
+
+LABEL_TEXTS = normal_forms().map(lambda x: modlabels.format_label(modlabels.RXLabel.from_packed(x)))
+
+# parser, printer and valid texts of each text form
+PARSERS = {
+    "label": (modlabels.parse_label, modlabels.format_label, LABEL_TEXTS),
+    "frame": (framed.from_text, framed.to_text, st.sampled_from(FRAME_TEXTS)),
+    "code": (codes.from_text, codes.to_text, st.sampled_from(CODE_TEXTS)),
+}
+
+
+def _parses_or_usage_error(kind, text):
+    """A parsed value prints to text that parses back to the same value."""
+    parse, unparse, _ = PARSERS[kind]
+    try:
+        value = parse(text)
+    except UsageError:
+        return
+    assert parse(unparse(value)) == value
+
+
+@pytest.mark.parametrize("kind", list(PARSERS))
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_parser_on_any_text(kind, data):
+    _parses_or_usage_error(kind, data.draw(st.one_of(st.text(), st.text(alphabet=SYNTAX))))
+
+
+@pytest.mark.parametrize("kind", list(PARSERS))
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_parser_on_mutated_valid_text(kind, data):
+    _parses_or_usage_error(kind, data.draw(mutated(PARSERS[kind][2])))
+
+
+@settings(deadline=None, max_examples=300)
+@given(x=normal_forms())
+def test_label_text_roundtrip_on_normal_forms(x):
+    label = modlabels.RXLabel.from_packed(x)
+    assert label.packed == x
+    assert modlabels.parse_label(modlabels.format_label(label)) == label
