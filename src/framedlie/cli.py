@@ -31,8 +31,12 @@ EXIT_RESOURCE = 3
 
 
 def _emit(payload: dict, rows: list[dict] | None, args) -> None:
-    """Print the payload as JSON, or its rows as csv or markdown.  JSON also
-    records the package version and the run's --seed."""
+    """Print the payload as JSON, or its rows (the payload itself when rows
+    is None) as csv or markdown.  The payload leads with the schema version
+    and the command; JSON also records the package version and the run's
+    --seed."""
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    payload = {"schema_version": SCHEMA_VERSION, "command": command, **payload}
     fmt = args.format
     if fmt == "json":
         payload = {**payload, "version": __version__, "seed": args.seed}
@@ -72,8 +76,6 @@ def cmd_qspace(args) -> int:
     singular, nonsingular = quadspace.singular_census(space)
     expect = quadspace.lnum_closed(args.dim // 2, args.type == "plus")
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "qspace",
         "dim": args.dim,
         "type": args.type,
         "singular_nonzero": singular,
@@ -81,7 +83,7 @@ def cmd_qspace(args) -> int:
         "closed_form_match": (singular, nonsingular) == expect,
         "arf_type": str(quadspace.type_of(space)),
     }
-    _emit(payload, [payload], args)
+    _emit(payload, None, args)
     return EXIT_OK if payload["closed_form_match"] else EXIT_FALSIFIED
 
 
@@ -116,8 +118,6 @@ def cmd_frame_build(args) -> int:
     sub = framed.build_case(case, seed=args.seed)
     n1, n2 = framed.profile(sub)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "frame build",
         "case": str(case),
         "profile": [n1, n2],
         "profile_closed_form": list(framed.lnumber_closed(case)),
@@ -125,7 +125,7 @@ def cmd_frame_build(args) -> int:
         "classified": str(framed.classify_triple(sub)),
         "subspace": framed.to_text(sub).splitlines(),
     }
-    _emit(payload, [payload], args)
+    _emit(payload, None, args)
     ok = payload["classified"] == str(case) and payload["profile"] == payload[
         "profile_closed_form"
     ]
@@ -143,20 +143,16 @@ def cmd_frame_classify(args) -> int:
             raise UsageError(f"cannot read --input {args.input!r}: {exc}") from None
     sub = framed.from_text(text)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "frame classify",
         "classified": str(framed.classify_triple(sub)),
         "profile": list(framed.profile(sub)),
     }
-    _emit(payload, [payload], args)
+    _emit(payload, None, args)
     return EXIT_OK
 
 
 def cmd_frame_census(args) -> int:
     report = framed.census_small(args.m)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "frame census",
         "m": report.m,
         "total": report.total,
         "product_formula": framed.mts_count_formula(args.m),
@@ -194,8 +190,6 @@ def cmd_frame_orbifold(args) -> int:
             }
         )
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "frame orbifold",
         "base": str(base),
         "results": rows,
     }
@@ -207,8 +201,6 @@ def cmd_frame_pair(args) -> int:
     sub = framed.build_pair_case(args.case, seed=args.seed)
     data = framed.weight1_dim_pair(sub)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "frame pair",
         "case": args.case,
         "dim_rho1": data["dim_rho1"],
         "dim_rho1_of_kernel": data["dim_rho1_of_kernel"],
@@ -220,7 +212,7 @@ def cmd_frame_pair(args) -> int:
         "kernel_rows": {str(k): v for k, v in data["kernel_rows"].items() if v},
         "subspace": framed.to_text(sub).splitlines(),
     }
-    _emit(payload, [payload], args)
+    _emit(payload, None, args)
     return EXIT_OK
 
 
@@ -254,8 +246,6 @@ def cmd_lie_solve(args) -> int:
     constraints = [_parse_constraint_token(t) for t in args.constraint]
     sols = liesolver.decompose(args.dim, constraints)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lie solve",
         "dim": args.dim,
         "ratio": str(liesolver.ratio_from_dim(args.dim)),
         "constraints": args.constraint,
@@ -282,8 +272,6 @@ def cmd_lie_ledger(args) -> int:
         for r in reports
     ]
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lie ledger",
         "cases": rows,
         "identification_notes": [
             {"case": r.case_id, "identified": r.identified}
@@ -338,8 +326,6 @@ def cmd_lie_tables(args) -> int:
     else:
         raise UsageError(f"unknown table {args.which!r}")
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "lie tables",
         "which": args.which,
         "rows": rows,
         "all_match": ok,
@@ -659,8 +645,6 @@ def cmd_verify(args) -> int:
         )
     else:
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "verify",
             "quick": args.quick,
             "passed": len(checks) - failed,
             "failed": failed,

@@ -11,12 +11,13 @@ import itertools
 from dataclasses import dataclass
 
 from .gf2 import (
-    Bitvec,
     ResourceLimitError,
     Subspace,
     UsageError,
     enumerate_rows,
+    format_bits,
     kernel,
+    parse_bits,
     rref,
 )
 
@@ -39,7 +40,7 @@ class BinaryCode:
     def codewords(self):
         return enumerate_rows(self.generators)
 
-    def contains(self, word: Bitvec | int) -> bool:
+    def contains(self, word: int) -> bool:
         return self.generators.contains(word)
 
     def __eq__(self, other: object) -> bool:
@@ -53,11 +54,6 @@ class BinaryCode:
 
 def from_rows(rows, length: int) -> BinaryCode:
     return BinaryCode(length, rref(rows, length))
-
-
-def from_strings(rows: list[str]) -> BinaryCode:
-    vecs = [Bitvec.from_string(r) for r in rows]
-    return BinaryCode(vecs[0].width, rref(vecs))
 
 
 def dual(code: BinaryCode) -> BinaryCode:
@@ -167,12 +163,11 @@ def builtin(name: str) -> BinaryCode:
             raise UsageError(f"unknown builtin code {name!r}")
         return from_rows([0b11 << i for i in range(n - 1)], n)
     if name == "e7":
-        return from_strings(_E7_ROWS)
+        return from_rows(map(parse_bits, _E7_ROWS), 7)
     if name == "e8":
-        return from_strings(_E8_ROWS)
+        return from_rows(map(parse_bits, _E8_ROWS), 8)
     if name == "d16plus":
-        glue = Bitvec.from_string("10" * 8).bits
-        return from_rows(_ladder_rows(16) + [glue], 16)
+        return from_rows(_ladder_rows(16) + [interleave_word(0xFF, 8)], 16)
     if name == "g24":
         rows = []
         for i in range(12):
@@ -185,7 +180,7 @@ def builtin(name: str) -> BinaryCode:
 def to_text(code: BinaryCode) -> str:
     lines = [f"{code.length} {code.dim}"]
     for row in code.generators.rows:
-        lines.append(str(Bitvec(code.length, row)))
+        lines.append(format_bits(row, code.length))
     return "\n".join(lines) + "\n"
 
 
@@ -197,10 +192,11 @@ def from_text(text: str) -> BinaryCode:
         length, dim = map(int, lines[0].split())
     except ValueError as exc:
         raise UsageError("code header must be 'length dim'") from exc
-    rows = [Bitvec.from_string(ln.strip()) for ln in lines[1:]]
-    if len(rows) != dim or any(r.width != length for r in rows):
+    texts = [ln.strip() for ln in lines[1:]]
+    rows = [parse_bits(t) for t in texts]
+    if len(rows) != dim or any(len(t) != length for t in texts):
         raise UsageError("code body does not match its header")
-    code = BinaryCode(length, rref(rows, length) if rows else rref([], length))
+    code = BinaryCode(length, rref(rows, length))
     if code.dim != dim:
         raise UsageError("generator rows in code text are dependent")
     return code

@@ -21,7 +21,6 @@ from typing import Callable, Iterator
 from .codes import interleave_word
 from .gf2 import (
     MAX_WIDTH,
-    Bitvec,
     FalsificationError,
     ResourceLimitError,
     Subspace,
@@ -29,8 +28,10 @@ from .gf2 import (
     apply_map,
     complement_in,
     enumerate_rows,
+    format_bits,
     intersect,
     kernel,
+    parse_bits,
     rref,
     subspace_sum,
 )
@@ -420,16 +421,15 @@ def _decide_branch(m: int, ones: tuple[int, ...], n2: int, cond2: bool) -> TCCas
 # ---------------------------------------------------------------------------
 
 
-def z2_orbifold(s: MtsSubspace, w: Bitvec | int) -> MtsSubspace:
+def z2_orbifold(s: MtsSubspace, w: int) -> MtsSubspace:
     """span{W, S n W-perp}: the label-level two-torsion orbifold."""
     space = s.space()
-    wv = w.bits if isinstance(w, Bitvec) else w
-    if space.q(wv):
+    if space.q(w):
         raise UsageError("orbifold vector must be singular")
-    if s.sub.contains(wv):
+    if s.sub.contains(w):
         raise UsageError("orbifold vector must lie outside the subspace")
-    fixed = intersect(s.sub, kernel([space.functional(wv)], space.dim))
-    sub = rref(list(fixed.rows) + [wv], space.dim)
+    fixed = intersect(s.sub, kernel([space.functional(w)], space.dim))
+    sub = rref(list(fixed.rows) + [w], space.dim)
     out = MtsSubspace(s.ambient, sub)
     out.validate()
     return out
@@ -471,7 +471,7 @@ def to_text(s: MtsSubspace) -> str:
     header = f"ambient=triple m={amb.m}" if isinstance(amb, TripleAmbient) else "ambient=pair"
     lines = [header]
     for r in s.sub.rows:
-        lines.append(str(Bitvec(amb.dim, r)))
+        lines.append(format_bits(r, amb.dim))
     return "\n".join(lines) + "\n"
 
 
@@ -490,8 +490,8 @@ def from_text(text: str) -> MtsSubspace:
         amb = TripleAmbient(m)
     else:
         raise UsageError(f"unknown ambient {head!r}")
-    rows = [Bitvec.from_string(ln) for ln in lines[1:]]
-    if any(r.width != amb.dim for r in rows):
+    rows = [parse_bits(ln) for ln in lines[1:]]
+    if any(len(ln) != amb.dim for ln in lines[1:]):
         raise UsageError("row width does not match the ambient")
     out = MtsSubspace(amb, rref(rows, amb.dim))
     try:
@@ -855,8 +855,8 @@ def rho_invariants(s: MtsSubspace) -> dict:
 
 
 def _iter_labels_of(sub: Subspace, amb: PairAmbient) -> Iterator[tuple[int, int]]:
-    """Walk a pair-ambient subspace in Gray-code order, yielding the packed
-    X label and the V part of each vector."""
+    """Walk a pair-ambient (or X-side) subspace in Gray-code order, yielding
+    the packed X label and the V part of each vector."""
     row_labels = [amb.coords.packed_label(r & ((1 << 18) - 1)) for r in sub.rows]
     cur = v = 0
     yield cur, v
@@ -865,16 +865,6 @@ def _iter_labels_of(sub: Subspace, amb: PairAmbient) -> Iterator[tuple[int, int]
         cur = _add_packed(cur, row_labels[j])
         v ^= sub.rows[j] >> 18
         yield cur, v
-
-
-def _iter_x_labels(sub18: Subspace, amb: PairAmbient) -> Iterator[int]:
-    """Packed labels of an X-side subspace in Gray-code order."""
-    row_labels = [amb.coords.packed_label(r) for r in sub18.rows]
-    cur = 0
-    yield cur
-    for i in range(1, 1 << sub18.dim):
-        cur = _add_packed(cur, row_labels[(i & -i).bit_length() - 1])
-        yield cur
 
 
 def weight1_dim_pair(s: MtsSubspace) -> dict:
@@ -896,10 +886,10 @@ def weight1_dim_pair(s: MtsSubspace) -> dict:
         if small[v] == 2 - lw2:
             direct += dim * RV_DIM[2 - lw2]
     rows_hist = {r: 0 for r in range(1, 9)}
-    for x in _iter_x_labels(inv["rho1_of_kernel2"], amb):
+    for x, _ in _iter_labels_of(inv["rho1_of_kernel2"], amb):
         if x:
             rows_hist[_row(x)] += 1
-    n_row3_full = sum(1 for x in _iter_x_labels(inv["rho1"], amb) if _row(x) == 3)
+    n_row3_full = sum(1 for x, _ in _iter_labels_of(inv["rho1"], amb) if _row(x) == 3)
     size_ker1 = 1 << inv["rho2_of_kernel1"].dim
     terms = (
         16 * rows_hist[2],

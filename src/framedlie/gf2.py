@@ -3,7 +3,8 @@ mask and solving in a basis.
 
 Vectors live in ``F_2^width`` with coordinate ``i`` stored in bit ``i`` of a
 Python int (LSB = first coordinate).  Widths are capped at one machine word;
-nothing in this package needs more than 28 coordinates.
+nothing in this package needs more than 28 coordinates.  0/1 text enters
+and leaves through ``parse_bits`` and ``format_bits`` only.
 """
 
 from __future__ import annotations
@@ -37,48 +38,17 @@ def _check_width(width: int) -> None:
         raise UsageError(f"width must be in 1..{MAX_WIDTH}, got {width}")
 
 
-@dataclass(frozen=True)
-class Bitvec:
-    """An immutable GF(2) vector of fixed width."""
-
-    width: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        _check_width(self.width)
-        if self.bits >> self.width:
-            raise UsageError("bits set beyond declared width")
-
-    def __xor__(self, other: "Bitvec") -> "Bitvec":
-        if self.width != other.width:
-            raise UsageError("XOR of Bitvecs with different widths")
-        return Bitvec(self.width, self.bits ^ other.bits)
-
-    def bit(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def __str__(self) -> str:
-        return "".join(str(self.bit(i)) for i in range(self.width))
-
-    @classmethod
-    def from_string(cls, text: str) -> "Bitvec":
-        if not text or set(text) - {"0", "1"}:
-            raise UsageError(f"not a 0/1 vector string: {text!r}")
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-        return cls(len(text), bits)
+def parse_bits(text: str) -> int:
+    """The vector a 0/1 string spells, first coordinate first."""
+    if not text or set(text) - {"0", "1"}:
+        raise UsageError(f"not a 0/1 vector string: {text!r}")
+    _check_width(len(text))
+    return int(text[::-1], 2)
 
 
-def _as_int(v: "Bitvec | int", width: int) -> int:
-    if isinstance(v, Bitvec):
-        if v.width != width:
-            raise UsageError("vector width does not match subspace ambient width")
-        return v.bits
-    if v >> width:
-        raise UsageError("raw vector has bits beyond ambient width")
-    return v
+def format_bits(v: int, width: int) -> str:
+    """The 0/1 string of v in F_2^width, first coordinate first."""
+    return format(v, f"0{width}b")[::-1]
 
 
 def apply_map(images: Sequence[int], v: int) -> int:
@@ -154,46 +124,29 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def basis(self) -> tuple[Bitvec, ...]:
-        return tuple(Bitvec(self.ambient_width, r) for r in self.rows)
-
-    def reduce(self, v: "Bitvec | int") -> int:
+    def reduce(self, v: int) -> int:
         """Residue of v after elimination by the basis; 0 iff v is a member."""
-        x = _as_int(v, self.ambient_width)
+        if v >> self.ambient_width:
+            raise UsageError("vector has bits beyond ambient width")
         for b in self.rows:
-            if x & (b & -b):
-                x ^= b
-        return x
+            if v & (b & -b):
+                v ^= b
+        return v
 
-    def contains(self, v: "Bitvec | int") -> bool:
+    def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(r) for r in other.rows)
 
 
-def rref(rows: Iterable["Bitvec | int"], width: int | None = None) -> Subspace:
-    """Canonical subspace spanned by the given rows.
-
-    Accepts Bitvecs (widths must agree) or raw ints with an explicit width.
-    """
-    mats: list[int] = []
-    w = width
-    for r in rows:
-        if isinstance(r, Bitvec):
-            if w is None:
-                w = r.width
-            elif r.width != w:
-                raise UsageError("mixed widths in rref input")
-            mats.append(r.bits)
-        else:
-            if w is None:
-                raise UsageError("raw int rows need an explicit width")
-            mats.append(_as_int(r, w))
-    if w is None:
-        raise UsageError("empty input needs an explicit width")
-    return Subspace(w, tuple(rref_ints(mats)))
+def rref(rows: Iterable[int], width: int) -> Subspace:
+    """Canonical subspace of F_2^width spanned by the given rows."""
+    _check_width(width)
+    rows = list(rows)
+    if any(r >> width for r in rows):
+        raise UsageError("vector has bits beyond ambient width")
+    return Subspace(width, tuple(rref_ints(rows)))
 
 
 def zero_subspace(width: int) -> Subspace:

@@ -504,8 +504,12 @@ def _resolve_case(case_id: str) -> object:
 @functools.lru_cache(maxsize=None)
 def load_ledger(path: str | None = None) -> tuple[CaseRecord, ...]:
     p = path if path is not None else default_ledger_path()
-    with open(p, "r", encoding="utf-8") as fh:
-        return tuple(parse_ledger(fh.read()))
+    try:
+        with open(p, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read --ledger {p!r}: {exc}") from None
+    return tuple(parse_ledger(text))
 
 
 # ---------------------------------------------------------------------------

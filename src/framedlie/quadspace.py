@@ -17,7 +17,6 @@ from typing import Callable, Sequence
 
 from .gf2 import (
     ENUM_GUARD,
-    Bitvec,
     EchelonSolver,
     FalsificationError,
     ResourceLimitError,
@@ -64,15 +63,12 @@ class QuadraticSpace:
             out.append(r)
         return tuple(out)
 
-    def q(self, v: Bitvec | int) -> int:
-        x = v.bits if isinstance(v, Bitvec) else v
+    def q(self, x: int) -> int:
         if x >> self.dim:
             raise UsageError("vector width exceeds space dimension")
         return (apply_map(self.u_rows, x) & x).bit_count() & 1
 
-    def bilinear(self, a: Bitvec | int, b: Bitvec | int) -> int:
-        x = a.bits if isinstance(a, Bitvec) else a
-        y = b.bits if isinstance(b, Bitvec) else b
+    def bilinear(self, x: int, y: int) -> int:
         if (x >> self.dim) or (y >> self.dim):
             raise UsageError("vector width exceeds space dimension")
         return (self.functional(x) & y).bit_count() & 1

@@ -323,6 +323,28 @@ def test_ledger_constraint_missing_key_exits_2(capsys, tmp_path):
         assert err == f"usage error: ledger {message}\n", err
 
 
+def test_unreadable_ledger_exits_2(capsys, monkeypatch, tmp_path):
+    not_utf8 = tmp_path / "latin1.ledger"
+    not_utf8.write_bytes("case caf\xe9\n".encode("latin-1"))
+    checks_only(monkeypatch, "lie_")  # the checks that read the ledger
+    for path in (tmp_path / "missing.ledger", tmp_path, not_utf8):
+        for argv in (
+            ["lie", "ledger"],
+            ["lie", "tables", "--which", "ta8"],
+            ["lie", "tables", "--which", "ta16"],
+            ["lie", "tables", "--which", "lieframed"],
+        ):
+            code = main([*argv, "--ledger", str(path)])  # a traceback would raise here
+            err = capsys.readouterr().err
+            assert code == 2, (argv, path)
+            assert err.startswith(f"usage error: cannot read --ledger {str(path)!r}: "), err
+        code, out = run(capsys, "verify", "--quick", "--ledger", str(path), "--format", "json")
+        assert code == 1
+        errors = {c["name"]: c["error"] for c in json.loads(out)["checks"]}
+        for name in ("lie_ledger", "lie_published_tables", "lie_lieframed_coverage"):
+            assert errors[name].startswith("UsageError: cannot read --ledger "), errors[name]
+
+
 def test_verify_quick_detects_corruption(capsys, monkeypatch, tmp_path):
     checks_only(monkeypatch, "lie_")  # the checks that read the ledger
     text = open(default_ledger_path()).read()

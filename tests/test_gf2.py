@@ -3,7 +3,6 @@ import random
 import pytest
 
 from framedlie.gf2 import (
-    Bitvec,
     EchelonSolver,
     ResourceLimitError,
     Subspace,
@@ -11,8 +10,10 @@ from framedlie.gf2 import (
     apply_map,
     complement_in,
     enumerate_rows,
+    format_bits,
     intersect,
     kernel,
+    parse_bits,
     rref,
     subspace_sum,
     zero_subspace,
@@ -26,15 +27,20 @@ def brute_span(rows, width):
     return out
 
 
-def test_bitvec_basics():
-    v = Bitvec.from_string("1100")
-    assert v.width == 4 and v.bits == 0b0011
-    assert str(v) == "1100"
-    assert (v ^ Bitvec.from_string("0110")).bits == 0b0101
+def test_parse_and_format_bits():
+    assert parse_bits("1100") == 0b0011
+    assert format_bits(0b0011, 4) == "1100"
+    assert format_bits(0, 3) == "000"
+    assert parse_bits("1" * 64) == (1 << 64) - 1
+    for bad in ("", "10a1", "1 0", "1" * 65):
+        with pytest.raises(UsageError):
+            parse_bits(bad)
     with pytest.raises(UsageError):
-        v ^ Bitvec.from_string("11")
+        rref([0b1000], 3)
     with pytest.raises(UsageError):
-        Bitvec(3, 0b1000)
+        rref([0b1], 0)
+    with pytest.raises(UsageError):
+        rref([0b11], 2).reduce(0b100)
 
 
 def test_rref_empty_span():
@@ -44,16 +50,16 @@ def test_rref_empty_span():
 
 
 def test_rref_span_matches_bruteforce():
-    rows = [Bitvec.from_string("1100"), Bitvec.from_string("0110"), Bitvec.from_string("1010")]
-    s = rref(rows)
+    rows = [0b0011, 0b0110, 0b0101]
+    s = rref(rows, 4)
     assert s.dim == 2
-    assert s.contains(Bitvec.from_string("1100"))
-    expect = brute_span([r.bits for r in rows], 4)
+    assert s.contains(0b0011)
+    expect = brute_span(rows, 4)
     assert set(enumerate_rows(s)) == expect
 
 
 def test_rref_duplicate_rows():
-    s = rref([Bitvec.from_string("1111"), Bitvec.from_string("1111")])
+    s = rref([0b1111, 0b1111], 4)
     assert s.dim == 1
 
 
@@ -92,16 +98,11 @@ def test_rref_pivot_structure():
             assert s.contains(r)
 
 
-def test_mixed_widths_rejected():
-    with pytest.raises(UsageError):
-        rref([Bitvec.from_string("11"), Bitvec.from_string("101")])
-
-
 def test_intersect_and_sum_examples():
-    a = rref([Bitvec.from_string("10")])
-    b = rref([Bitvec.from_string("01")])
+    a = rref([0b01], 2)
+    b = rref([0b10], 2)
     assert intersect(a, b).dim == 0
-    s = subspace_sum(rref([Bitvec.from_string("110")]), rref([Bitvec.from_string("011")]))
+    s = subspace_sum(rref([0b011], 3), rref([0b110], 3))
     assert s.dim == 2
     assert set(enumerate_rows(s)) == brute_span([0b011, 0b110], 3)
 
@@ -120,8 +121,8 @@ def test_dimension_formula_random():
 
 
 def test_complement_in():
-    a = rref([Bitvec.from_string("1100")])
-    b = rref([Bitvec.from_string("1100"), Bitvec.from_string("0011")])
+    a = rref([0b0011], 4)
+    b = rref([0b0011, 0b1100], 4)
     c = complement_in(a, b)
     assert c.dim == 1
     assert intersect(a, c).dim == 0

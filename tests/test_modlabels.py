@@ -196,32 +196,33 @@ def test_inner_pairings():
 
 def brute_min_norm(label):
     # exhaustive over both half-vector shifts and all corrections moving at
-    # most three coordinates one step beyond the per-coordinate reduction
+    # most three coordinates one step beyond the per-coordinate reduction;
+    # each coordinate's (t^2, step parity) is precomputed for its reduced
+    # value t and for t - 4 and t + 4, so a correction scores its moved
+    # coordinates only
     w = label_to_w(label)
     best = None
     for shift in (0, 2):
-        base = []
+        terms = []
         for wi in w:
             vi = wi + shift
-            res = vi % 4
-            t = {0: 0, 1: 1, 2: 2, 3: -1}[res]
-            base.append((vi, t))
-        for idxs in itertools.chain(
-            [()],
-            itertools.combinations(range(16), 1),
-            itertools.combinations(range(16), 2),
-            itertools.combinations(range(16), 3),
-        ):
-            for dirs in itertools.product((-4, 4), repeat=len(idxs)):
-                total = 0
-                parity = 0
-                for i, (vi, t) in enumerate(base):
-                    if i in idxs:
-                        t = t + dirs[idxs.index(i)]
-                    total += t * t
-                    parity ^= ((t - vi) // 4) & 1
-                if parity == 0 and (best is None or total < best):
-                    best = total
+            t = {0: 0, 1: 1, 2: 2, 3: -1}[vi % 4]
+            terms.append([(u * u, ((u - vi) // 4) & 1) for u in (t, t - 4, t + 4)])
+        base_total = sum(term[0][0] for term in terms)
+        base_parity = sum(term[0][1] for term in terms) & 1
+        moves = [
+            [(term[k][0] - term[0][0], term[k][1] ^ term[0][1]) for k in (1, 2)]
+            for term in terms
+        ]
+        for n in range(4):
+            for idxs in itertools.combinations(range(16), n):
+                for picked in itertools.product(*(moves[i] for i in idxs)):
+                    total, parity = base_total, base_parity
+                    for d_total, d_parity in picked:
+                        total += d_total
+                        parity ^= d_parity
+                    if parity == 0 and (best is None or total < best):
+                        best = total
     return best // 8
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedlie import codes, framed, modlabels
+from framedlie import cli, codes, framed, modlabels
 from framedlie.gf2 import UsageError
 
 # characters that the parsers give meaning to, drawn more often than the rest
@@ -103,3 +103,23 @@ def test_label_text_roundtrip_on_normal_forms(x):
     label = modlabels.RXLabel.from_packed(x)
     assert label.packed == x
     assert modlabels.parse_label(modlabels.format_label(label)) == label
+
+
+# tokens of `frame orbifold --base` and `lie solve --constraint`: a kind
+# prefix, then a tail over the characters their grammars use
+TOKENS = st.tuples(
+    st.sampled_from(["even:", "odd:", "rank:", "ideal:", "rootideal:", "rootpart:", "partition:"]),
+    st.text(alphabet="0123456789:,/+- "),
+).map("".join)
+
+
+@pytest.mark.parametrize(
+    "parse", [cli._parse_case_token, cli._parse_constraint_token], ids=["case", "constraint"]
+)
+@settings(deadline=None, max_examples=300)
+@given(token=TOKENS)
+def test_cli_token_parser_on_any_token(parse, token):
+    try:
+        parse(token)
+    except UsageError:
+        pass
