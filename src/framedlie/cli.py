@@ -174,8 +174,6 @@ def cmd_frame_orbifold(args) -> int:
         raise UsageError(f"--choices must be positive, got {args.choices}")
     base = _parse_case_token(args.base)
     sub = framed.build_case(base, seed=args.seed)
-    if args.w != "section47":
-        raise UsageError("only the prescribed --w section47 construction is available")
     choices = framed.section47_orbifold_choices(sub, limit=args.choices)
     if not choices:
         raise UsageError("no valid orbifold vector for this base case")
@@ -310,7 +308,7 @@ def cmd_lie_tables(args) -> int:
                     "status": "MATCH" if match else "MISMATCH",
                 }
             )
-    elif args.which == "lieframed":
+    else:  # lieframed
         cov = liesolver.lieframed_coverage(liesolver.run_ledger(args.ledger))
         rows = [
             {
@@ -323,8 +321,6 @@ def cmd_lie_tables(args) -> int:
             for c in cov
         ]
         ok = all(c["ok"] for c in cov)
-    else:
-        raise UsageError(f"unknown table {args.which!r}")
     payload = {
         "which": args.which,
         "rows": rows,
@@ -699,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fo = fsub.add_parser("orbifold")
     fo.add_argument("--base", required=True, help="e.g. odd:5,4,0")
-    fo.add_argument("--w", default="section47")
+    fo.add_argument("--w", default="section47", choices=("section47",))
     fo.add_argument("--choices", type=int, default=3)
     add_common(fo)
     fo.set_defaults(fn=cmd_frame_orbifold)
@@ -749,7 +745,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (FalsificationError, framed.ConstructionError) as exc:
+    except FalsificationError as exc:
         print(f"falsification: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
     except BrokenPipeError:

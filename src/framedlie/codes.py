@@ -43,14 +43,6 @@ class BinaryCode:
     def contains(self, word: int) -> bool:
         return self.generators.contains(word)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BinaryCode):
-            return NotImplemented
-        return self.length == other.length and self.generators.rows == other.generators.rows
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.generators.rows))
-
 
 def from_rows(rows, length: int) -> BinaryCode:
     return BinaryCode(length, rref(rows, length))

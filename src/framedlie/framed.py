@@ -12,7 +12,6 @@ import functools
 import itertools
 import operator
 import random
-import zlib
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -54,19 +53,11 @@ from .quadspace import (
     direct_sum,
     gauss_sum,
     isometry,
-    max_ts_extend,
     nonsingular_inside,
     orthogonal_generators,
     standard_plus,
     type_of,
 )
-
-PAIR_RETRIES = 64
-
-
-class ConstructionError(RuntimeError):
-    """A seeded randomized construction exhausted its retry budget."""
-
 
 # ---------------------------------------------------------------------------
 # ambients
@@ -798,26 +789,31 @@ def pair_case_prescription(case_id: str) -> Subspace:
 
 
 def build_pair_case(case_id: str, seed: int = 0) -> MtsSubspace:
-    """Embed the prescribed shadow, complete greedily, validate, retry."""
+    """The maximal t.s. subspace whose kernel shadow is the prescription P.
+
+    K, spanned by dim P - 4 singular lines of V, is totally singular.  C, a
+    complement of P in its X-side perp, and W, one of K in its V-side perp,
+    are non-singular (P and K are the radicals of those perps), of
+    dimension 10 - 2 dim K and of types fixed by P and K, so the isometry
+    phi: C -> W exists at every seed or at none.  X and V are orthogonal,
+    so q(c + phi(c)) = q(c) + q(phi(c)) = 0 and the graph vectors are
+    orthogonal to P, K and each other.  P + K + graph has dimension
+    dim P + dim K + dim C = 14 and meets X+0 only in P: k = phi(c) forces
+    k = 0 and c = 0, as K n W = 0 and phi is injective.
+    """
     amb = pair_ambient()
-    prescription = pair_case_prescription(case_id)
-    seed_base = (seed << 16) ^ (zlib.crc32(case_id.encode()) & 0xFFFF)
-    partial = rref(list(prescription.rows), 28)
-    last_error = None
-    for attempt in range(PAIR_RETRIES):
-        sub = max_ts_extend(amb.space, partial, seed=seed_base + attempt)
-        if sub.dim != 14:
-            last_error = "completion stalled below half dimension"
-            continue
-        realized = _rho_kernel_projection(sub, side=0)
-        if realized.rows == prescription.rows:
-            out = MtsSubspace(amb, sub)
-            out.validate()
-            return out
-        last_error = f"shadow grew to dimension {realized.dim}"
-    raise ConstructionError(
-        f"pair case {case_id} failed after {PAIR_RETRIES} completions: {last_error}"
-    )
+    rng = random.Random(f"pair {case_id} seed={seed}")
+    p = pair_case_prescription(case_id)
+    k = rref(_singular_line_basis(p.dim - 4), 10)
+    c = complement_in(p, amb.coords.space.perp(p), rng)
+    w = complement_in(k, amb.rv.space.perp(k), rng)
+    phi = isometry(amb.space, rref(c.rows, 28), rref([r << 18 for r in w.rows], 28), rng)
+    rows = [*p.rows, *(r << 18 for r in k.rows), *(x ^ phi.apply(x) for x in c.rows)]
+    out = MtsSubspace(amb, rref(rows, 28))
+    out.validate()
+    if _rho_kernel_projection(out.sub, side=0).rows != p.rows:
+        raise FalsificationError(f"pair case {case_id}: kernel shadow is not the prescription")
+    return out
 
 
 def _rho_kernel_projection(sub: Subspace, side: int) -> Subspace:

@@ -136,9 +136,6 @@ class Subspace:
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.rows)
-
 
 def rref(rows: Iterable[int], width: int) -> Subspace:
     """Canonical subspace of F_2^width spanned by the given rows."""
@@ -191,7 +188,7 @@ def complement_in(a: Subspace, b: Subspace, rng: random.Random | None = None) ->
     The complement is not unique; with an rng the choice is randomized but
     deterministic for a given seeded generator.
     """
-    if a.ambient_width != b.ambient_width or not b.contains_subspace(a):
+    if a.ambient_width != b.ambient_width or not all(map(b.contains, a.rows)):
         raise UsageError("complement_in requires a to be a subspace of b")
     pool = list(b.rows)
     if rng is not None:

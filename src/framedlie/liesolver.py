@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -213,8 +213,21 @@ def candidates(ratio: Fraction, dim_budget: int) -> list[LeveledType]:
 # ---------------------------------------------------------------------------
 
 
+class _Counts:
+    """Constraint values count dimensions, ranks or roots: none is negative."""
+
+    def __post_init__(self) -> None:
+        todo = list(astuple(self))
+        while todo:
+            v = todo.pop()
+            if isinstance(v, tuple):
+                todo += v
+            elif isinstance(v, int) and v < 0:
+                raise UsageError(f"constraint values are non-negative counts, got {v}")
+
+
 @dataclass(frozen=True)
-class TotalRank:
+class TotalRank(_Counts):
     value: int
     note: str = ""
 
@@ -223,7 +236,7 @@ class TotalRank:
 
 
 @dataclass(frozen=True)
-class IdealExists:
+class IdealExists(_Counts):
     dim: int
     rank: int | None = None
     note: str = ""
@@ -235,7 +248,7 @@ class IdealExists:
 
 
 @dataclass(frozen=True)
-class RootSpaceIdeal:
+class RootSpaceIdeal(_Counts):
     roots: int
     note: str = ""
 
@@ -244,7 +257,7 @@ class RootSpaceIdeal:
 
 
 @dataclass(frozen=True)
-class RootSpacePartition:
+class RootSpacePartition(_Counts):
     parts: tuple[int, ...]
     note: str = ""
 
@@ -253,7 +266,7 @@ class RootSpacePartition:
 
 
 @dataclass(frozen=True)
-class PartitionDims:
+class PartitionDims(_Counts):
     blocks: tuple[tuple[int, int], ...]  # (dim, rank) per block
     note: str = ""
 

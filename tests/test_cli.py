@@ -53,10 +53,15 @@ def test_qspace_usage_error(capsys):
     assert code == 2
 
 
-def test_bad_flags_exit_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["qspace", "--dim", "10", "--type", "banana"])
-    assert exc.value.code == 2
+def test_bad_flags_exit_2(monkeypatch):
+    monkeypatch.setattr(cli.framed, "build_case", None)  # argparse rejects before any build
+    for argv in (
+        ["qspace", "--dim", "10", "--type", "banana"],
+        ["frame", "orbifold", "--base", "odd:5,4,0", "--w", "other"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_frame_build(capsys):
@@ -306,6 +311,30 @@ def test_ledger_bad_case_id_exits_2(capsys, monkeypatch, tmp_path):
         errors = {c["name"]: c["error"] for c in json.loads(out)["checks"]}
         for name in ("lie_ledger", "lie_published_tables", "lie_lieframed_coverage"):
             assert errors[name].startswith("UsageError: ledger line "), errors[name]
+
+
+def test_negative_constraint_value_exits_2(capsys, tmp_path):
+    for token in ("rank:-1", "ideal:-5", "ideal:28:-4", "rootideal:-56", "rootpart:-1,2",
+                  "partition:-1/2,3/4", "partition:3/-1"):
+        code = main(["lie", "solve", "--dim", "60", "--constraint", token])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", token
+        assert captured.err.startswith("usage error: constraint values are "), captured.err
+    text = open(default_ledger_path()).read()
+    p = tmp_path / "bad.ledger"
+    for old, new, line in (
+        ("constraint rank 16", "constraint rank -1", 61),
+        ("ideal dim=28 rank=4", "ideal dim=28 rank=-4", 13),
+        ("rootideal roots=56", "rootideal roots=-56", 60),
+        ("parts=8,12,30,30", "parts=8,-12,30,30", 128),
+        ("blocks=3/1,15/3", "blocks=3/1,-15/3", 99),
+    ):
+        assert old in text
+        p.write_text(text.replace(old, new, 1))
+        code = main(["lie", "ledger", "--ledger", str(p)])
+        err = capsys.readouterr().err
+        assert code == 2, new
+        assert err.startswith(f"usage error: ledger line {line}: constraint values are "), err
 
 
 def test_ledger_constraint_missing_key_exits_2(capsys, tmp_path):

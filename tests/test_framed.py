@@ -109,6 +109,12 @@ def test_builders_seed_sweep():
     for case_id, value in (("pcl5_3", 132), ("pcl4_4", 216)):
         for seed in (1, 2):
             assert framed.build_pair_case_weight1(case_id, seed=seed) == value
+    # every pair case builds at seeds 0-99, with the projection dimensions
+    # of its seed-0 build
+    for case_id in framed.PAIR_CASE_IDS:
+        dims = [{k: v.dim for k, v in rho_invariants(build_pair_case(case_id, seed)).items()}
+                for seed in range(100)]
+        assert dims == dims[:1] * 100, case_id
 
 
 def _walk(s):

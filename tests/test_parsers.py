@@ -1,5 +1,10 @@
 """Property tests of the text parsers: every input gives a value or a
-UsageError (exit 2 at the CLI), never another exception."""
+UsageError (exit 2 at the CLI), never another exception.  The CLI itself,
+run on argv drawn from its grammar, exits 0, 1, 2 or 3 and raises nothing
+but argparse's own exit 2."""
+
+import contextlib
+import io
 
 import pytest
 from hypothesis import given, settings
@@ -123,3 +128,44 @@ def test_cli_token_parser_on_any_token(parse, token):
         parse(token)
     except UsageError:
         pass
+
+
+@st.composite
+def argvs(draw):
+    """argv of one cheap command.  Sizes stay where a run takes milliseconds:
+    qspace dims 20-28 would census 2^20 to 2^28 vectors."""
+    def num(lo, hi):
+        return str(draw(st.integers(lo, hi)))
+
+    kind = draw(st.sampled_from(["qspace", "build", "census", "orbifold", "pair", "solve"]))
+    if kind == "qspace":
+        dim = draw(st.one_of(st.integers(-4, 18), st.integers(30, 70)))
+        argv = ["qspace", "--dim", str(dim), "--type", draw(st.sampled_from(["plus", "minus"]))]
+    elif kind == "build":
+        argv = ["frame", "build", "--m", num(-1, 6), "--k1", num(-1, 6), "--k2", num(-1, 6)]
+        argv += draw(st.sampled_from([[], ["--type", "plus"], ["--type", "minus"]]))
+    elif kind == "census":
+        argv = ["frame", "census", "--m", str(draw(st.sampled_from([-1, 0, 1, 3])))]
+    elif kind == "orbifold":
+        base = draw(st.one_of(TOKENS, st.sampled_from(["odd:5,4,0", "odd:3,0,0", "even:5,4,1,+"])))
+        argv = ["frame", "orbifold", "--base", base, "--choices", num(-1, 4)]
+    elif kind == "pair":
+        case = draw(st.one_of(st.sampled_from(framed.PAIR_CASE_IDS), st.text()))
+        argv = ["frame", "pair", "--case", case, "--seed", str(draw(st.integers()))]
+    else:
+        argv = ["lie", "solve", "--dim", num(-5, 1000)]
+        for token in draw(st.lists(TOKENS, max_size=3)):
+            argv += ["--constraint", token]
+    return argv + ["--format", draw(st.sampled_from(["json", "csv", "markdown"]))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(argv=argvs())
+def test_cli_exit_code_on_any_argv(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejected the argv
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2, 3), argv
