@@ -92,20 +92,13 @@ def cmd_qspace(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _ints(parts: list[str], token: str) -> list[int]:
-    try:
-        return [int(x) for x in parts]
-    except ValueError:
-        raise UsageError(f"expected integers in {token!r}") from None
-
-
 def _parse_case_token(token: str) -> framed.TCCase:
     kind, _, rest = token.partition(":")
     bits = rest.split(",")
     if kind == "even" and len(bits) == 4:
-        return framed.even_case(*_ints(bits[:3], token), bits[3])
+        return framed.even_case(*liesolver._ints(bits[:3], token), bits[3])
     if kind == "odd" and len(bits) == 3:
-        return framed.odd_case(*_ints(bits, token))
+        return framed.odd_case(*liesolver._ints(bits, token))
     raise UsageError(f"bad case token {token!r}; use even:m,k1,k2,[+-] or odd:m,k1,k2")
 
 
@@ -219,29 +212,8 @@ def cmd_frame_pair(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_constraint_token(token: str) -> liesolver.Constraint:
-    kind, _, rest = token.partition(":")
-    if kind == "rank":
-        return liesolver.TotalRank(*_ints([rest], token))
-    if kind == "ideal":
-        bits = _ints(rest.split(":"), token)
-        if len(bits) > 2:
-            raise UsageError(f"ideal takes dim or dim:rank: {token!r}")
-        return liesolver.IdealExists(bits[0], bits[1] if len(bits) > 1 else None)
-    if kind == "rootideal":
-        return liesolver.RootSpaceIdeal(*_ints([rest], token))
-    if kind == "rootpart":
-        return liesolver.RootSpacePartition(tuple(_ints(rest.split(","), token)))
-    if kind == "partition":
-        blocks = [b.split("/") for b in rest.split(",")]
-        if any(len(b) != 2 for b in blocks):
-            raise UsageError(f"partition blocks are dim/rank: {token!r}")
-        return liesolver.PartitionDims(tuple(tuple(_ints(b, token)) for b in blocks))
-    raise UsageError(f"unknown constraint {token!r}")
-
-
 def cmd_lie_solve(args) -> int:
-    constraints = [_parse_constraint_token(t) for t in args.constraint]
+    constraints = [liesolver.parse_constraint(t) for t in args.constraint]
     sols = liesolver.decompose(args.dim, constraints)
     payload = {
         "dim": args.dim,
@@ -262,7 +234,7 @@ def cmd_lie_ledger(args) -> int:
             "case": r.case_id,
             "dim": r.dim_computed,
             "published_dim": r.dim_published,
-            "answer": r.answer,
+            "answer": str(r.answer),
             "solutions": len(r.solutions),
             "uniqueness": r.uniqueness,
             "status": "MATCH" if r.ok else "MISMATCH: " + "; ".join(r.problems),
@@ -284,8 +256,8 @@ def cmd_lie_ledger(args) -> int:
 
 def _matches_published(rep: liesolver.CaseReport, dim: int, alg: str, number: int) -> bool:
     """A published table row agrees with the ledger report of its case."""
-    parse = liesolver.parse_decomposition
-    return (rep.dim_computed, parse(rep.answer), rep.schellekens) == (dim, parse(alg), number)
+    published = (dim, liesolver.parse_decomposition(alg), number)
+    return (rep.dim_computed, rep.answer, rep.schellekens) == published
 
 
 def cmd_lie_tables(args) -> int:
@@ -314,7 +286,7 @@ def cmd_lie_tables(args) -> int:
             {
                 "no": c["no"],
                 "dim": c["dim"],
-                "algebra": c["algebra"],
+                "algebra": str(c["algebra"]),
                 "sources": "; ".join(c["sources"]),
                 "status": "COVERED" if c["ok"] else "UNCOVERED",
             }
@@ -484,13 +456,13 @@ def verify_checks(quick: bool, ledger_path: str | None):
         by_case = {r.case_id: r for r in ledger_reports()}
         for case_id, dim, alg, number, _ in tables.TA8_ROWS + tables.TA16_ROWS:
             rep = by_case[case_id]
-            got = (rep.dim_computed, rep.answer, rep.schellekens)
+            got = (rep.dim_computed, str(rep.answer), rep.schellekens)
             assert _matches_published(rep, dim, alg, number), (case_id, got)
         # the exact sets follow from the dimension alone
         for rec in liesolver.load_ledger(ledger_path):
             assert not (rec.case_id in exact_solutions and rec.constraints), rec.case_id
         for case_id, solutions in exact_solutions.items():
-            got = set(by_case[case_id].solutions)
+            got = set(map(str, by_case[case_id].solutions))
             assert got == solutions, (case_id, got)
 
     yield "lie_published_tables", published_tables
@@ -695,7 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fo = fsub.add_parser("orbifold")
     fo.add_argument("--base", required=True, help="e.g. odd:5,4,0")
-    fo.add_argument("--w", default="section47", choices=("section47",))
     fo.add_argument("--choices", type=int, default=3)
     add_common(fo)
     fo.set_defaults(fn=cmd_frame_orbifold)

@@ -7,28 +7,27 @@ simple types meeting the ratio within a dimension budget, and the solver
 searches multisets of candidates adding up to the full dimension under
 declarative per-case constraints shipped in a ledger data file.
 
-Ledger schema (plain text, '#' comments, one record per case):
+Ledger schema (plain text, one record per case; '#' starts a comment
+anywhere on a line):
 
     case <case-id>            builder tuple "even(5,1,0,+)" or a pair id
     table <ta8|ta16>
     dim <int>                 published weight-one dimension
     schellekens <int>         row number in the reference list
-    constraint rank <int> note="..."
-    constraint ideal dim=<d> [rank=<r>] note="..."
-    constraint rootideal roots=<v> note="..."
-    constraint rootpart parts=<v1,v2,...> note="..."
-    constraint partition blocks=<d1/r1,d2/r2,...> note="..."
+    constraint <token>        one `lie solve --constraint` token (below)
     answer <algebra>          the published structure
     also <algebra>            other members of the exact solution set
     uniqueness <arithmetic|ledger-asserted|identification-only>
     identified <text>         lattice-model identification, when published
     end
 
-Constraints are facts about a solution's simple components.  `rank` fixes
-their rank sum; `ideal` and `rootideal` ask for some sub-multiset with that
-dim (and rank) or root count.  `rootpart` and `partition` use every
-component, in exactly the listed blocks; block sums that differ from the
-components' sum are rejected before any search.
+Constraint tokens: rank:R, ideal:DIM[:RANK], rootideal:ROOTS,
+rootpart:V1,V2,... and partition:D1/R1,D2/R2,...  Each is a fact about a
+solution's simple components.  `rank` fixes their rank sum; `ideal` and
+`rootideal` ask for some sub-multiset with that dim (and rank) or root
+count.  `rootpart` and `partition` use every component, in exactly the
+listed blocks; block sums that differ from the components' sum are
+rejected before any search.
 
 All rationals are exact; no floating point enters this module.
 """
@@ -36,7 +35,7 @@ All rationals are exact; no floating point enters this module.
 from __future__ import annotations
 
 import functools
-from collections import Counter
+import itertools
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -134,7 +133,8 @@ def leveled(token: str) -> LeveledType:
 
 
 class Decomposition:
-    """A multiset of leveled simple types."""
+    """A multiset of leveled simple types, held, compared and hashed as its
+    canonically sorted parts."""
 
     def __init__(self, parts: Iterable[LeveledType]):
         self.parts = tuple(sorted(parts, key=lambda p: (-p.dim, str(p))))
@@ -147,22 +147,17 @@ class Decomposition:
     def total_rank(self) -> int:
         return sum(p.rank for p in self.parts)
 
-    def counter(self) -> Counter:
-        return Counter(self.parts)
-
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Decomposition) and self.counter() == other.counter()
+        return isinstance(other, Decomposition) and self.parts == other.parts
 
     def __hash__(self) -> int:
         return hash(self.parts)
 
     def __str__(self) -> str:
-        out = []
-        for part, mult in sorted(
-            self.counter().items(), key=lambda kv: (-kv[0].dim, str(kv[0]))
-        ):
-            out.append(f"({part})^{mult}" if mult > 1 else str(part))
-        return " ".join(out)
+        return " ".join(
+            f"({part})^{mult}" if (mult := len(list(group))) > 1 else str(part)
+            for part, group in itertools.groupby(self.parts)
+        )
 
 
 def parse_decomposition(text: str) -> Decomposition:
@@ -229,7 +224,6 @@ class _Counts:
 @dataclass(frozen=True)
 class TotalRank(_Counts):
     value: int
-    note: str = ""
 
     def check(self, parts: Sequence[LeveledType]) -> bool:
         return sum(p.rank for p in parts) == self.value
@@ -239,7 +233,6 @@ class TotalRank(_Counts):
 class IdealExists(_Counts):
     dim: int
     rank: int | None = None
-    note: str = ""
 
     def check(self, parts: Sequence[LeveledType]) -> bool:
         if self.rank is None:
@@ -250,7 +243,6 @@ class IdealExists(_Counts):
 @dataclass(frozen=True)
 class RootSpaceIdeal(_Counts):
     roots: int
-    note: str = ""
 
     def check(self, parts: Sequence[LeveledType]) -> bool:
         return _ideal_exists([(p.n_roots,) for p in parts], (self.roots,))
@@ -259,7 +251,6 @@ class RootSpaceIdeal(_Counts):
 @dataclass(frozen=True)
 class RootSpacePartition(_Counts):
     parts: tuple[int, ...]
-    note: str = ""
 
     def check(self, comps: Sequence[LeveledType]) -> bool:
         return _split_exists([(p.n_roots,) for p in comps], [(v,) for v in self.parts])
@@ -268,13 +259,42 @@ class RootSpacePartition(_Counts):
 @dataclass(frozen=True)
 class PartitionDims(_Counts):
     blocks: tuple[tuple[int, int], ...]  # (dim, rank) per block
-    note: str = ""
 
     def check(self, comps: Sequence[LeveledType]) -> bool:
         return _split_exists([(p.dim, p.rank) for p in comps], self.blocks)
 
 
 Constraint = TotalRank | IdealExists | RootSpaceIdeal | RootSpacePartition | PartitionDims
+
+
+def _ints(parts: list[str], token: str) -> list[int]:
+    try:
+        return [int(x) for x in parts]
+    except ValueError:
+        raise UsageError(f"expected integers in {token!r}") from None
+
+
+def parse_constraint(token: str) -> Constraint:
+    """One constraint token, as `lie solve --constraint` and the ledger's
+    `constraint` lines write it."""
+    kind, _, rest = token.partition(":")
+    if kind == "rank":
+        return TotalRank(*_ints([rest], token))
+    if kind == "ideal":
+        bits = _ints(rest.split(":"), token)
+        if len(bits) > 2:
+            raise UsageError(f"ideal takes dim or dim:rank: {token!r}")
+        return IdealExists(bits[0], bits[1] if len(bits) > 1 else None)
+    if kind == "rootideal":
+        return RootSpaceIdeal(*_ints([rest], token))
+    if kind == "rootpart":
+        return RootSpacePartition(tuple(_ints(rest.split(","), token)))
+    if kind == "partition":
+        blocks = [b.split("/") for b in rest.split(",")]
+        if any(len(b) != 2 for b in blocks):
+            raise UsageError(f"partition blocks are dim/rank: {token!r}")
+        return PartitionDims(tuple(tuple(_ints(b, token)) for b in blocks))
+    raise UsageError(f"unknown constraint {token!r}")
 
 
 def _ideal_exists(measures: list[tuple[int, ...]], want: tuple[int, ...]) -> bool:
@@ -383,51 +403,10 @@ def default_ledger_path() -> str:
     return str(importlib.resources.files("framedlie").joinpath("data/cases.ledger"))
 
 
-def _parse_kv(parts: list[str]) -> tuple[dict[str, str], str]:
-    """key=value tokens plus one optional trailing note="..." field."""
-    text = " ".join(parts)
-    note = ""
-    if 'note="' in text:
-        head, _, tail = text.partition('note="')
-        if not tail.endswith('"'):
-            raise UsageError(f"unterminated note in: {text}")
-        note = tail[:-1]
-        text = head.strip()
-    kv = {}
-    for tok in text.split():
-        k, _, v = tok.partition("=")
-        if not v:
-            raise UsageError(f"expected key=value, got {tok!r}")
-        kv[k] = v
-    return kv, note
-
-
-def _parse_constraint(parts: list[str]) -> Constraint:
-    kind = parts[0]
-    if kind == "rank":
-        kv, note = _parse_kv(parts[2:])
-        return TotalRank(int(parts[1]), note)
-    kv, note = _parse_kv(parts[1:])
-
-    def need(key: str) -> str:
-        if key not in kv:
-            raise UsageError(f"constraint {kind} is missing {key}=")
-        return kv[key]
-
-    if kind == "ideal":
-        rank = int(kv["rank"]) if "rank" in kv else None
-        return IdealExists(int(need("dim")), rank, note)
-    if kind == "rootideal":
-        return RootSpaceIdeal(int(need("roots")), note)
-    if kind == "rootpart":
-        return RootSpacePartition(tuple(int(x) for x in need("parts").split(",")), note)
-    if kind == "partition":
-        blocks = []
-        for blk in need("blocks").split(","):
-            d, _, r = blk.partition("/")
-            blocks.append((int(d), int(r)))
-        return PartitionDims(tuple(blocks), note)
-    raise UsageError(f"unknown constraint kind {kind!r}")
+# fields that take exactly this many whitespace-separated values
+_ARITY = {
+    "case": 1, "table": 1, "dim": 1, "schellekens": 1, "constraint": 1, "uniqueness": 1, "end": 0
+}
 
 
 def parse_ledger(text: str) -> list[CaseRecord]:
@@ -435,36 +414,37 @@ def parse_ledger(text: str) -> list[CaseRecord]:
     cur: CaseRecord | None = None
     case_line = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0]
+        if not line.strip():
             continue
-        parts = line.split()
-        key = parts[0]
+        key, *values = line.split()
         where = lineno
         try:
+            if key in _ARITY and len(values) != _ARITY[key]:
+                raise UsageError(f"{key!r} takes {_ARITY[key]} value(s), got {len(values)}")
             if key == "case":
                 if cur is not None:
                     raise UsageError("record not closed before a new 'case'")
-                cur = CaseRecord(case_id=parts[1], table="", dim=-1, schellekens=-1)
+                cur = CaseRecord(case_id=values[0], table="", dim=-1, schellekens=-1)
                 case_line = lineno
             elif cur is None:
                 raise UsageError(f"field {key!r} outside a record")
             elif key == "table":
-                cur.table = parts[1]
+                cur.table = values[0]
             elif key == "dim":
-                cur.dim = int(parts[1])
+                cur.dim = int(values[0])
             elif key == "schellekens":
-                cur.schellekens = int(parts[1])
+                cur.schellekens = int(values[0])
             elif key == "constraint":
-                cur.constraints.append(_parse_constraint(parts[1:]))
+                cur.constraints.append(parse_constraint(values[0]))
             elif key == "answer":
-                cur.answer = parse_decomposition(" ".join(parts[1:]))
+                cur.answer = parse_decomposition(" ".join(values))
             elif key == "also":
-                cur.also.append(parse_decomposition(" ".join(parts[1:])))
+                cur.also.append(parse_decomposition(" ".join(values)))
             elif key == "uniqueness":
-                cur.uniqueness = parts[1]
+                cur.uniqueness = values[0]
             elif key == "identified":
-                cur.identified = " ".join(parts[1:])
+                cur.identified = " ".join(values)
             elif key == "end":
                 where = case_line  # a record-level error points at its 'case' line
                 _validate_record(cur)
@@ -536,8 +516,8 @@ class CaseReport:
     table: str
     dim_computed: int
     dim_published: int
-    solutions: list[str]
-    answer: str
+    solutions: list[Decomposition]
+    answer: Decomposition
     uniqueness: str
     schellekens: int
     identified: str | None
@@ -577,8 +557,8 @@ def run_case(rec: CaseRecord, computed_dim: int | None = None) -> CaseReport:
         table=rec.table,
         dim_computed=dim,
         dim_published=rec.dim,
-        solutions=[str(s) for s in sols],
-        answer=str(rec.answer),
+        solutions=sols,
+        answer=rec.answer,
         uniqueness=rec.uniqueness,
         schellekens=rec.schellekens,
         identified=rec.identified,
@@ -631,26 +611,15 @@ def lieframed_coverage(reports: Sequence[CaseReport]) -> list[dict]:
     the ledger cases in ``reports`` and the reference rows."""
     from . import tables
 
-    by_alg: dict[tuple[int, frozenset], list[str]] = {}
+    by_alg: dict[tuple[int, Decomposition], list[str]] = {}
     for rep in reports:
-        rec_answer = parse_decomposition(rep.answer)
-        key = (rep.dim_published, frozenset(rec_answer.counter().items()))
-        by_alg.setdefault(key, []).append(rep.case_id)
+        by_alg.setdefault((rep.dim_published, rep.answer), []).append(rep.case_id)
     out = []
     for no, dim, alg in tables.LIEFRAMED_ROWS:
-        key = (dim, frozenset(parse_decomposition(alg).counter().items()))
-        sources = list(by_alg.get(key, []))
+        dec = parse_decomposition(alg)
+        sources = list(by_alg.get((dim, dec), []))
         for dno, ddim, dalg in tables.LIEDEX_ROWS:
-            if dno == no and ddim == dim:
-                if parse_decomposition(dalg) == parse_decomposition(alg):
-                    sources.append("exceptional-code reference data")
-        out.append(
-            {
-                "no": no,
-                "dim": dim,
-                "algebra": str(parse_decomposition(alg)),
-                "sources": sources,
-                "ok": bool(sources),
-            }
-        )
+            if (dno, ddim) == (no, dim) and parse_decomposition(dalg) == dec:
+                sources.append("exceptional-code reference data")
+        out.append({"no": no, "dim": dim, "algebra": dec, "sources": sources, "ok": bool(sources)})
     return out

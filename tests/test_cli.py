@@ -1,16 +1,19 @@
 import csv
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from framedlie import __version__, cli, modlabels
 from framedlie.cli import main
 from framedlie.gf2 import FalsificationError
-from framedlie.liesolver import default_ledger_path
+from framedlie.liesolver import default_ledger_path, load_ledger, parse_decomposition
 
 
 def run(capsys, *argv):
@@ -183,7 +186,7 @@ def test_frame_pair(capsys):
 
 
 def test_frame_orbifold(capsys):
-    code, out = run(capsys, "frame", "orbifold", "--base", "odd:5,4,0", "--w", "section47")
+    code, out = run(capsys, "frame", "orbifold", "--base", "odd:5,4,0")
     assert code == 0
     data = json.loads(out)
     assert len(data["results"]) == 3
@@ -323,11 +326,11 @@ def test_negative_constraint_value_exits_2(capsys, tmp_path):
     text = open(default_ledger_path()).read()
     p = tmp_path / "bad.ledger"
     for old, new, line in (
-        ("constraint rank 16", "constraint rank -1", 61),
-        ("ideal dim=28 rank=4", "ideal dim=28 rank=-4", 13),
-        ("rootideal roots=56", "rootideal roots=-56", 60),
-        ("parts=8,12,30,30", "parts=8,-12,30,30", 128),
-        ("blocks=3/1,15/3", "blocks=3/1,-15/3", 99),
+        ("constraint rank:16", "constraint rank:-1", 61),
+        ("ideal:28:4", "ideal:28:-4", 13),
+        ("rootideal:56", "rootideal:-56", 60),
+        ("rootpart:8,12,30,30", "rootpart:8,-12,30,30", 128),
+        ("partition:3/1,15/3", "partition:3/1,-15/3", 99),
     ):
         assert old in text
         p.write_text(text.replace(old, new, 1))
@@ -341,8 +344,11 @@ def test_ledger_constraint_missing_key_exits_2(capsys, tmp_path):
     text = open(default_ledger_path()).read()
     p = tmp_path / "bad.ledger"
     for old, new, message in (
-        ("ideal dim=28 rank=4", "ideal rank=4", "line 13: constraint ideal is missing dim="),
-        ("rootideal roots=56", "rootideal root=56", "line 60: constraint rootideal is missing roots="),
+        ("ideal:28:4", "ideal:", "line 13: expected integers in 'ideal:'"),
+        ("rootideal:56", "rootideal", "line 60: expected integers in 'rootideal'"),
+        ("constraint rank:16", "constraint rank 16", "line 61: 'constraint' takes 1 value(s), got 2"),
+        ("ideal:28:4", "bogus:28", "line 13: unknown constraint 'bogus:28'"),
+        ("partition:3/1,", "partition:3,", "line 99: partition blocks are dim/rank: 'partition:3,15/3,15/3,15/3'"),
     ):
         assert old in text
         p.write_text(text.replace(old, new, 1))
@@ -350,6 +356,79 @@ def test_ledger_constraint_missing_key_exits_2(capsys, tmp_path):
         err = capsys.readouterr().err
         assert code == 2, new
         assert err == f"usage error: ledger {message}\n", err
+
+
+def test_ledger_extra_tokens_exit_2(capsys, tmp_path):
+    text = open(default_ledger_path()).read()
+    p = tmp_path / "bad.ledger"
+    for old, new, line in (
+        ("\ndim 60\n", "\ndim 60 84\n", 11),
+        ("\nschellekens 13\n", "\nschellekens 13 22\n", 12),
+        ("\ntable ta8\n", "\ntable ta8 ta16\n", 10),
+        ("\ncase even(5,1,0,+)\n", "\ncase even(5,1,0,+) odd(5,0,0)\n", 9),
+        ("\nuniqueness arithmetic\n", "\nuniqueness arithmetic exact\n", 15),
+        ("\nend\n", "\nend now\n", 16),
+    ):
+        assert old in text
+        p.write_text(text.replace(old, new, 1))
+        code = main(["lie", "ledger", "--ledger", str(p)])
+        err = capsys.readouterr().err
+        assert code == 2, new
+        key, *values = new.split()  # each edit adds one value
+        want = f"line {line}: {key!r} takes {len(values) - 1} value(s), got {len(values)}"
+        assert err == f"usage error: ledger {want}\n", err
+
+
+def _ledger_tokens():
+    """Each ledger record with its constraint tokens as the ledger text
+    writes them."""
+    tokens: dict[str, list[str]] = {}
+    for line in open(default_ledger_path()):
+        words = line.partition("#")[0].split()
+        if words[:1] == ["case"]:
+            case_tokens = tokens.setdefault(words[1], [])
+        elif words[:1] == ["constraint"]:
+            case_tokens += words[1:]
+    assert sum(map(len, tokens.values())) == 21  # the ledger's constraint lines
+    return [(rec, tokens[rec.case_id]) for rec in load_ledger()]
+
+
+LEDGER_TOKENS = _ledger_tokens()
+
+
+@pytest.mark.parametrize("rec,tokens", LEDGER_TOKENS, ids=[r.case_id for r, _ in LEDGER_TOKENS])
+def test_lie_solve_on_ledger_tokens(capsys, rec, tokens):
+    argv = ["lie", "solve", "--dim", str(rec.dim)]
+    for token in tokens:
+        argv += ["--constraint", token]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    solutions = json.loads(out)["solutions"]
+    assert {parse_decomposition(s) for s in solutions} == rec.expected_set()
+
+
+def _usage_expansions(text):
+    """Every argv that a usage line spells: a|b is either word and [...]
+    an optional group."""
+    choices = []
+    for item in re.findall(r"\[[^\]]*\]|\S+", text):
+        if item.startswith("["):
+            choices.append([[], *_usage_expansions(item[1:-1])])
+        else:
+            choices.append([[alt] for alt in item.split("|")])
+    return [sum(combo, []) for combo in itertools.product(*choices)]
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [ln.partition("#")[0] for ln in block.splitlines() if ln.startswith("framedlie ")]
+    assert len(lines) == 11
+    parser = cli.build_parser()
+    for line in lines:
+        for argv in _usage_expansions(line):
+            assert argv[0] == "framedlie"
+            parser.parse_args(argv[1:])  # argparse exits 2 on a stale flag
 
 
 def test_unreadable_ledger_exits_2(capsys, monkeypatch, tmp_path):

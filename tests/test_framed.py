@@ -72,6 +72,19 @@ def test_builders_are_maximal_totally_singular():
             assert space.q(v) == 0
 
 
+def test_validate_rejects_each_broken_condition():
+    amb = TripleAmbient(1)  # q = x0 x1 + x2 x3 + x4 x5
+    for rows, message in (
+        ([0b000001, 0b000100], "not half-dimensional"),
+        ([0b000011, 0b000100, 0b010000], "not singular"),
+        # singular rows, but e0 and e1 pair to 1
+        ([0b000001, 0b000010, 0b000100], "not self-perpendicular"),
+    ):
+        with pytest.raises(FalsificationError, match=message):
+            MtsSubspace(amb, rref(rows, amb.dim)).validate()
+    MtsSubspace(amb, rref([0b000001, 0b000100, 0b010000], amb.dim)).validate()
+
+
 def test_weight1_closed_matches_stated_formula():
     # 3(2^{k1+3} + 2^{k2+3} -+ 2^{(3+k1+k2)/2}) at m = 5
     for case in valid_params(5):

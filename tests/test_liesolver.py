@@ -297,12 +297,12 @@ def _first_line(prefix):
     op=st.sampled_from(["drop", "duplicate", "truncate"]),
     cut=st.integers(0, 40),
 )
-@example(i=_first_line("constraint ideal"), j=2, op="drop", cut=0)  # no dim=
-@example(i=_first_line("constraint rootideal"), j=2, op="drop", cut=0)  # no roots=
+@example(i=_first_line("constraint ideal"), j=1, op="truncate", cut=6)  # ideal:
+@example(i=_first_line("constraint rootideal"), j=1, op="truncate", cut=9)  # rootideal
 def test_mutated_ledger_parses_or_raises_usage_error(i, j, op, cut):
-    # a note is one token: mutating the words inside it changes nothing parsed
-    head, sep, note = LEDGER_LINES[i].partition(' note="')
-    toks = head.split() + ([sep.strip() + note] if sep else [])
+    # a comment is one token: mutating the words inside it changes nothing parsed
+    head, sep, comment = LEDGER_LINES[i].partition(" #")
+    toks = head.split() + ([sep.strip() + comment] if sep else [])
     j %= len(toks)
     if op == "drop":
         del toks[j]

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedlie import cli, codes, framed, modlabels
+from framedlie import cli, codes, framed, liesolver, modlabels
 from framedlie.gf2 import UsageError
 
 # characters that the parsers give meaning to, drawn more often than the rest
@@ -119,7 +119,7 @@ TOKENS = st.tuples(
 
 
 @pytest.mark.parametrize(
-    "parse", [cli._parse_case_token, cli._parse_constraint_token], ids=["case", "constraint"]
+    "parse", [cli._parse_case_token, liesolver.parse_constraint], ids=["case", "constraint"]
 )
 @settings(deadline=None, max_examples=300)
 @given(token=TOKENS)
