@@ -12,6 +12,7 @@ import functools
 import itertools
 import operator
 import random
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -598,10 +599,10 @@ def _census_tables(m: int) -> tuple[list[int], list[int]]:
     return counts, chains
 
 
-def _classify_rows_fast(span, m, counts, chains) -> TCCase:
-    """classify_triple for the census: the invariants summed over a span
-    (every vector of the subspace) from the _census_tables tables."""
-    c = sum(map(counts.__getitem__, span))
+def _classify_rows_fast(c: int, span, m, chains) -> TCCase:
+    """classify_triple for the census: c is the sum of the _census_tables
+    counts over a span (every vector of the subspace), and the chains
+    entries of the span are ORed here."""
     chain = functools.reduce(operator.or_, filter(None, map(chains.__getitem__, span)), 0)
     width = 1 << (2 * m)
     low = (1 << width) - 1
@@ -651,11 +652,26 @@ def _check_isometry(tab: list[int], q: bytes) -> None:
 
 
 def _fingerprint_words(m: int) -> list[int]:
-    """One fixed random word per vector of the triple ambient.  Words are
-    below 2^56, so a sum over the 2^(3m) <= 64 vectors of a span fits an
-    array('q') entry."""
+    """One fixed random word per vector of the triple ambient, below 2^56.
+
+    The census sums words over the 2^(3m) <= 64 vectors of a span inside
+    one 64-bit lane of a _census_lanes entry.  A sum of 2^(3m) words below
+    2^(63 - 3m) stays below 2^63, so it neither carries into the next lane
+    nor overflows an array('q') entry; _census_pass checks that bound."""
     rng = random.Random(f"census fingerprint m={m}")
     return [rng.getrandbits(56) for _ in range(1 << (6 * m))]
+
+
+_LANE = (1 << 64) - 1
+
+
+def _census_lanes(words: list[int], gens: list[list[int]], counts: list[int]) -> list[int]:
+    """One int per vector v holding 64-bit lanes: lane 0 is words[v], lane
+    k in 1..g is words[gens[k - 1][v]], and lane g + 1, the top one, is
+    counts[v].  A sum over a span is then, lane by lane, the span's key, the
+    keys of its g generator images and its counts sum."""
+    columns = (words, *(map(words.__getitem__, tab) for tab in gens), counts)
+    return [sum(x << (64 * k) for k, x in enumerate(values)) for values in zip(*columns)]
 
 
 def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, ...]], int]]:
@@ -670,22 +686,37 @@ def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, 
     generators are checked to be linear isometries, so each image is a
     census subspace, and its key is the same sum over the word table
     composed with the generator: the orbit pass does no row reduction.
+
+    Each span is read by one sum over its _census_lanes entries: lane 0 is
+    the key, lanes 1..g the image keys and the top lane the counts sum for
+    _classify_rows_fast.  Words below 2^(63 - 3m), checked before any span
+    is enumerated, keep each of the first g + 1 lanes below 2^63, so no
+    lane carries into the next; the counts lane is the top one, so its sum
+    can grow freely.  The image lanes go to an array('q') as little-endian
+    bytes, swapped once on a big-endian host.
     """
-    counts, chains = _census_tables(m)
     words = _fingerprint_words(m)
+    if not 0 <= min(words) <= max(words) < 1 << (63 - 3 * m):
+        raise FalsificationError("census fingerprint words overflow their lane")
+    counts, chains = _census_tables(m)
     gens = _wreath_generators(m)
     q = bytes(map(TripleAmbient(m).space.q, range(len(words))))
     for tab in gens:
         _check_isometry(tab, q)
-    gen_words = [list(map(words.__getitem__, tab)) for tab in gens]
+    lanes = _census_lanes(words, gens, counts)
+    g = len(gens)
+    image_mask, image_bytes, top = (1 << (64 * g)) - 1, 8 * g, 64 * (g + 1)
     index: dict[int, int] = {}
     images = array("q")
     cases: list[TCCase] = []
     for span in _mts_spans(m):
-        if index.setdefault(sum(map(words.__getitem__, span)), len(cases)) != len(cases):
+        t = sum(map(lanes.__getitem__, span))
+        if index.setdefault(t & _LANE, len(cases)) != len(cases):
             raise FalsificationError("duplicate subspace or key collision in the census")
-        images.extend([sum(map(gw.__getitem__, span)) for gw in gen_words])
-        cases.append(_classify_rows_fast(span, m, counts, chains))
+        images.frombytes(((t >> 64) & image_mask).to_bytes(image_bytes, "little"))
+        cases.append(_classify_rows_fast(t >> top, span, m, chains))
+    if sys.byteorder == "big":
+        images.byteswap()
     total = len(cases)
     if total != mts_count_formula(m):
         raise FalsificationError(
@@ -699,14 +730,18 @@ def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, 
             x = parent[x]
         return x
 
-    # union each subspace with its generator images, in subspace order
-    for i, j in enumerate(map(index.__getitem__, images)):
-        ri, rj = find(i // len(gens)), find(j)
-        if ri != rj:
-            parent[rj] = ri
+    # union each subspace with its generator images, in subspace order;
+    # a union only re-parents a root other than find(i), so find(i) stays
+    # the root of subspace i across its g images
+    for i, targets in enumerate(zip(*[map(index.__getitem__, images)] * g)):
+        ri = find(i)
+        for j in targets:
+            rj = find(j)
+            if ri != rj:
+                parent[rj] = ri
 
     def locate(rows) -> int:
-        return index[sum(map(words.__getitem__, _span(rows)))]
+        return index[sum(map(lanes.__getitem__, _span(rows))) & _LANE]
 
     return cases, [find(i) for i in range(total)], locate
 

@@ -125,9 +125,8 @@ def leveled(token: str) -> LeveledType:
     name, _, lvl = token.partition(",")
     if not lvl:
         raise UsageError(f"missing level in {token!r}")
-    fam = name[0]
     try:
-        return LeveledType(SimpleType(fam, int(name[1:])), int(lvl))
+        return LeveledType(SimpleType(name[:1], int(name[1:])), int(lvl))
     except ValueError as exc:
         raise UsageError(f"bad type token {token!r}") from exc
 
@@ -165,9 +164,14 @@ def parse_decomposition(text: str) -> Decomposition:
     for token in text.split():
         if token.startswith("("):
             body, _, mult = token[1:].partition(")^")
-            if not mult:
+            try:
+                n = int(mult)
+            except ValueError:
+                n = 0
+            # every part has rank >= 1, and a V1 has rank at most MAX_TOTAL_RANK
+            if not 1 <= n <= MAX_TOTAL_RANK:
                 raise UsageError(f"bad multiplicity token {token!r}")
-            parts.extend([leveled(body)] * int(mult))
+            parts.extend([leveled(body)] * n)
         else:
             parts.append(leveled(token))
     if not parts:

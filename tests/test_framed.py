@@ -183,7 +183,8 @@ def _walk_mismatches(m, stride):
         if (
             framed._triple_invariants(s) != (ones, n2, cond2)
             or profile(s) != (sum(ones), n2)
-            or classify_triple(s) != framed._classify_rows_fast(span, m, counts, chains)
+            or classify_triple(s)
+            != framed._classify_rows_fast(sum(map(counts.__getitem__, span)), span, m, chains)
         ):
             bad.append(s.sub.rows)
     return bad
@@ -328,6 +329,46 @@ def test_census_rejects_key_collision(monkeypatch):
             census_small(1)
     finally:
         census_small.cache_clear()
+
+
+def test_census_rejects_oversized_word(monkeypatch, capsys):
+    # one word at 2^(63 - 3m) could carry out of its lane in a 2^(3m)-vector sum
+    words = framed._fingerprint_words(1)
+    words[5] = 1 << 60
+    monkeypatch.setattr(framed, "_fingerprint_words", lambda m: words)
+
+    def no_spans(m):
+        raise AssertionError("a span was enumerated before the lane guard")
+
+    monkeypatch.setattr(framed, "_mts_spans", no_spans)
+    census_small.cache_clear()
+    try:
+        with pytest.raises(FalsificationError, match="census fingerprint words overflow their lane"):
+            census_small(1)
+        capsys.readouterr()
+        assert main(["frame", "census", "--m", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "falsification: census fingerprint words overflow their lane" in err
+        assert "Traceback" not in err
+    finally:
+        census_small.cache_clear()
+
+
+@pytest.mark.parametrize("m, stride", [(1, 1), (2, 97)])
+def test_census_lanes_against_separate_sums(m, stride):
+    # each lane of a span's one sum against the sum it stands for
+    words = framed._fingerprint_words(m)
+    counts, _ = framed._census_tables(m)
+    gens = framed._wreath_generators(m)
+    lanes = framed._census_lanes(words, gens, counts)
+    top = len(gens) + 1
+    for span in itertools.islice(framed._mts_spans(m), 0, None, stride):
+        t = sum(lanes[v] for v in span)
+        got = [(t >> (64 * k)) & framed._LANE for k in range(top)] + [t >> (64 * top)]
+        want = [sum(words[v] for v in span)]
+        want += [sum(words[tab[v]] for v in span) for tab in gens]
+        want += [sum(counts[v] for v in span)]
+        assert got == want
 
 
 def test_census_m1_against_independent_scan():

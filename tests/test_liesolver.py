@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,21 @@ def test_decomposition_parse_and_str():
     assert str(d) == "D4,4 (A2,2)^4"
     assert parse_decomposition(str(d)) == d
     assert parse_decomposition("A2,2 D4,4 A2,2 A2,2 A2,2") == d
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        (",2", ",2"),  # no type name
+        ("(A2,1)^x", "(A2,1)^x"),
+        ("D4,4 (A2,1)^0", "(A2,1)^0"),  # would drop the part
+        ("(A2,1)^-2", "(A2,1)^-2"),
+        ("(A1,1)^25", "(A1,1)^25"),  # more parts than a rank-24 V1 holds
+    ],
+)
+def test_decomposition_rejects_bad_tokens(text, token):
+    with pytest.raises(UsageError, match=re.escape(repr(token))):
+        parse_decomposition(text)
 
 
 def test_ratio_from_dim():

@@ -26,6 +26,7 @@ FRAME_TEXTS = [
 ]
 CODE_TEXTS = [codes.to_text(codes.builtin(name)) for name in ("d8", "e7", "g24", "d16plus")]
 CODE_TEXTS.append(codes.to_text(codes.from_rows([], 5)))
+ANSWER_TEXTS = sorted({str(rec.answer) for rec in liesolver.load_ledger()})
 
 
 @st.composite
@@ -75,6 +76,7 @@ PARSERS = {
     "label": (modlabels.parse_label, modlabels.format_label, LABEL_TEXTS),
     "frame": (framed.from_text, framed.to_text, st.sampled_from(FRAME_TEXTS)),
     "code": (codes.from_text, codes.to_text, st.sampled_from(CODE_TEXTS)),
+    "decomposition": (liesolver.parse_decomposition, str, st.sampled_from(ANSWER_TEXTS)),
 }
 
 
