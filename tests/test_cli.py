@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from framedlie import __version__, cli, modlabels
+from framedlie import __version__, cli, modlabels, quadspace
 from framedlie.cli import main
 from framedlie.gf2 import FalsificationError
 from framedlie.liesolver import default_ledger_path, load_ledger, parse_decomposition
@@ -148,6 +148,15 @@ def test_bad_tokens_exit_2(capsys):
     ):
         code, _ = run(capsys, *argv)
         assert code == 2, argv
+
+
+def test_qspace_guard_before_work(capsys, monkeypatch):
+    def no_work(self, x):
+        raise AssertionError("q evaluated before the census guard")
+
+    monkeypatch.setattr(quadspace.QuadraticSpace, "q", no_work)
+    assert main(["qspace", "--dim", "30", "--type", "plus"]) == 3
+    assert "resource guard: census of 2^30 vectors refused" in capsys.readouterr().err
 
 
 def test_closed_stdout_exits_0(monkeypatch):

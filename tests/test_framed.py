@@ -360,6 +360,7 @@ def test_census_lanes_against_separate_sums(m, stride):
     words = framed._fingerprint_words(m)
     counts, _ = framed._census_tables(m)
     gens = framed._wreath_generators(m)
+    assert len({tuple(tab) for tab in gens}) == len(gens)  # so no two lanes agree by design
     lanes = framed._census_lanes(words, gens, counts)
     top = len(gens) + 1
     for span in itertools.islice(framed._mts_spans(m), 0, None, stride):

@@ -2,10 +2,21 @@ import random
 
 import pytest
 
-from framedlie.gf2 import FalsificationError, UsageError, apply_map, enumerate_rows, rref, rref_ints
+from framedlie.gf2 import (
+    FalsificationError,
+    UsageError,
+    apply_map,
+    enumerate_rows,
+    full_subspace,
+    rref,
+    rref_ints,
+    zero_subspace,
+)
+from framedlie.modlabels import coordinatize, rv_model
 from framedlie.quadspace import (
     MINUS,
     PLUS,
+    QuadraticSpace,
     direct_sum,
     gauss_sum,
     isometry,
@@ -93,6 +104,45 @@ def test_census_examples():
     assert singular_census(standard_plus(10)) == (527, 496)
     assert singular_census(standard_minus(2)) == (0, 3)
     assert singular_census(standard_plus(18)) == (131327, 130816)
+
+
+def _gray_census(space, s=None):
+    """The exhaustive census: every vector of s in Gray-code order, each
+    step costing one popcount: q(v + r) = q(v) + q(r) + <r, v>."""
+    if s is None:
+        s = space.full()
+    qrow = [space.q(r) for r in s.rows]
+    frow = [space.functional(r) for r in s.rows]
+    v = qv = 0
+    singular = 1  # the zero vector
+    for i in range(1, 1 << s.dim):
+        j = (i & -i).bit_length() - 1
+        qv ^= qrow[j] ^ ((frow[j] & v).bit_count() & 1)
+        v ^= s.rows[j]
+        singular += 1 - qv
+    return singular - 1, (1 << s.dim) - singular
+
+
+def test_census_matches_gray_walk():
+    cases = [(f(dim), None) for dim in range(2, 19, 2) for f in (standard_plus, standard_minus)]
+    cases += [(coordinatize().space, None), (rv_model().space, None)]
+    rng = random.Random(14)
+    for dim in range(2, 15, 2):
+        for _ in range(12):
+            # random upper-triangular coefficient rows
+            space = QuadraticSpace(dim, tuple(rng.getrandbits(dim) & -(1 << i) for i in range(dim)))
+            cases += [(space, zero_subspace(dim)), (space, full_subspace(dim))]
+            for _ in range(4):
+                rows = [rng.getrandbits(dim) for _ in range(rng.randrange(1, dim + 1))]
+                cases.append((space, rref(rows, dim)))
+    seen = set()
+    for space, s in cases:
+        assert singular_census(space, s) == _gray_census(space, s), (space, s)
+        if s is not None:
+            seen.add("odd" if s.dim % 2 else "even" if s.dim else "zero")
+            seen.add("degenerate" if space.radical(s).dim else "nondegenerate")
+            seen.add("full" if s.dim == space.dim else "proper")
+    assert seen == {"zero", "odd", "even", "degenerate", "nondegenerate", "full", "proper"}
 
 
 def test_census_matches_closed_forms_small():
@@ -227,6 +277,13 @@ def test_orthogonal_group_closure_and_preservation():
     for g in group:
         for v in range(16):
             assert space.q(apply_map(g, v)) == space.q(v)
+
+
+def test_orthogonal_generators_distinct():
+    for space in (standard_plus(2), standard_minus(2), standard_plus(4), standard_minus(4)):
+        gens = orthogonal_generators(space)
+        assert len(set(gens)) == len(gens), gens
+    assert orthogonal_generators(standard_plus(2)) == ((2, 1),)
 
 
 def test_orthogonal_generators_generate():
