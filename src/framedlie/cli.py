@@ -4,12 +4,15 @@ Commands: qspace, frame (build/classify/census/orbifold/pair), lie
 (solve/ledger/tables) and verify.  JSON is the canonical output format;
 csv and markdown render the same rows for eyeballing.  Exit codes:
 0 success, 1 falsification or mismatch, 2 usage, 3 resource guard.
+`main` may be called many times in one process: the argument parser is
+built on the first call and reused, and no call leaves state for the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -384,8 +387,8 @@ def verify_checks(quick: bool, ledger_path: str | None):
     for case_id in pair_expect:
         yield f"pair_{case_id}", (lambda c=case_id: pair(c))
 
-    # (subspaces, orbits) per case; every orbit size divides the order
-    # 2^10 * 3^7 of the wreath group at m = 2
+    # (subspaces, orbits) per case; census_small checks that every orbit
+    # size divides the order of the wreath group, 2^10 * 3^7 at m = 2
     census_expect = {
         1: {"cond1": (8, 1), "cond2": (8, 1), "even(1,1,0,+)": (12, 1), "odd(1,0,0)": (2, 1)},
         2: {
@@ -552,8 +555,13 @@ def verify_checks(quick: bool, ledger_path: str | None):
     if not quick:
 
         def coords_census():
-            got = quadspace.singular_census(modlabels.coordinatize().space)
+            coords = modlabels.coordinatize()
+            got = quadspace.singular_census(coords.space)
             assert got == (131327, 130816), got
+            # the pair walks' row table, against the labels it stands for
+            table, rng = modlabels.coordinate_row_table(), random.Random(10)
+            for x in (rng.getrandbits(18) for _ in range(2000)):
+                assert table[x] == modlabels.orbit_class(coords.from_coords(x)).row, x
 
         yield "label_coordinates_census", coords_census
 
@@ -627,7 +635,13 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    Each subcommand stores its name as `cmd`; `main` looks `cmd_<name>` up
+    on this module at call time, so the shared parser holds no function.
+    """
     parser = argparse.ArgumentParser(
         prog="framedlie",
         description="GF(2) quadratic-space classification toolkit",
@@ -642,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dim", type=int, required=True)
     q.add_argument("--type", choices=("plus", "minus"), required=True)
     add_common(q)
-    q.set_defaults(fn=cmd_qspace)
+    q.set_defaults(cmd="qspace")
 
     f = sub.add_parser("frame", help="subspace builders and censuses")
     fsub = f.add_subparsers(dest="subcommand", required=True)
@@ -653,28 +667,28 @@ def build_parser() -> argparse.ArgumentParser:
     fb.add_argument("--k2", type=int, required=True)
     fb.add_argument("--type", choices=("plus", "minus"))
     add_common(fb)
-    fb.set_defaults(fn=cmd_frame_build)
+    fb.set_defaults(cmd="frame_build")
 
     fc = fsub.add_parser("classify")
     fc.add_argument("--input", required=True, help="subspace text file, or - for stdin")
     add_common(fc)
-    fc.set_defaults(fn=cmd_frame_classify)
+    fc.set_defaults(cmd="frame_classify")
 
     fcen = fsub.add_parser("census")
     fcen.add_argument("--m", type=int, required=True)
     add_common(fcen)
-    fcen.set_defaults(fn=cmd_frame_census)
+    fcen.set_defaults(cmd="frame_census")
 
     fo = fsub.add_parser("orbifold")
     fo.add_argument("--base", required=True, help="e.g. odd:5,4,0")
     fo.add_argument("--choices", type=int, default=3)
     add_common(fo)
-    fo.set_defaults(fn=cmd_frame_orbifold)
+    fo.set_defaults(cmd="frame_orbifold")
 
     fp = fsub.add_parser("pair")
     fp.add_argument("--case", required=True, choices=framed.PAIR_CASE_IDS)
     add_common(fp)
-    fp.set_defaults(fn=cmd_frame_pair)
+    fp.set_defaults(cmd="frame_pair")
 
     l = sub.add_parser("lie", help="affine type identification")
     lsub = l.add_subparsers(dest="subcommand", required=True)
@@ -683,33 +697,32 @@ def build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--dim", type=int, required=True)
     ls.add_argument("--constraint", action="append", default=[])
     add_common(ls)
-    ls.set_defaults(fn=cmd_lie_solve)
+    ls.set_defaults(cmd="lie_solve")
 
     ll = lsub.add_parser("ledger")
     ll.add_argument("--ledger", default=None)
     add_common(ll)
-    ll.set_defaults(fn=cmd_lie_ledger)
+    ll.set_defaults(cmd="lie_ledger")
 
     lt = lsub.add_parser("tables")
     lt.add_argument("--which", required=True, choices=("ta8", "ta16", "lieframed"))
     lt.add_argument("--ledger", default=None)
     add_common(lt)
-    lt.set_defaults(fn=cmd_lie_tables)
+    lt.set_defaults(cmd="lie_tables")
 
     v = sub.add_parser("verify", help="run the acceptance checks")
     v.add_argument("--quick", action="store_true")
     v.add_argument("--ledger", default=None)
     add_common(v)
-    v.set_defaults(fn=cmd_verify, format=None)  # PASS/FAIL text unless --format
+    v.set_defaults(cmd="verify", format=None)  # PASS/FAIL text unless --format
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()[f"cmd_{args.cmd}"](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

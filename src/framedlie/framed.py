@@ -41,8 +41,7 @@ from .modlabels import (
     TABLE_ROW_LOWEST2,
     ZERO_MINUS,
     RXLabel,
-    _add_packed,
-    _row,
+    coordinate_row_table,
     coordinatize,
     normal_form,
     qx,
@@ -55,6 +54,7 @@ from .quadspace import (
     isometry,
     nonsingular_inside,
     orthogonal_generators,
+    orthogonal_group,
     standard_plus,
     type_of,
 )
@@ -86,6 +86,10 @@ class TripleAmbient:
 
     def embed(self, v: int, block: int) -> int:
         return v << (2 * self.m * block)
+
+
+# the X coordinates of a pair-ambient vector; its V part is the rest, >> 18
+_X_MASK = (1 << 18) - 1
 
 
 class PairAmbient:
@@ -612,7 +616,8 @@ def _classify_rows_fast(c: int, span, m, chains) -> TCCase:
 
 
 def _span(rows) -> list[int]:
-    """Every vector of the span of independent rows, by doubling."""
+    """Entry i is the sum of the rows that the bits of i select, by
+    doubling; for independent rows, every vector of their span once."""
     span = [0]
     for r in rows:
         span += [x ^ r for x in span]
@@ -637,6 +642,12 @@ def _wreath_generators(m: int) -> list[list[int]]:
             for v in vectors
         ])
     return gens
+
+
+def _wreath_order(m: int) -> int:
+    """Order of the group _wreath_generators generates: O(2m)^+ acting on
+    each block and S_3 permuting the blocks."""
+    return len(orthogonal_group(standard_plus(2 * m))) ** 3 * 6
 
 
 def _check_isometry(tab: list[int], q: bytes) -> None:
@@ -758,6 +769,12 @@ def census_small(m: int) -> CensusReport:
     for root, case in zip(roots, cases):
         if orbit_case.setdefault(root, case) != case:
             raise FalsificationError("one orbit received two classifications")
+    order = _wreath_order(m)
+    for size in Counter(roots).values():
+        if order % size:
+            raise FalsificationError(
+                f"an orbit of {size} subspaces does not divide the group order {order}"
+            )
     per_case = Counter(cases)
     per_case_orbits = Counter(orbit_case.values())
     # the builders validate, so a built subspace is in the census
@@ -862,7 +879,7 @@ def rho_invariants(s: MtsSubspace) -> dict:
     amb = s.ambient
     if not isinstance(amb, PairAmbient):
         raise UsageError("rho invariants are defined over the pair ambient")
-    rho1 = rref([r & ((1 << 18) - 1) for r in s.sub.rows], 18)
+    rho1 = rref([r & _X_MASK for r in s.sub.rows], 18)
     rho2 = rref([r >> 18 for r in s.sub.rows], 10)
     rho1_ker = _rho_kernel_projection(s.sub, side=0)
     rho2_ker = _rho_kernel_projection(s.sub, side=1)
@@ -880,42 +897,35 @@ def rho_invariants(s: MtsSubspace) -> dict:
     }
 
 
-def _iter_labels_of(sub: Subspace, amb: PairAmbient) -> Iterator[tuple[int, int]]:
-    """Walk a pair-ambient (or X-side) subspace in Gray-code order, yielding
-    the packed X label and the V part of each vector."""
-    row_labels = [amb.coords.packed_label(r & ((1 << 18) - 1)) for r in sub.rows]
-    cur = v = 0
-    yield cur, v
-    for i in range(1, 1 << sub.dim):
-        j = (i & -i).bit_length() - 1
-        cur = _add_packed(cur, row_labels[j])
-        v ^= sub.rows[j] >> 18
-        yield cur, v
-
-
 def weight1_dim_pair(s: MtsSubspace) -> dict:
     """Weight-one dimension two ways: direct enumeration and the five-term
     projection formula; a mismatch aborts loudly.
 
     A vector counts when the doubled lowest weights of its X and V labels
-    add to 2, with the product of their lowest dims.  The result also
+    add to 2, with the product of their lowest dims.  Each walk lists the
+    X coordinates of a span and reads their rows from
+    `coordinate_row_table`, with no fusion product.  The result also
     carries the dimensions of the projections `rho_invariants` checked.
     """
     amb = s.ambient
     if not isinstance(amb, PairAmbient):
         raise UsageError("pair weight computation needs the pair ambient")
     inv = rho_invariants(s)
-    small = amb.rv.lowest2
+    table = coordinate_row_table()
+    # one byte per vector of s: the row of its X label in the low nibble and
+    # the doubled lowest weight of its V label (0, 1 or 2) in the high one;
+    # the X and V parts are spanned by doubling, in the same order
+    rows = bytes(map(table.__getitem__, _span([r & _X_MASK for r in s.sub.rows])))
+    small = bytes(map(amb.rv.lowest2.__getitem__, _span([r >> 18 for r in s.sub.rows])))
+    keys = int.from_bytes(rows, "little") | int.from_bytes(small, "little") << 4
+    keys = keys.to_bytes(len(rows), "little")
     direct = 0
-    for x, v in _iter_labels_of(s.sub, amb):
-        lw2, dim = TABLE_ROW_LOWEST2[_row(x)]
-        if small[v] == 2 - lw2:
-            direct += dim * RV_DIM[2 - lw2]
-    rows_hist = {r: 0 for r in range(1, 9)}
-    for x, _ in _iter_labels_of(inv["rho1_of_kernel2"], amb):
-        if x:
-            rows_hist[_row(x)] += 1
-    n_row3_full = sum(1 for x, _ in _iter_labels_of(inv["rho1"], amb) if _row(x) == 3)
+    for row, (lw2, dim) in enumerate(TABLE_ROW_LOWEST2):
+        if row and lw2 <= 2:
+            direct += keys.count(row | (2 - lw2) << 4) * dim * RV_DIM[2 - lw2]
+    kernel_rows = Counter(map(table.__getitem__, _span(inv["rho1_of_kernel2"].rows)[1:]))
+    rows_hist = {r: kernel_rows[r] for r in range(1, 9)}
+    n_row3_full = bytes(map(table.__getitem__, _span(inv["rho1"].rows))).count(3)
     size_ker1 = 1 << inv["rho2_of_kernel1"].dim
     terms = (
         16 * rows_hist[2],

@@ -40,7 +40,7 @@ from dataclasses import astuple, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .gf2 import MAX_WIDTH, UsageError
+from .gf2 import MAX_WIDTH, FalsificationError, UsageError
 
 MAX_TOTAL_RANK = 24
 
@@ -397,7 +397,8 @@ class CaseRecord:
     case: object = field(default=None, init=False, compare=False, repr=False)
 
     def expected_set(self) -> set[Decomposition]:
-        assert self.answer is not None
+        if self.answer is None:
+            raise FalsificationError(f"case {self.case_id}: no answer to expect")
         return {self.answer, *self.also}
 
 

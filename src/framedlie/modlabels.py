@@ -248,7 +248,8 @@ def coset_min_norm(label: RXLabel) -> int:
             total += min(cost_lo, cost_hi)
         if total < best:
             best = total
-    assert best % 8 == 0
+    if best % 8:
+        raise FalsificationError(f"decoded squared length {best} is not a multiple of 8")
     return best // 8
 
 
@@ -401,6 +402,52 @@ class RXCoordinates:
 @functools.lru_cache(maxsize=1)
 def coordinatize() -> RXCoordinates:
     return RXCoordinates()
+
+
+def _span_labels(basis: Sequence[int]) -> list[int]:
+    """The packed label of every coefficient vector over basis, by doubling:
+    entry i is the sum of the basis labels that the bits of i select."""
+    labels = [0]
+    for b in basis:
+        labels += [_add_packed(x, b) for x in labels]
+    return labels
+
+
+@functools.lru_cache(maxsize=1)
+def coordinate_row_table() -> bytes:
+    """Orbit row of every label by its coordinates: entry x is
+    `_row(coordinatize().packed_label(x))`.  Built on first use, not at
+    import.
+
+    The first 14 basis labels are untwisted half-vectors and the last four
+    have c = 0, so the label of x is h + l: h spanned by the last four,
+    l an untwisted label with eps = sign = 0 spanned by the first 14.  As
+    c_h = 0, h + l carries nothing into delta, and the sign cocycle of a
+    twisted h reads nu(h ^ l), which depends on l only through delta_l and
+    wt(c_l).  So the row of h + l depends on l only through its _ROW_TABLE
+    index, and each block of 2^14 entries is the indices of the l
+    translated by one 256-byte map per h, built from one fusion product
+    per index.  RXCoordinates proves its basis independent, so the
+    coordinates reach every label once, and the row counts must be the
+    orbit table's row sizes: a second label census, over coordinates
+    instead of normal forms.
+    """
+    basis = coordinatize().basis
+    if any(b & C_MASK for b in basis[14:]):
+        raise FalsificationError("a flag label of the coordinate basis has a nonzero c")
+    low = _span_labels(basis[:14])
+    index = bytes([(x >> 16) << 4 | (x & C_MASK).bit_count() for x in low])
+    sample = dict(zip(index, low))  # one l per index
+    out = bytearray()
+    for high in _span_labels(basis[14:]):
+        rows = bytearray(256)
+        for i, x in sample.items():
+            rows[i] = _row(_add_packed(high, x))
+        out += index.translate(rows)
+    got = tuple(out.count(r) for r in range(1, 9))
+    if got != TABLE_ROW_SIZES:
+        raise FalsificationError(f"coordinate row census mismatch: {got}")
+    return bytes(out)
 
 
 # ---------------------------------------------------------------------------

@@ -434,10 +434,44 @@ def test_readme_cli_examples_parse():
     lines = [ln.partition("#")[0] for ln in block.splitlines() if ln.startswith("framedlie ")]
     assert len(lines) == 11
     parser = cli.build_parser()
+    assert parser is cli.build_parser()  # main parses with this same parser
     for line in lines:
         for argv in _usage_expansions(line):
             assert argv[0] == "framedlie"
             parser.parse_args(argv[1:])  # argparse exits 2 on a stale flag
+
+
+def test_shared_parser_keeps_no_constraints_between_calls(capsys):
+    # --constraint appends to a default list; a reused parser must not grow it
+    for tokens in (["ideal:28:4"], ["rank:12", "ideal:28:4"], []):
+        argv = ["lie", "solve", "--dim", "60"]
+        for token in tokens:
+            argv += ["--constraint", token]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["constraints"] == tokens
+
+
+def test_main_reaches_cmd_patched_after_the_parser_is_built(capsys, monkeypatch):
+    assert run(capsys, "qspace", "--dim", "4", "--type", "plus")[0] == 0
+    seen = []
+    for name, code in (("qspace", 41), ("lie_ledger", 42)):
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args, c=code: seen.append(args.cmd) or c)
+    assert main(["qspace", "--dim", "4", "--type", "plus"]) == 41
+    assert main(["lie", "ledger"]) == 42
+    assert seen == ["qspace", "lie_ledger"]
+
+
+def test_import_builds_no_parser_and_no_row_table():
+    # both are built on first use, so importing the CLI stays cheap
+    code = (
+        "import framedlie.cli as cli, framedlie.modlabels as m; "
+        "print(cli.build_parser.cache_info().currsize, "
+        "m.coordinate_row_table.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0 0\n"), done.stderr
 
 
 def test_unreadable_ledger_exits_2(capsys, monkeypatch, tmp_path):
@@ -495,11 +529,15 @@ def test_minnorm_cross_check_catches_a_wrong_row(capsys, monkeypatch):
     assert table[4] == 4
     table[4] = 5
     monkeypatch.setattr(modlabels, "_ROW_TABLE", bytes(table))
-    label = modlabels.RXLabel(0, 0, 0b11110, 0, 0)
-    assert modlabels.orbit_class(label).row == 5
-    with pytest.raises(FalsificationError, match="min-norm decoder disagree"):
-        modlabels.orbit_class(label, verify=True)
-    checks_only(monkeypatch, "table2_")
-    code, out = run(capsys, "verify", "--quick")
-    assert code == 1
-    assert out.startswith("FAIL table2_minnorm_sample: orbit table and min-norm decoder disagree")
+    modlabels.coordinate_row_table.cache_clear()  # it is built from _ROW_TABLE
+    try:
+        label = modlabels.RXLabel(0, 0, 0b11110, 0, 0)
+        assert modlabels.orbit_class(label).row == 5
+        with pytest.raises(FalsificationError, match="min-norm decoder disagree"):
+            modlabels.orbit_class(label, verify=True)
+        checks_only(monkeypatch, "table2_")
+        code, out = run(capsys, "verify", "--quick")
+        assert code == 1
+        assert out.startswith("FAIL table2_minnorm_sample: orbit table and min-norm decoder disagree")
+    finally:
+        modlabels.coordinate_row_table.cache_clear()

@@ -354,6 +354,32 @@ def test_census_rejects_oversized_word(monkeypatch, capsys):
         census_small.cache_clear()
 
 
+def test_wreath_order():
+    assert framed._wreath_order(1) == 48
+    assert framed._wreath_order(2) == 72**3 * 6
+
+
+def test_census_rejects_orbit_size_not_dividing_the_group(monkeypatch, capsys):
+    # split one subspace off its size-8 orbit at m = 1: sizes 1 and 7, and 7 does not divide 48
+    census_pass = framed._census_pass
+
+    def split_orbit(m):
+        cases, roots, locate = census_pass(m)
+        i = next(i for i, r in enumerate(roots) if roots.count(r) == 8 and i != r)
+        return cases, roots[:i] + [i] + roots[i + 1 :], locate
+
+    monkeypatch.setattr(framed, "_census_pass", split_orbit)
+    census_small.cache_clear()
+    try:
+        with pytest.raises(FalsificationError, match="orbit of 7 subspaces does not divide the group order 48"):
+            census_small(1)
+        capsys.readouterr()
+        assert main(["frame", "census", "--m", "1"]) == 1
+        assert "falsification: an orbit of 7 subspaces" in capsys.readouterr().err
+    finally:
+        census_small.cache_clear()
+
+
 @pytest.mark.parametrize("m, stride", [(1, 1), (2, 97)])
 def test_census_lanes_against_separate_sums(m, stride):
     # each lane of a span's one sum against the sum it stands for
@@ -420,11 +446,13 @@ def test_pair_weight1_coset_pairing_property():
     # singular total form: a nonsingular X part forces a nonsingular V part
     amb = pair_ambient()
     s = build_pair_case("pcl5_3", seed=1)
-    from framedlie.framed import _iter_labels_of
     from framedlie.modlabels import RXLabel, qx
 
-    for x, v in _iter_labels_of(s.sub, amb):
-        assert qx(RXLabel.from_packed(x)) == amb.rv.space.q(v)
+    xs = framed._span([r & framed._X_MASK for r in s.sub.rows])
+    vs = framed._span([r >> 18 for r in s.sub.rows])
+    assert len(xs) == len(vs) == 1 << 14
+    for x, v in zip(xs, vs):
+        assert qx(RXLabel.from_packed(amb.coords.packed_label(x))) == amb.rv.space.q(v)
 
 
 def _label_walk(rows, coords):

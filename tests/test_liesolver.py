@@ -5,8 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framedlie.gf2 import UsageError
+from framedlie.gf2 import FalsificationError, UsageError
 from framedlie.liesolver import (
+    CaseRecord,
     Decomposition,
     IdealExists,
     PartitionDims,
@@ -261,6 +262,14 @@ def test_ledger_loads_and_validates():
         by_table[rec.table] += 1
         assert rec.answer.total_dim == rec.dim
     assert by_table == {"ta8": 15, "ta16": 6}
+
+
+def test_expected_set_needs_an_answer():
+    rec = CaseRecord("pcl4_6", "ta16", 72, 1)
+    with pytest.raises(FalsificationError, match="case pcl4_6: no answer to expect"):
+        rec.expected_set()
+    rec.answer = parse_decomposition("A2,1")
+    assert rec.expected_set() == {rec.answer}
 
 
 def test_ledger_rejects_bad_text():

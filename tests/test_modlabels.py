@@ -1,10 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from framedlie.gf2 import UsageError
+from framedlie import modlabels
+from framedlie.gf2 import FalsificationError, UsageError
 from framedlie.modlabels import (
     CHI0_PLUS,
     TABLE_ROW_SIZES,
@@ -14,6 +16,7 @@ from framedlie.modlabels import (
     _add_packed,
     _row,
     canonical_c_values,
+    coordinate_row_table,
     coordinatize,
     coset_min_norm,
     format_label,
@@ -293,6 +296,14 @@ def test_coset_min_norm_matches_loop_on_every_coset():
     assert seen == 1 << 16
 
 
+def test_coset_min_norm_rejects_a_norm_off_the_lattice(monkeypatch):
+    # two more in every decoded squared length: a weight-2 c decodes to 10, not 8
+    tables = [tuple((sq + 1, par, cost) for sq, par, cost in t) for t in modlabels._norm_tables()]
+    monkeypatch.setattr(modlabels, "_norm_tables", lambda: tables)
+    with pytest.raises(FalsificationError, match="squared length 10 is not a multiple of 8"):
+        coset_min_norm(normal_form(0, 0, c_of(1, 2), 0, 0))
+
+
 def _row_oracle(label: RXLabel) -> int:
     """Orbit row by the branch logic the packed row table is built from."""
     if label.twist:
@@ -314,6 +325,44 @@ def test_row_table_matches_branch_oracle():
             assert _row(label.packed) == _row_oracle(label), format_label(label)
             seen += 1
     assert seen == 1 << 18
+
+
+def test_coordinate_row_table_against_packed_labels():
+    coords = coordinatize()
+    table = coordinate_row_table()
+    assert len(table) == 1 << 18
+    assert tuple(table.count(r) for r in range(1, 9)) == TABLE_ROW_SIZES
+    rng = random.Random(12)
+    sample = [0, (1 << 18) - 1, *(1 << i for i in range(18))]
+    sample += [rng.getrandbits(18) for _ in range(3000)]
+    for x in sample:
+        assert table[x] == _row(coords.packed_label(x)), x
+
+
+def test_coordinate_row_table_rejects_wrong_rows(monkeypatch):
+    # send untwisted labels with eps = delta = sign = 0 and wt(c) = 4 to row 5
+    rows = bytearray(modlabels._ROW_TABLE)
+    rows[4] = 5
+    monkeypatch.setattr(modlabels, "_ROW_TABLE", bytes(rows))
+    coordinate_row_table.cache_clear()
+    try:
+        with pytest.raises(FalsificationError, match="coordinate row census mismatch"):
+            coordinate_row_table()
+    finally:
+        coordinate_row_table.cache_clear()
+
+
+def test_coordinate_row_table_needs_flag_labels_without_c(monkeypatch):
+    # the block-by-index build holds only while the last four basis labels have c = 0
+    basis = list(coordinatize().basis)
+    basis[0], basis[14] = basis[14], basis[0]
+    monkeypatch.setattr(modlabels, "coordinatize", lambda: SimpleNamespace(basis=tuple(basis)))
+    coordinate_row_table.cache_clear()
+    try:
+        with pytest.raises(FalsificationError, match="flag label of the coordinate basis has a nonzero c"):
+            coordinate_row_table()
+    finally:
+        coordinate_row_table.cache_clear()
 
 
 def test_orbit_class_examples():
