@@ -310,6 +310,11 @@ def cmd_lie_tables(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _labels(*labels: modlabels.RXLabel) -> str:
+    """Labels in their text form, for a check's failure message."""
+    return ", ".join(f"[{modlabels.format_label(label)}]" for label in labels)
+
+
 def verify_checks(quick: bool, ledger_path: str | None):
     """Yield (name, callable) pairs; callables raise on failure.
 
@@ -317,7 +322,7 @@ def verify_checks(quick: bool, ledger_path: str | None):
     `tests/test_acceptance.py` makes one test of each full-mode check.
     Quick mode leaves out the three slowest censuses.
     """
-    if not __debug__:  # python -O strips assert statements, so every check would pass
+    if not __debug__:  # python -O strips assert statements, which most checks still are
         raise UsageError("the verify checks are assert statements; run without python -O")
     published = {row[0]: row[1] for row in tables.TA8_ROWS}
     cases = framed.valid_params(5)
@@ -348,8 +353,8 @@ def verify_checks(quick: bool, ledger_path: str | None):
 
     def label_census():
         sizes = modlabels.rx_census()
-        assert sizes == (1, 3, 480, 7280, 32032, 25740, 98304, 98304), sizes
-        assert sum(sizes) == 1 << 18
+        if sizes != (1, 3, 480, 7280, 32032, 25740, 98304, 98304) or sum(sizes) != 1 << 18:
+            raise FalsificationError(f"label census row sizes {sizes}")
 
     if not quick:
         yield "table2_census", label_census
@@ -518,10 +523,14 @@ def verify_checks(quick: bool, ledger_path: str | None):
         for _ in range(10**4):
             a, b, c = (modlabels.random_label(rng) for _ in range(3))
             ab = add(a, b)
-            assert ab == add(b, a)
-            assert add(ab, c) == add(a, add(b, c))
-            assert add(a, a) == zero
-            assert add(zero, a) == a
+            if ab != add(b, a) or add(ab, c) != add(a, add(b, c)):
+                raise FalsificationError(
+                    f"fusion product not commutative and associative on {_labels(a, b, c)}"
+                )
+            if add(a, a) != zero or add(zero, a) != a:
+                raise FalsificationError(
+                    f"fusion product not of exponent 2 with unit 0 on {_labels(a)}"
+                )
 
     yield "fusion_group_laws", fusion_laws
 
@@ -546,9 +555,19 @@ def verify_checks(quick: bool, ledger_path: str | None):
             wa = modlabels.label_to_w(plus)
             wb = modlabels.label_to_w(modlabels.random_label(rng, twisted=False))
             dot = sum(x * y for x, y in zip(wa, wb))
-            assert pairing(plus, modlabels.label_from_w(wb)) == (dot // 4) % 2
-            assert pairing(plus, chi0) == 0 and pairing(minus, chi0) == 1
-            assert pairing(modlabels.ZERO_MINUS, tw) == 1
+            b = modlabels.label_from_w(wb)
+            if pairing(plus, b) != (dot // 4) % 2:
+                raise FalsificationError(
+                    f"pairing is not the lattice pairing on {_labels(plus, b)}"
+                )
+            if pairing(plus, chi0) != 0 or pairing(minus, chi0) != 1:
+                raise FalsificationError(
+                    f"pairing with chi0 does not read the sign on {_labels(plus)}"
+                )
+            if pairing(modlabels.ZERO_MINUS, tw) != 1:
+                raise FalsificationError(
+                    f"pairing of 0- with a twisted label is not 1 on {_labels(tw)}"
+                )
 
     yield "label_pairings", pairings
 
@@ -557,22 +576,30 @@ def verify_checks(quick: bool, ledger_path: str | None):
         def coords_census():
             coords = modlabels.coordinatize()
             got = quadspace.singular_census(coords.space)
-            assert got == (131327, 130816), got
+            if got != (131327, 130816):
+                raise FalsificationError(f"label coordinate census {got}")
             # the pair walks' row table, against the labels it stands for
             table, rng = modlabels.coordinate_row_table(), random.Random(10)
             for x in (rng.getrandbits(18) for _ in range(2000)):
-                assert table[x] == modlabels.orbit_class(coords.from_coords(x)).row, x
+                row = modlabels.orbit_class(coords.from_coords(x)).row
+                if table[x] != row:
+                    raise FalsificationError(
+                        f"coordinate row table has row {table[x]}, not {row}, at {x}"
+                    )
 
         yield "label_coordinates_census", coords_census
 
     def rv_check():
         rv = modlabels.rv_model()
-        assert quadspace.singular_census(rv.space) == (527, 496)
+        got = quadspace.singular_census(rv.space)
+        if got != (527, 496):
+            raise FalsificationError(f"small label census {got}")
         counts = {}
         for v in range(1 << 10):
             lw, _ = rv.lowest(v)
             counts[lw] = counts.get(lw, 0) + 1
-        assert counts == {Fraction(0): 1, Fraction(1): 527, Fraction(1, 2): 496}
+        if counts != {Fraction(0): 1, Fraction(1): 527, Fraction(1, 2): 496}:
+            raise FalsificationError(f"small label lowest weights {counts}")
 
     yield "small_label_classifier", rv_check
 

@@ -15,15 +15,16 @@ weight.
 
 The group law, the form and the orbit rows are computed on packed labels:
 one int with c in bits 0-15, then eps, delta, sign and twist in bits 16-19.
-``RXLabel`` is the checked view of a packed label for parsing, printing
-and the public API.
+``RXLabel`` holds that packed int and nothing else: it checks the normal
+form once, when it is made, and reads its five fields from the bits.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -37,6 +38,7 @@ _EPS = 1 << 16
 _DELTA = 1 << 17
 _SIGN = 1 << 18
 _TWIST = 1 << 19
+_LABEL_BITS = (1 << 20) - 1
 
 TABLE_ROW_SIZES = (1, 3, 480, 7280, 32032, 25740, 98304, 98304)
 TABLE_ROW_LOWEST = {
@@ -57,45 +59,74 @@ TABLE_ROW_LOWEST2 = ((0, 0),) + tuple(
 RV_DIM = (1, 1, 8)
 
 
-@dataclass(frozen=True)
 class RXLabel:
-    """Normal form of one of the 2^18 irreducible-module labels."""
+    """Normal form of one of the 2^18 irreducible-module labels.
 
-    twist: int
-    eps: int
-    c: int
-    delta: int
-    sign: int
+    A label holds only its packed int; the five fields are read from its
+    bits.  Labels are immutable and compare and hash by the packed int.
+    """
 
-    def __post_init__(self) -> None:
-        for bit in (self.twist, self.eps, self.delta, self.sign):
+    __slots__ = ("packed",)
+
+    def __init__(self, twist: int, eps: int, c: int, delta: int, sign: int) -> None:
+        for bit in (twist, eps, delta, sign):
             if bit not in (0, 1):
                 raise UsageError("label flag bits must be 0 or 1")
-        if self.c >> N_COORDS:
+        if c >> N_COORDS:
             raise UsageError("half-vector c has more than 16 coordinates")
-        if self.c & 1:
+        if c & 1:
             raise UsageError("non-canonical c: first coordinate must be 0")
-        if self.c.bit_count() & 1:
+        if c.bit_count() & 1:
             raise UsageError("half-vector c must have even weight")
-
-    def lam(self) -> tuple[int, int, int]:
-        """The coset part (eps, c, delta), forgetting twist and sign."""
-        return (self.eps, self.c, self.delta)
-
-    @property
-    def packed(self) -> int:
-        return (
-            self.c
-            | self.eps << 16
-            | self.delta << 17
-            | self.sign << 18
-            | self.twist << 19
-        )
+        _set_packed(self, c | eps << 16 | delta << 17 | sign << 18 | twist << 19)
 
     @classmethod
     def from_packed(cls, x: int) -> RXLabel:
-        return cls(x >> 19 & 1, x >> 16 & 1, x & C_MASK, x >> 17 & 1, x >> 18 & 1)
+        x &= _LABEL_BITS  # the flags need no check
+        if x & 1:
+            raise UsageError("non-canonical c: first coordinate must be 0")
+        if (x & C_MASK).bit_count() & 1:
+            raise UsageError("half-vector c must have even weight")
+        label = object.__new__(cls)
+        _set_packed(label, x)
+        return label
 
+    twist = property(lambda self: self.packed >> 19 & 1)
+    eps = property(lambda self: self.packed >> 16 & 1)
+    c = property(lambda self: self.packed & C_MASK)
+    delta = property(lambda self: self.packed >> 17 & 1)
+    sign = property(lambda self: self.packed >> 18 & 1)
+
+    def lam(self) -> tuple[int, int, int]:
+        """The coset part (eps, c, delta), forgetting twist and sign."""
+        x = self.packed
+        return (x >> 16 & 1, x & C_MASK, x >> 17 & 1)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is RXLabel:
+            return self.packed == other.packed
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.packed)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (RXLabel.from_packed, (self.packed,))
+
+    def __repr__(self) -> str:
+        return (
+            f"RXLabel(twist={self.twist}, eps={self.eps}, c={self.c}, "
+            f"delta={self.delta}, sign={self.sign})"
+        )
+
+
+_set_packed = RXLabel.packed.__set__  # the slot's own setter, past __setattr__
 
 ZERO_PLUS = RXLabel(0, 0, 0, 0, 0)
 ZERO_MINUS = RXLabel(0, 0, 0, 0, 1)
@@ -237,8 +268,9 @@ def coset_min_norm(label: RXLabel) -> int:
     which only flips the step parity.  The tables come from the lattice
     rule alone, so this decoder checks the orbit table independently.
     """
-    eps, c, delta = label.eps, label.c, label.delta
-    lo, hi = c & 0xFF, c >> 8
+    x = label.packed
+    eps, delta = x >> 16 & 1, x >> 17 & 1
+    lo, hi = x & 0xFF, x >> 8 & 0xFF
     best = 1 << 10  # above any decoded |w'|^2, which is at most 16 * 2^2 + 16
     for table in _norm_tables()[2 * eps : 2 * eps + 2]:
         sq_lo, par_lo, cost_lo = table[lo]
@@ -258,6 +290,10 @@ class OrbitClass:
     row: int
     lowest_weight: Fraction
     lowest_dim: int
+
+
+# the eight orbit classes, one shared value per row (0 unused)
+_ORBIT_CLASSES = (None,) + tuple(OrbitClass(r, *TABLE_ROW_LOWEST[r]) for r in range(1, 9))
 
 
 def _row_table() -> bytes:
@@ -293,7 +329,8 @@ def _row(x: int) -> int:
 
 
 def orbit_class(label: RXLabel, verify: bool = False) -> OrbitClass:
-    """Orbit-table row of a label with its lowest weight and lowest dim.
+    """Orbit-table row of a label with its lowest weight and lowest dim,
+    as the one shared OrbitClass value of that row.
 
     With verify=True the untwisted rows are cross-checked against the coset
     min-norm decoder (the zero coset is exempt: the sign splits it across
@@ -301,13 +338,12 @@ def orbit_class(label: RXLabel, verify: bool = False) -> OrbitClass:
     """
     x = label.packed
     row = _row(x)
-    lw, dim = TABLE_ROW_LOWEST[row]
     if verify and not x & _TWIST and x & (C_MASK | _EPS | _DELTA):
         if TABLE_ROW_LOWEST2[row][0] != coset_min_norm(label):
             raise FalsificationError(
                 f"orbit table and min-norm decoder disagree on {format_label(label)}"
             )
-    return OrbitClass(row, lw, dim)
+    return _ORBIT_CLASSES[row]
 
 
 @functools.lru_cache(maxsize=1)
@@ -319,11 +355,16 @@ def canonical_c_values() -> tuple[int, ...]:
 
 
 def rx_census() -> tuple[int, ...]:
-    """Classify every normal form; abort if the row sizes are off."""
+    """Classify every normal form; abort if the row sizes are off.
+
+    The row of a normal form reads only its flags and wt(c), so each flag
+    setting adds the weight histogram of the canonical c values.
+    """
+    weights = Counter(c.bit_count() for c in canonical_c_values())
     counts = [0] * 9
-    for c in canonical_c_values():
-        for x in range(c, c + (16 << 16), 1 << 16):  # c under every flag setting
-            counts[_row(x)] += 1
+    for flags in range(16):
+        for wt, mult in weights.items():
+            counts[_ROW_TABLE[flags << 4 | wt]] += mult
     got = tuple(counts[1:])
     if got != TABLE_ROW_SIZES or sum(got) != 1 << 18:
         raise FalsificationError(f"orbit census mismatch: {got}")
@@ -342,7 +383,9 @@ def pairing(a: RXLabel, b: RXLabel) -> int:
 def random_label(rng: random.Random, twisted: bool | None = None) -> RXLabel:
     twist = rng.getrandbits(1) if twisted is None else int(twisted)
     c = canonical_c_values()[rng.randrange(1 << 14)]
-    return RXLabel(twist, rng.getrandbits(1), c, rng.getrandbits(1), rng.getrandbits(1))
+    # eps, delta, sign in this order, so every seed draws the labels it always drew
+    x = c | rng.getrandbits(1) << 16 | rng.getrandbits(1) << 17 | rng.getrandbits(1) << 18
+    return RXLabel.from_packed(x | twist << 19)
 
 
 class RXCoordinates:

@@ -523,6 +523,24 @@ def test_ledger_flag_reaches_lieframed_coverage(capsys, monkeypatch, tmp_path):
     assert "FAIL lie_lieframed_coverage" in out
 
 
+def test_fusion_laws_check_raises_falsification(capsys, monkeypatch):
+    add = modlabels.rx_add
+
+    def lopsided(a, b):  # keeps the sign of the first factor: not commutative
+        x = add(a, b).packed & ~modlabels._SIGN | a.packed & modlabels._SIGN
+        return modlabels.RXLabel.from_packed(x)
+
+    monkeypatch.setattr(modlabels, "rx_add", lopsided)
+    checks_only(monkeypatch, "fusion_")
+    code, out = run(capsys, "verify", "--format", "json")
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert (check["name"], check["status"]) == ("fusion_group_laws", "FAIL")
+    assert check["error"].startswith(
+        "FalsificationError: fusion product not commutative and associative on [t:"
+    ), check["error"]
+
+
 def test_minnorm_cross_check_catches_a_wrong_row(capsys, monkeypatch):
     # send untwisted labels with eps = delta = sign = 0 and wt(c) = 4 to row 5
     table = bytearray(modlabels._ROW_TABLE)

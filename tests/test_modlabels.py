@@ -1,5 +1,9 @@
+import copy
+import hashlib
 import itertools
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,9 +13,11 @@ from framedlie import modlabels
 from framedlie.gf2 import FalsificationError, UsageError
 from framedlie.modlabels import (
     CHI0_PLUS,
+    TABLE_ROW_LOWEST,
     TABLE_ROW_SIZES,
     ZERO_MINUS,
     ZERO_PLUS,
+    OrbitClass,
     RXLabel,
     _add_packed,
     _row,
@@ -60,6 +66,84 @@ def test_normal_form_basics():
         normal_form(0, 0, c_of(1), 0, 0)  # odd weight
     with pytest.raises(UsageError):
         RXLabel(0, 0, c_of(0, 1), 0, 0)  # non-canonical direct construction
+
+
+def _normal_forms():
+    """Every packed normal form: each canonical c under all 16 flag settings."""
+    for c in canonical_c_values():
+        yield from range(c, c + (16 << 16), 1 << 16)
+
+
+def test_label_holds_its_packed_normal_form():
+    seen = 0
+    for x in _normal_forms():
+        label = RXLabel.from_packed(x)
+        assert label.packed == x
+        fields = (label.twist, label.eps, label.c, label.delta, label.sign)
+        assert fields == (x >> 19 & 1, x >> 16 & 1, x & 0xFFFF, x >> 17 & 1, x >> 18 & 1)
+        assert RXLabel(*fields).packed == x
+        seen += 1
+    assert seen == 1 << 18
+
+
+def test_label_equality_and_hash_by_value():
+    x = normal_form(1, 0, c_of(1, 2), 1, 0).packed
+    a, b = RXLabel.from_packed(x), RXLabel.from_packed(x)
+    assert a == b and not a != b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != x and a != (a.twist, a.eps, a.c, a.delta, a.sign)
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    # the same c under every other flag setting is another label
+    for flags in range(1, 16):
+        other = RXLabel.from_packed(x ^ flags << 16)
+        assert other != a and other.c == a.c
+
+
+def test_label_is_immutable():
+    label = RXLabel(1, 0, c_of(1, 2), 1, 0)
+    for name in ("packed", "twist", "eps", "c", "delta", "sign", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(label, name, 0)
+    with pytest.raises(FrozenInstanceError):
+        label.packed = 0
+    assert not hasattr(label, "__dict__")
+    assert label == RXLabel(1, 0, c_of(1, 2), 1, 0)
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        *(((0,) * k + (2,) + (0,) * (3 - k), "label flag bits must be 0 or 1") for k in range(4)),
+        *(((0,) * k + (-1,) + (0,) * (3 - k), "label flag bits must be 0 or 1") for k in range(4)),
+    ],
+)
+def test_label_rejects_bad_flags(fields, message):
+    twist, eps, delta, sign = fields
+    with pytest.raises(UsageError, match=message):
+        RXLabel(twist, eps, 0, delta, sign)
+
+
+@pytest.mark.parametrize(
+    "c,message",
+    [
+        (c_of(1, 16), "half-vector c has more than 16 coordinates"),
+        (c_of(0, 1), "non-canonical c: first coordinate must be 0"),
+        (c_of(1, 2, 3), "half-vector c must have even weight"),
+    ],
+)
+def test_label_rejects_bad_c(c, message):
+    with pytest.raises(UsageError, match=message):
+        RXLabel(0, 0, c, 0, 0)
+    if not c >> 16:  # from_packed reads c from bits 0-15 only
+        with pytest.raises(UsageError, match=message):
+            RXLabel.from_packed(c)
+
+
+def test_random_label_draws_unchanged():
+    # the packed labels that verify's min-norm sample decodes, as first drawn
+    rng = random.Random(20260810)
+    xs = ",".join(str(random_label(rng, twisted=False).packed) for _ in range(10**4))
+    digest = hashlib.sha256(xs.encode()).hexdigest()
+    assert digest == "e6d1d6e7f0ce4550723263a0cbc285c0c8a7109212ddfe23b6b431110e9096e2"
 
 
 def test_normal_form_idempotent():
@@ -378,6 +462,19 @@ def test_orbit_class_examples():
     assert orbit_class(RXLabel(1, 0, 0, 0, 1)).row == 8
 
 
+def test_orbit_class_shares_one_value_per_row():
+    first = {}
+    for x in _normal_forms():
+        first.setdefault(_row(x), RXLabel.from_packed(x))
+        if len(first) == 8:
+            break
+    assert sorted(first) == list(range(1, 9))
+    for row, label in first.items():
+        oc = orbit_class(label)
+        assert oc == OrbitClass(row, *TABLE_ROW_LOWEST[row])
+        assert orbit_class(normal_form(label.twist, label.eps, label.c, label.delta, label.sign)) is oc
+
+
 def test_orbit_class_decoder_consistency_sample():
     rng = random.Random(10)
     for _ in range(2000):
@@ -387,10 +484,27 @@ def test_orbit_class_decoder_consistency_sample():
         orbit_class(lbl, verify=True)
 
 
+def _rx_census_oracle():
+    """Oracle of rx_census: the row of each of the 2^18 normal forms."""
+    counts = [0] * 9
+    for x in _normal_forms():
+        counts[_row(x)] += 1
+    return tuple(counts[1:])
+
+
 def test_rx_census():
     sizes = rx_census()
-    assert sizes == TABLE_ROW_SIZES
+    assert sizes == TABLE_ROW_SIZES == _rx_census_oracle()
     assert sum(sizes) == 1 << 18
+
+
+def test_rx_census_rejects_wrong_rows(monkeypatch):
+    # send untwisted labels with eps = delta = sign = 0 and wt(c) = 4 to row 5
+    rows = bytearray(modlabels._ROW_TABLE)
+    rows[4] = 5
+    monkeypatch.setattr(modlabels, "_ROW_TABLE", bytes(rows))
+    with pytest.raises(FalsificationError, match="orbit census mismatch"):
+        rx_census()
 
 
 def test_wt8_hook():
