@@ -409,12 +409,31 @@ def verify_checks(quick: bool, ledger_path: str | None):
 
     def census(m, total, orbits):
         report = framed.census_small(m)
-        assert report.total == framed.mts_count_formula(m) == total, report.total
-        assert sum(report.per_case.values()) == total, report.per_case
+        formula = framed.mts_count_formula(m)
+        if not report.total == formula == total:
+            raise FalsificationError(
+                f"m = {m} census: {report.total} subspaces, product formula {formula}, "
+                f"expected {total}"
+            )
+        if sum(report.per_case.values()) != total:
+            raise FalsificationError(
+                f"m = {m} census: per-case counts {report.per_case} do not sum to {total}"
+            )
         got = {c: (n, report.per_case_orbits.get(c)) for c, n in report.per_case.items()}
-        assert got == census_expect[m], got
-        assert report.orbit_count == orbits, report.orbit_count
-        assert report.built_distinct, report.built_case_orbits
+        if got != census_expect[m]:
+            raise FalsificationError(
+                f"m = {m} census: (subspaces, orbits) per case {got}, expected {census_expect[m]}"
+            )
+        if report.orbit_count != orbits:
+            raise FalsificationError(
+                f"m = {m} census: {report.orbit_count} orbits, expected {orbits}"
+            )
+        if not report.built_distinct:
+            by_orbit: dict[int, list[str]] = {}
+            for case, label in report.built_case_orbits.items():
+                by_orbit.setdefault(label, []).append(case)
+            shared = "; ".join(", ".join(cases) for cases in by_orbit.values() if len(cases) > 1)
+            raise FalsificationError(f"m = {m} census: built cases share an orbit: {shared}")
 
     yield "census_m1", lambda: census(1, 30, 4)
     if not quick:
@@ -531,6 +550,18 @@ def verify_checks(quick: bool, ledger_path: str | None):
                 raise FalsificationError(
                     f"fusion product not of exponent 2 with unit 0 on {_labels(a)}"
                 )
+        # the product itself, not only its laws: the sum of the lattice
+        # representatives, compared bit for bit; and 0- moves every label
+        for _ in range(1000):
+            a, b = (modlabels.random_label(rng, twisted=False) for _ in range(2))
+            ab = add(a, b)
+            w = [x + y for x, y in zip(modlabels.label_to_w(a), modlabels.label_to_w(b))]
+            if ab.packed != modlabels.label_from_w(w, 0, a.sign ^ b.sign).packed:
+                raise FalsificationError(
+                    f"fusion product is not the sum of lattice representatives on {_labels(a, b)}"
+                )
+            if add(modlabels.ZERO_MINUS, ab) == ab:
+                raise FalsificationError(f"fusion product with 0- fixes {_labels(ab)}")
 
     yield "fusion_group_laws", fusion_laws
 

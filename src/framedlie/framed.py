@@ -529,36 +529,42 @@ def _all_subspace_rrefs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ..
                 yield tuple(rows), pivots
 
 
-def _mts_spans(m: int) -> Iterator[list[int]]:
-    """Every maximal totally singular subspace of the triple ambient, once,
-    as the list of all its vectors; span[1 << i] is the i-th basis row.
+def _mts_sums(m: int, lanes: list[int]) -> Iterator[int]:
+    """The sum of lanes over every maximal totally singular subspace of
+    the triple ambient, once each, independent of the classification.
 
-    Independent of the classification theory: subspaces are parameterized
-    by their shadow on the even-coordinate half together with an
-    alternating form on it (plus the annihilator on the odd half), which
-    hits each subspace exactly once.  The form's code bit for pivot pair
-    (i, j) adds pivot j to the odd part of row i and pivot i to that of
-    row j, so stepping the code to code + 1 XORs one table into the span.
+    A subspace is {E(b) + O(a + F b) : b in B, a in A = kernel(B)}, for an
+    even-half shadow B (rref rows b_i, pivots p_i, k = dim B) and an
+    alternating k x k form F, with E and O the even and odd embeddings.
+    As <e_(p_j), b_l> = delta_jl, its sum is, over beta in F_2^k, the sum
+    of T[beta << k | F beta], where T[beta << k | gamma] sums lanes over
+    E(sum beta_i b_i) + O(sum gamma_l e_(p_l)) + O(A): the lanes of the
+    span of A, the pivot units and B, halved dim A times.  Code bit t of F,
+    pivot pair t = (i, j), sets gamma bit j where beta_i is 1 and bit i
+    where beta_j is: code - 1 -> code XORs a table fixed by k into cells.
     """
     n = 3 * m
-    spread_even = [interleave_word(v, n) for v in range(1 << n)]
-    spread_odd = [x << 1 for x in spread_even]
+    tables_of: dict[int, tuple[list[int], list[list[int]]]] = {}
     for brows, pivots in _all_subspace_rrefs(n):
-        ann = kernel(list(brows), n)
-        span = _span([spread_even[b] for b in brows] + [spread_odd[a] for a in ann.rows])
-        flips = [
-            [
-                spread_odd[((x >> i) & 1) << pivots[j] | ((x >> j) & 1) << pivots[i]]
-                for x in range(1 << n)
+        k = len(brows)
+        ann = kernel(list(brows), n).rows
+        odd = [interleave_word(a, n) << 1 for a in itertools.chain(ann, (1 << p for p in pivots))]
+        table = list(map(lanes.__getitem__, _span(odd + [interleave_word(b, n) for b in brows])))
+        for _ in ann:
+            table = list(map(operator.add, table[::2], table[1::2]))
+        if k not in tables_of:
+            flips = [
+                [(beta >> i & 1) << j | (beta >> j & 1) << i for beta in range(1 << k)]
+                for i, j in itertools.combinations(range(k), 2)
             ]
-            for i, j in itertools.combinations(range(len(brows)), 2)
-        ]
-        # code - 1 -> code flips the code bits up to the lowest set bit of code
-        steps = list(itertools.accumulate(flips, lambda a, b: list(map(operator.xor, a, b))))
-        yield span
-        for code in range(1, 1 << len(flips)):
-            span = list(map(operator.xor, span, steps[(code & -code).bit_length() - 1]))
-            yield span
+            # code - 1 -> code flips the code bits up to the lowest set bit of code
+            steps = list(itertools.accumulate(flips, lambda a, b: list(map(operator.xor, a, b))))
+            tables_of[k] = [beta << k for beta in range(1 << k)], steps
+        cells, steps = tables_of[k]
+        yield sum(map(table.__getitem__, cells))
+        for code in range(1, 1 << len(steps)):
+            cells = list(map(operator.xor, cells, steps[(code & -code).bit_length() - 1]))
+            yield sum(map(table.__getitem__, cells))
 
 
 def mts_count_formula(m: int) -> int:
@@ -574,21 +580,23 @@ def mts_count_formula(m: int) -> int:
 _CHAIN_SLOTS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
-def _census_tables(m: int) -> tuple[list[int], list[int]]:
-    """Per-vector tables of the triple ambient for _classify_rows_fast.
+def _census_counts(m: int) -> list[int]:
+    """Per-vector counts of the triple ambient for _census_classifier.
 
     counts[v] is 1 << 8b when v lies in block b alone, and 1 << 24 when v
-    has two nonzero parts, both nonsingular; summed over a span at m <= 2
-    no byte overflows.  chains[v], for v with two nonzero parts x in block
-    a and y in block b and a singular x, sets bit x of slot (a, b) and bit
-    y of slot (b, a); each slot is 2^(2m) bits wide.
+    has two nonzero parts, both nonsingular; at m <= 2 no byte overflows.
+    From bit 32, v with a singular part x in block a, a nonzero part y in
+    block b and zero in the third adds 1 to field x of slot (a, b) and
+    field y of slot (b, a); a slot has 2^(2m) fields of m + 1 bits.  The
+    vectors of a subspace S one field counts lie in x + (S n A_b), and
+    S n A_b is totally singular in the 2m-dimensional plus-type block b,
+    so a field counts at most 2^m and never carries into the next.
     """
     w = 2 * m
     mask = (1 << w) - 1
     qtab = bytes(map(standard_plus(w).q, range(1 << w)))
-    slot = {pair: i << w for i, pair in enumerate(_CHAIN_SLOTS)}
+    field = {pair: (i << w) * (m + 1) + 32 for i, pair in enumerate(_CHAIN_SLOTS)}
     counts = [0] * (1 << (6 * m))
-    chains = [0] * (1 << (6 * m))
     for v in range(1, 1 << (6 * m)):
         parts = (v & mask, (v >> w) & mask, v >> (2 * w))
         a, *rest = [b for b in range(3) if parts[b]]
@@ -599,20 +607,34 @@ def _census_tables(m: int) -> tuple[list[int], list[int]]:
             if qtab[parts[a]] and qtab[parts[b]]:
                 counts[v] = 1 << 24
             elif not qtab[parts[a]]:
-                chains[v] = (1 << (slot[a, b] + parts[a])) | (1 << (slot[b, a] + parts[b]))
-    return counts, chains
+                x, y = parts[a], parts[b]
+                counts[v] = (1 << (field[a, b] + (m + 1) * x)) | (1 << (field[b, a] + (m + 1) * y))
+    return counts
 
 
-def _classify_rows_fast(c: int, span, m, chains) -> TCCase:
-    """classify_triple for the census: c is the sum of the _census_tables
-    counts over a span (every vector of the subspace), and the chains
-    entries of the span are ORed here."""
-    chain = functools.reduce(operator.or_, filter(None, map(chains.__getitem__, span)), 0)
-    width = 1 << (2 * m)
-    low = (1 << width) - 1
-    # condition two: slot 2j meets slot 2j + 1 for some block j
-    cond2 = bool(chain & (chain >> width) & (low | low << (2 * width) | low << (4 * width)))
-    return _decide_branch(m, (c & 255, (c >> 8) & 255, (c >> 16) & 255), c >> 24, cond2)
+def _census_classifier(m: int) -> Callable[[int], TCCase]:
+    """classify_triple for the census, on the sum c of the _census_counts
+    entries over a subspace.  Condition two holds when, for some block j,
+    slots 2j and 2j + 1 have nonzero fields at the same x; adding 2^m - 1
+    sets a field's top bit exactly when it is nonzero.  The class is
+    memoized on bits 0-31 of c and condition two."""
+    slot = (m + 1) << (2 * m)
+    fields = sum(1 << (32 + (m + 1) * x) for x in range(6 << (2 * m)))
+    tops = fields << m
+    fill = tops - fields
+    pick = tops & sum(((1 << slot) - 1) << (32 + 2 * j * slot) for j in range(3))
+    classes: dict[int, TCCase] = {}
+
+    def classify(c: int) -> TCCase:
+        nonzero = (c + fill) & tops
+        key = c & 0xFFFFFFFF | bool(nonzero & nonzero >> slot & pick) << 32
+        case = classes.get(key)
+        if case is None:
+            ones = (c & 255, (c >> 8) & 255, (c >> 16) & 255)
+            case = classes[key] = _decide_branch(m, ones, (c >> 24) & 255, bool(key >> 32))
+        return case
+
+    return classify
 
 
 def _span(rows) -> list[int]:
@@ -688,8 +710,9 @@ def _census_lanes(words: list[int], gens: list[list[int]], counts: list[int]) ->
 def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, ...]], int]]:
     """Enumerate, classify and orbit-partition all maximal t.s. subspaces.
 
-    Returns each subspace's class and orbit root, in enumeration order, and
-    a function from a basis of a maximal t.s. subspace to its census index.
+    Returns each subspace's class and orbit label, the least census index
+    in its orbit, in enumeration order, and a function from a basis of a
+    maximal t.s. subspace to its census index.
 
     A subspace's key is the sum of fixed random words over its span.  The
     keys are checked to be distinct and as many as the product formula, so
@@ -698,10 +721,10 @@ def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, 
     census subspace, and its key is the same sum over the word table
     composed with the generator: the orbit pass does no row reduction.
 
-    Each span is read by one sum over its _census_lanes entries: lane 0 is
+    _mts_sums gives each subspace's sum of _census_lanes entries: lane 0 is
     the key, lanes 1..g the image keys and the top lane the counts sum for
-    _classify_rows_fast.  Words below 2^(63 - 3m), checked before any span
-    is enumerated, keep each of the first g + 1 lanes below 2^63, so no
+    _census_classifier.  Words below 2^(63 - 3m), checked before any table
+    or span is made, keep each of the first g + 1 lanes below 2^63, so no
     lane carries into the next; the counts lane is the top one, so its sum
     can grow freely.  The image lanes go to an array('q') as little-endian
     bytes, swapped once on a big-endian host.
@@ -709,23 +732,22 @@ def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, 
     words = _fingerprint_words(m)
     if not 0 <= min(words) <= max(words) < 1 << (63 - 3 * m):
         raise FalsificationError("census fingerprint words overflow their lane")
-    counts, chains = _census_tables(m)
     gens = _wreath_generators(m)
     q = bytes(map(TripleAmbient(m).space.q, range(len(words))))
     for tab in gens:
         _check_isometry(tab, q)
-    lanes = _census_lanes(words, gens, counts)
+    lanes = _census_lanes(words, gens, _census_counts(m))
+    classify = _census_classifier(m)
     g = len(gens)
     image_mask, image_bytes, top = (1 << (64 * g)) - 1, 8 * g, 64 * (g + 1)
     index: dict[int, int] = {}
     images = array("q")
     cases: list[TCCase] = []
-    for span in _mts_spans(m):
-        t = sum(map(lanes.__getitem__, span))
-        if index.setdefault(t & _LANE, len(cases)) != len(cases):
+    for i, t in enumerate(_mts_sums(m, lanes)):
+        if index.setdefault(t & _LANE, i) != i:
             raise FalsificationError("duplicate subspace or key collision in the census")
         images.frombytes(((t >> 64) & image_mask).to_bytes(image_bytes, "little"))
-        cases.append(_classify_rows_fast(t >> top, span, m, chains))
+        cases.append(classify(t >> top))
     if sys.byteorder == "big":
         images.byteswap()
     total = len(cases)
@@ -733,28 +755,24 @@ def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, 
         raise FalsificationError(
             f"census total {total} disagrees with the product formula"
         )
-    parent = list(range(total))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    # union each subspace with its generator images, in subspace order;
-    # a union only re-parents a root other than find(i), so find(i) stays
-    # the root of subspace i across its g images
-    for i, targets in enumerate(zip(*[map(index.__getitem__, images)] * g)):
-        ri = find(i)
-        for j in targets:
-            rj = find(j)
-            if ri != rj:
-                parent[rj] = ri
+    # image keys to census indices in place; an orbit's first index labels it
+    for i in range(0, len(images), 1 << 16):
+        images[i : i + (1 << 16)] = array("q", map(index.__getitem__, images[i : i + (1 << 16)]))
+    labels = [-1] * total
+    for i in range(total):
+        if labels[i] < 0:
+            labels[i] = i
+            queue = [i]
+            for x in queue:
+                for y in images[g * x : g * x + g]:
+                    if labels[y] < 0:
+                        labels[y] = i
+                        queue.append(y)
 
     def locate(rows) -> int:
         return index[sum(map(lanes.__getitem__, _span(rows))) & _LANE]
 
-    return cases, [find(i) for i in range(total)], locate
+    return cases, labels, locate
 
 
 @functools.lru_cache(maxsize=None)
@@ -764,22 +782,24 @@ def census_small(m: int) -> CensusReport:
         raise UsageError(f"census needs m >= 1, got {m}")
     if m > 2:
         raise ResourceLimitError("full census only at m = 1 and 2")
-    cases, roots, locate = _census_pass(m)
-    orbit_case: dict[int, TCCase] = {}
-    for root, case in zip(roots, cases):
-        if orbit_case.setdefault(root, case) != case:
+    cases, labels, locate = _census_pass(m)
+    sizes = Counter(labels)
+    orbit_case = {label: cases[label] for label in sizes}
+    for label, case in zip(labels, cases):
+        if orbit_case[label] is not case and orbit_case[label] != case:
             raise FalsificationError("one orbit received two classifications")
     order = _wreath_order(m)
-    for size in Counter(roots).values():
+    per_case: Counter[TCCase] = Counter()
+    for label, size in sizes.items():
         if order % size:
             raise FalsificationError(
                 f"an orbit of {size} subspaces does not divide the group order {order}"
             )
-    per_case = Counter(cases)
+        per_case[orbit_case[label]] += size
     per_case_orbits = Counter(orbit_case.values())
     # the builders validate, so a built subspace is in the census
     built_case_orbits = {
-        case: roots[locate(build_case(case, seed=0).sub.rows)] for case in valid_params(m)
+        case: labels[locate(build_case(case, seed=0).sub.rows)] for case in valid_params(m)
     }
     built_distinct = len(set(built_case_orbits.values())) == len(built_case_orbits)
     return CensusReport(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import itertools
 import json
@@ -539,6 +540,26 @@ def test_fusion_laws_check_raises_falsification(capsys, monkeypatch):
     assert check["error"].startswith(
         "FalsificationError: fusion product not commutative and associative on [t:"
     ), check["error"]
+
+
+@pytest.mark.parametrize("fault", ["per_case", "shared_orbit"])
+def test_census_check_raises_falsification(capsys, monkeypatch, fault):
+    real = cli.framed.census_small(1)
+    if fault == "per_case":  # one subspace moved from cond1 to cond2; the total holds
+        per_case = dict(real.per_case, cond1=7, cond2=9)
+        wrong = dataclasses.replace(real, per_case=per_case)
+        want = "m = 1 census: (subspaces, orbits) per case {'cond1': (7, 1), 'cond2': (9, 1),"
+    else:
+        orbits = dict.fromkeys(real.built_case_orbits, 0)
+        wrong = dataclasses.replace(real, built_case_orbits=orbits, built_distinct=False)
+        want = "m = 1 census: built cases share an orbit: even(1,1,0,+), odd(1,0,0)"
+    monkeypatch.setattr(cli.framed, "census_small", lambda m: wrong)
+    checks_only(monkeypatch, "census_m1")
+    code, out = run(capsys, "verify", "--format", "json")
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert (check["name"], check["status"]) == ("census_m1", "FAIL")
+    assert check["error"].startswith(f"FalsificationError: {want}"), check["error"]
 
 
 def test_minnorm_cross_check_catches_a_wrong_row(capsys, monkeypatch):

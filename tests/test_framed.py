@@ -1,4 +1,6 @@
+import collections
 import itertools
+import operator
 import random
 
 import pytest
@@ -30,7 +32,8 @@ from framedlie.framed import (
     z2_orbifold,
 )
 from framedlie.cli import main
-from framedlie.gf2 import FalsificationError, UsageError, enumerate_rows, rref, rref_ints
+from framedlie.codes import interleave_word
+from framedlie.gf2 import FalsificationError, UsageError, enumerate_rows, kernel, rref, rref_ints
 from framedlie.quadspace import max_ts_extend, standard_plus
 from framedlie.tables import TA8_ROWS
 
@@ -171,20 +174,52 @@ def _walk(s):
     return tuple(ones), n2, all(ones), cond2
 
 
+def _mts_spans(m):
+    """Enumeration oracle of the census: every maximal totally singular
+    subspace of the triple ambient, in census order, as the list of all its
+    vectors; span[1 << i] is the i-th basis row.
+
+    A subspace is its shadow on the even-coordinate half, an alternating
+    form on it, and the annihilator on the odd half.  The form's code bit
+    for pivot pair (i, j) adds pivot j to the odd part of row i and pivot i
+    to that of row j, so stepping the code to code + 1 XORs one table into
+    the span.
+    """
+    n = 3 * m
+    spread_even = [interleave_word(v, n) for v in range(1 << n)]
+    spread_odd = [x << 1 for x in spread_even]
+    for brows, pivots in framed._all_subspace_rrefs(n):
+        ann = kernel(list(brows), n)
+        span = framed._span([spread_even[b] for b in brows] + [spread_odd[a] for a in ann.rows])
+        flips = [
+            [
+                spread_odd[((x >> i) & 1) << pivots[j] | ((x >> j) & 1) << pivots[i]]
+                for x in range(1 << n)
+            ]
+            for i, j in itertools.combinations(range(len(brows)), 2)
+        ]
+        # code - 1 -> code flips the code bits up to the lowest set bit of code
+        steps = list(itertools.accumulate(flips, lambda a, b: list(map(operator.xor, a, b))))
+        yield span
+        for code in range(1, 1 << len(flips)):
+            span = list(map(operator.xor, span, steps[(code & -code).bit_length() - 1]))
+            yield span
+
+
 def _walk_mismatches(m, stride):
     """Census subspaces, every stride-th, whose profile, invariants or class
     disagree with the walk oracle and with the census classifier."""
     amb = TripleAmbient(m)
-    counts, chains = framed._census_tables(m)
+    counts = framed._census_counts(m)
+    classify = framed._census_classifier(m)
     bad = []
-    for span in itertools.islice(framed._mts_spans(m), 0, None, stride):
+    for span in itertools.islice(_mts_spans(m), 0, None, stride):
         s = MtsSubspace(amb, rref([span[1 << i] for i in range(3 * m)], amb.dim))
         ones, n2, _, cond2 = _walk(s)
         if (
             framed._triple_invariants(s) != (ones, n2, cond2)
             or profile(s) != (sum(ones), n2)
-            or classify_triple(s)
-            != framed._classify_rows_fast(sum(map(counts.__getitem__, span)), span, m, chains)
+            or classify_triple(s) != classify(sum(map(counts.__getitem__, span)))
         ):
             bad.append(s.sub.rows)
     return bad
@@ -261,12 +296,13 @@ def test_z2_orbifold_random_property():
 
 def _rref_census(m):
     """Every census subspace as its rref rows, in enumeration order."""
-    return [tuple(rref_ints(span[1 << i] for i in range(3 * m))) for span in framed._mts_spans(m)]
+    return [tuple(rref_ints(span[1 << i] for i in range(3 * m))) for span in _mts_spans(m)]
 
 
-def _rref_orbit_roots(m):
-    """Oracle of the census orbit pass: the same union-find over the same
-    generator tables, with each subspace keyed by its rref rows."""
+def _rref_orbit_labels(m):
+    """Oracle of the census orbit pass: union-find over the same generator
+    tables, with each subspace keyed by its rref rows; each subspace is
+    labelled by the least index in its component."""
     keys = {rows: i for i, rows in enumerate(_rref_census(m))}
     parent = list(range(len(keys)))
 
@@ -282,16 +318,19 @@ def _rref_orbit_roots(m):
             ri, rj = find(i), find(keys[tuple(rref_ints([tab[r] for r in rows]))])
             if ri != rj:
                 parent[rj] = ri
-    return keys, [find(i) for i in range(len(keys))]
+    least = {}
+    for i in range(len(keys)):
+        least.setdefault(find(i), i)
+    return keys, [least[find(i)] for i in range(len(keys))]
 
 
 def test_census_m1():
     # the fingerprint-keyed orbit pass against the rref-keyed oracle
-    keys, oracle_roots = _rref_orbit_roots(1)
-    _, roots, locate = framed._census_pass(1)
-    assert roots == oracle_roots
+    keys, oracle_labels = _rref_orbit_labels(1)
+    _, labels, locate = framed._census_pass(1)
+    assert labels == oracle_labels
     assert all(locate(rows) == i for rows, i in keys.items())
-    assert len(set(roots)) == census_small(1).orbit_count == 4
+    assert len(set(labels)) == census_small(1).orbit_count == 4
 
 
 def _bad_generator(kind):
@@ -337,10 +376,11 @@ def test_census_rejects_oversized_word(monkeypatch, capsys):
     words[5] = 1 << 60
     monkeypatch.setattr(framed, "_fingerprint_words", lambda m: words)
 
-    def no_spans(m):
-        raise AssertionError("a span was enumerated before the lane guard")
+    def not_yet(*args):
+        raise AssertionError("a table or subspace was made before the lane guard")
 
-    monkeypatch.setattr(framed, "_mts_spans", no_spans)
+    for name in ("_census_counts", "_census_lanes", "_mts_sums"):
+        monkeypatch.setattr(framed, name, not_yet)
     census_small.cache_clear()
     try:
         with pytest.raises(FalsificationError, match="census fingerprint words overflow their lane"):
@@ -364,9 +404,9 @@ def test_census_rejects_orbit_size_not_dividing_the_group(monkeypatch, capsys):
     census_pass = framed._census_pass
 
     def split_orbit(m):
-        cases, roots, locate = census_pass(m)
-        i = next(i for i, r in enumerate(roots) if roots.count(r) == 8 and i != r)
-        return cases, roots[:i] + [i] + roots[i + 1 :], locate
+        cases, labels, locate = census_pass(m)
+        i = next(i for i, r in enumerate(labels) if labels.count(r) == 8 and i != r)
+        return cases, labels[:i] + [i] + labels[i + 1 :], locate
 
     monkeypatch.setattr(framed, "_census_pass", split_orbit)
     census_small.cache_clear()
@@ -380,22 +420,60 @@ def test_census_rejects_orbit_size_not_dividing_the_group(monkeypatch, capsys):
         census_small.cache_clear()
 
 
+def _lane_tables(m):
+    """The census words, counts, generator tables and lanes at m."""
+    words = framed._fingerprint_words(m)
+    counts = framed._census_counts(m)
+    gens = framed._wreath_generators(m)
+    return words, counts, gens, framed._census_lanes(words, gens, counts)
+
+
+def _chain_fields(span, m):
+    """{(slot, x): count} over the vectors of span with a singular part x in
+    block a, a nonzero part in block b and zero in the third block, slot
+    the index of (a, b) in framed._CHAIN_SLOTS; counted vector by vector."""
+    w = 2 * m
+    singular = [not q for q in map(standard_plus(w).q, range(1 << w))]
+    fields = collections.Counter()
+    for v in span:
+        parts = [(v >> (w * b)) & ((1 << w) - 1) for b in range(3)]
+        for slot, (a, b) in enumerate(framed._CHAIN_SLOTS):
+            if parts[a] and parts[b] and not parts[3 - a - b] and singular[parts[a]]:
+                fields[slot, parts[a]] += 1
+    return fields
+
+
 @pytest.mark.parametrize("m, stride", [(1, 1), (2, 97)])
 def test_census_lanes_against_separate_sums(m, stride):
-    # each lane of a span's one sum against the sum it stands for
-    words = framed._fingerprint_words(m)
-    counts, _ = framed._census_tables(m)
-    gens = framed._wreath_generators(m)
+    # each lane of a span's one sum against the sum it stands for, and
+    # each chain field of the counts lane against its own count
+    words, counts, gens, lanes = _lane_tables(m)
     assert len({tuple(tab) for tab in gens}) == len(gens)  # so no two lanes agree by design
-    lanes = framed._census_lanes(words, gens, counts)
     top = len(gens) + 1
-    for span in itertools.islice(framed._mts_spans(m), 0, None, stride):
+    width = m + 1
+    for span in itertools.islice(_mts_spans(m), 0, None, stride):
         t = sum(lanes[v] for v in span)
         got = [(t >> (64 * k)) & framed._LANE for k in range(top)] + [t >> (64 * top)]
         want = [sum(words[v] for v in span)]
         want += [sum(words[tab[v]] for v in span) for tab in gens]
         want += [sum(counts[v] for v in span)]
         assert got == want
+        chain = got[-1] >> 32
+        fields = _chain_fields(span, m)
+        assert max(fields.values(), default=0) <= 1 << m
+        want_chain = sum(n << (width * ((slot << (2 * m)) + x)) for (slot, x), n in fields.items())
+        assert chain == want_chain
+
+
+@pytest.mark.parametrize("m, count", [(1, None), (2, 25000)])
+def test_census_sums_against_span_sums(m, count):
+    # the per-shadow coset tables give each subspace's lane sum, in the
+    # order of the enumeration oracle: all of m = 1, a prefix of m = 2
+    lanes = _lane_tables(m)[3]
+    got = list(itertools.islice(framed._mts_sums(m, lanes), count))
+    want = [sum(map(lanes.__getitem__, span)) for span in itertools.islice(_mts_spans(m), count)]
+    assert got == want
+    assert len(got) == (count or framed.mts_count_formula(m))
 
 
 def test_census_m1_against_independent_scan():
