@@ -328,13 +328,23 @@ def verify_checks(quick: bool, ledger_path: str | None):
     cases = framed.valid_params(5)
 
     def weight_one(case_str):
-        assert len(cases) == 15 and {str(c) for c in cases} == set(published)
+        if len(cases) != 15 or {str(c) for c in cases} != set(published):
+            raise FalsificationError(
+                f"m = 5 builder cases {sorted(map(str, cases))} are not the 15 published ones"
+            )
         case = next(c for c in cases if str(c) == case_str)
         sub = framed.build_case(case, seed=0)
         n1, n2 = framed.profile(sub)
-        assert (n1, n2) == framed.lnumber_closed(case), "profile vs closed form"
-        assert 8 * n1 + n2 == published[case_str], "published weight-one value"
-        assert framed.classify_triple(sub) == case, "classification round-trip"
+        closed = framed.lnumber_closed(case)
+        if (n1, n2) != closed:
+            raise FalsificationError(f"{case} seed 0: profile {(n1, n2)}, closed form {closed}")
+        if 8 * n1 + n2 != published[case_str]:
+            raise FalsificationError(
+                f"{case} seed 0: weight-one value {8 * n1 + n2}, published {published[case_str]}"
+            )
+        got = framed.classify_triple(sub)
+        if got != case:
+            raise FalsificationError(f"{case} seed 0: classified as {got}")
 
     for case_str in published:
         yield f"weight_one_{case_str}", (lambda c=case_str: weight_one(c))
@@ -442,10 +452,17 @@ def verify_checks(quick: bool, ledger_path: str | None):
     def orbifold():
         sub = framed.build_odd(5, 4, 0, seed=0)
         choices = framed.section47_orbifold_choices(sub, limit=3)
-        assert len(choices) >= 3
-        for _, _, w in choices:
-            out = framed.z2_orbifold(sub, w)
-            assert framed.classify_triple(out) == framed.even_case(5, 3, 0, "+")
+        if len(choices) < 3:
+            raise FalsificationError(
+                f"odd(5,4,0) seed 0: {len(choices)} orbifold choices, expected 3"
+            )
+        expect = framed.even_case(5, 3, 0, "+")
+        for s0, t0, w in choices:
+            got = framed.classify_triple(framed.z2_orbifold(sub, w))
+            if got != expect:
+                raise FalsificationError(
+                    f"odd(5,4,0) seed 0: orbifold at t0 = {t0}, s0 = {s0} is {got}, not {expect}"
+                )
 
     yield "orbifold_section47", orbifold
 
@@ -636,9 +653,15 @@ def verify_checks(quick: bool, ledger_path: str | None):
 
     def seeds():
         for seed in range(3):
-            assert framed.weight1_dim_triple(framed.build_even(5, 4, 1, "+", seed)) == 384
+            got = framed.weight1_dim_triple(framed.build_even(5, 4, 1, "+", seed))
+            if got != 384:
+                raise FalsificationError(
+                    f"even(5,4,1,+) seed {seed}: weight-one value {got}, not 384"
+                )
         for seed in range(2):
-            assert framed.build_pair_case_weight1("pcl4_6", seed) == 72
+            got = framed.build_pair_case_weight1("pcl4_6", seed)
+            if got != 72:
+                raise FalsificationError(f"pcl4_6 seed {seed}: weight-one value {got}, not 72")
 
     yield "seed_invariance", seeds
 

@@ -56,6 +56,7 @@ from .quadspace import (
     orthogonal_generators,
     orthogonal_group,
     standard_plus,
+    symplectic_basis,
     type_of,
 )
 
@@ -265,13 +266,9 @@ def build_odd(m: int, k1: int, k2: int, seed: int = 0) -> MtsSubspace:
     b = complement_in(s1, space.perp(subspace_sum(subspace_sum(s1, p), q)), rng)
     if b.dim != 2 or str(type_of(space, b)) != "plus":
         raise FalsificationError("bridge block is not a plus-type plane")
-    b_elems = [v for v in enumerate_rows(b) if v]
-    ys = [v for v in b_elems if space.q(v) == 1]
-    zs = [v for v in b_elems if space.q(v) == 0]
-    if len(ys) != 1 or len(zs) != 2:
-        raise FalsificationError("bridge block has the wrong singular profile")
-    y = ys[0]
-    z = zs[rng.randrange(2)]
+    # z and f are b's two singular vectors, y = z + f its nonsingular one
+    [(z, f)] = symplectic_basis(space, b, rng)
+    y = z ^ f
     t = complement_in(s2, space.perp(subspace_sum(subspace_sum(p, s2), b)), rng)
     u = space.perp(subspace_sum(q, b))
     if t.dim != m + k1 - k2 - 1 or u.dim != t.dim:
@@ -391,6 +388,10 @@ def _decide_branch(m: int, ones: tuple[int, ...], n2: int, cond2: bool) -> TCCas
         raise FalsificationError("nonzero third projection without condition one")
     if sum(ones) != 2**k1 + 2**k2 - 2:
         raise FalsificationError("one-coordinate census disagrees with its closed form")
+    if k1 + k2 > m:
+        raise FalsificationError(
+            f"one-coordinate projections of dimensions {k1} + {k2} exceed m = {m}"
+        )
     if (m - k1 - k2) % 2 == 1:
         case = odd_case(m, k1, k2)
         if n2 != lnumber_closed(case)[1]:

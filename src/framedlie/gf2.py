@@ -182,6 +182,18 @@ def intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(w, tuple(rref_ints(inter)))
 
 
+def recombine(rows: Sequence[int], rng: random.Random) -> list[int]:
+    """Another basis of the span of rows: a random invertible recombination,
+    shuffled, deterministic for a given seeded generator."""
+    pool = list(rows)
+    for i in range(len(pool)):
+        for j in range(len(pool)):
+            if i != j and rng.random() < 0.5:
+                pool[i] ^= pool[j]
+    rng.shuffle(pool)
+    return pool
+
+
 def complement_in(a: Subspace, b: Subspace, rng: random.Random | None = None) -> Subspace:
     """A complement C of a inside b, so a + C = b and a intersect C = 0.
 
@@ -190,14 +202,7 @@ def complement_in(a: Subspace, b: Subspace, rng: random.Random | None = None) ->
     """
     if a.ambient_width != b.ambient_width or not all(map(b.contains, a.rows)):
         raise UsageError("complement_in requires a to be a subspace of b")
-    pool = list(b.rows)
-    if rng is not None:
-        # random invertible recombination of b's basis before the greedy pick
-        for i in range(len(pool)):
-            for j in range(len(pool)):
-                if i != j and rng.random() < 0.5:
-                    pool[i] ^= pool[j]
-        rng.shuffle(pool)
+    pool = list(b.rows) if rng is None else recombine(b.rows, rng)
     picked: list[int] = []
     span = a
     for v in pool:

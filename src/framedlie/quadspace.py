@@ -2,12 +2,18 @@
 
 A form is stored through its upper-triangular coefficient rows U (diagonal
 included), so ``q(x) = x . U . x`` and the polarized symplectic form is
-``B = U + U^T``.  Types (plus/minus) are decided by the sign of the Gauss
-sum; exact singular-vector censuses serve as the independent cross-check
-at small dimensions.  A census splits the basis in two halves and meets
-in the middle through a Walsh-Hadamard transform, so it takes about
-d * 2^(d/2) steps for a d-dimensional subspace; the exhaustive 2^d Gray
-walk it replaced is kept as the test oracle in tests/test_quadspace.py.
+``B = U + U^T``.  One symplectic split breaks a basis into mutually
+orthogonal hyperbolic pairs, all singular but at most one anisotropic
+pair, and the radical.  The Gauss sum, the plus/minus type, symplectic
+bases, non-singular blocks of a given type, isometries between blocks and
+maximal totally singular extensions are all read off that split; a seed
+acts only through one random recombination of the basis
+(``gf2.recombine``).  Exact singular-vector censuses serve as the
+independent cross-check of the type at small dimensions.  A census splits
+the basis in two halves and meets in the middle through a Walsh-Hadamard
+transform, so it takes about d * 2^(d/2) steps for a d-dimensional
+subspace; the exhaustive 2^d Gray walk it replaced is kept as the test
+oracle in tests/test_quadspace.py.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .gf2 import (
     ENUM_GUARD,
@@ -27,16 +33,15 @@ from .gf2 import (
     Subspace,
     UsageError,
     apply_map,
-    enumerate_rows,
+    complement_in,
     full_subspace,
     intersect,
     kernel,
+    recombine,
     rref,
     rref_ints,
     zero_subspace,
 )
-
-_SAMPLE_RETRIES = 64
 
 
 @dataclass(frozen=True)
@@ -186,39 +191,49 @@ def _span_walk(
     return qs, cs
 
 
-def _sample(
-    sub: Subspace, rng: random.Random | None, accept: Callable[[int], object]
-) -> int | None:
-    """A nonzero vector of sub passing accept, or None if there is none.
+def _split(
+    space: QuadraticSpace, rows: Sequence[int], rng: random.Random | None = None
+) -> tuple[list[tuple[int, int]], tuple[int, int] | None, list[int]]:
+    """(singular pairs, anisotropic pair or None, radical rows) of a span.
 
-    Each seeded draw takes one random bit per basis row, in row order;
-    after _SAMPLE_RETRIES failed draws (or with no rng) sub is scanned.
+    Each pass pops a row a, takes the first remaining row b that pairs
+    oddly with it and makes the remaining rows orthogonal to both; a row
+    that pairs with nothing left lies in the radical.  So every pair has
+    <a, b> = 1, the pairs are mutually orthogonal, and the radical rows are
+    a basis of the radical.  A pair with one nonsingular vector is made
+    singular by adding the other vector to it.  Two anisotropic pairs
+    (a1, b1), (a2, b2) become the singular pairs (a1 + a2, a1 + a2 + b1)
+    and (b1 + b2, a2 + b1 + b2), so one anisotropic pair is left exactly
+    when the Arf invariant is 1.  A seeded rng first replaces rows by one
+    random recombination of them.
     """
-    if rng is not None:
-        for _ in range(_SAMPLE_RETRIES):
-            v = 0
-            for r in sub.rows:
-                if rng.getrandbits(1):
-                    v ^= r
-            if v and accept(v):
-                return v
-    for v in enumerate_rows(sub):
-        if v and accept(v):
-            return v
-    return None
-
-
-def _partner(space: QuadraticSpace, cur: Subspace, a: int, rng: random.Random | None) -> int:
-    """A basis row of cur pairing oddly with a, made singular when a is.
-
-    a must lie outside the radical of cur, so some row pairs with it.
-    """
-    fa = space.functional(a)
-    partners = [r for r in cur.rows if (fa & r).bit_count() & 1]
-    b = partners[rng.randrange(len(partners))] if rng is not None else partners[0]
-    if space.q(a) == 0 and space.q(b) == 1:
-        b ^= a
-    return b
+    rows = list(rows) if rng is None else recombine(rows, rng)
+    pairs: list[tuple[int, int]] = []
+    aniso = None
+    radical: list[int] = []
+    while rows:
+        a = rows.pop()
+        fa = space.functional(a)
+        j = next((i for i, r in enumerate(rows) if (fa & r).bit_count() & 1), None)
+        if j is None:
+            radical.append(a)
+            continue
+        b = rows.pop(j)
+        fb = space.functional(b)
+        rows = [
+            r ^ (a if (fb & r).bit_count() & 1 else 0) ^ (b if (fa & r).bit_count() & 1 else 0)
+            for r in rows
+        ]
+        qa, qb = space.q(a), space.q(b)
+        if not (qa and qb):
+            pairs.append((a ^ b, b) if qa else (a, a ^ b) if qb else (a, b))
+        elif aniso is None:
+            aniso = (a, b)
+        else:
+            a1, b1 = aniso
+            pairs += [(a1 ^ a, a1 ^ a ^ b1), (b1 ^ b, a ^ b1 ^ b)]
+            aniso = None
+    return pairs, aniso, radical
 
 
 def symplectic_basis(
@@ -230,21 +245,10 @@ def symplectic_basis(
     normalized to q(a) = q(b) = 0 except possibly the last, which is
     q(a) = q(b) = 1 exactly when the space is of minus type.
     """
-    if space.radical(s).dim:
+    pairs, aniso, radical = _split(space, s.rows, rng)
+    if radical:
         raise UsageError("symplectic basis requires a non-singular subspace")
-    pairs: list[tuple[int, int]] = []
-    cur = s
-    while cur.dim:
-        a = _sample(cur, rng, lambda v: not space.q(v))
-        if a is None:
-            # anisotropic: only possible at dimension 2
-            a = _sample(cur, rng, space.q)
-        b = _partner(space, cur, a, rng)
-        pairs.append((a, b))
-        cur = intersect(cur, kernel([space.functional(a), space.functional(b)], space.dim))
-    # push an anisotropic pair (if any) to the end
-    pairs.sort(key=lambda p: space.q(p[0]) | space.q(p[1]))
-    return pairs
+    return pairs + [aniso] if aniso else pairs
 
 
 def gauss_sum(space: QuadraticSpace, s: Subspace) -> int:
@@ -254,45 +258,27 @@ def gauss_sum(space: QuadraticSpace, s: Subspace) -> int:
     The sum is 0 when q is nonzero on R, and (-1)^Arf * 2^(dim s - pairs)
     otherwise.
     """
-    rows = list(s.rows)
-    pairs = arf = 0
-    while rows:
-        a = rows.pop()
-        fa = space.functional(a)
-        j = next((i for i, r in enumerate(rows) if (fa & r).bit_count() & 1), None)
-        if j is None:  # a pairs with nothing left, so it lies in the radical
-            if space.q(a):
-                return 0
-            continue
-        b = rows.pop(j)
-        fb = space.functional(b)
-        # make the remaining rows orthogonal to both a and b
-        rows = [
-            r ^ (a if (fb & r).bit_count() & 1 else 0) ^ (b if (fa & r).bit_count() & 1 else 0)
-            for r in rows
-        ]
-        pairs += 1
-        arf ^= space.q(a) & space.q(b)
-    size = 1 << (s.dim - pairs)
-    return -size if arf else size
+    pairs, aniso, radical = _split(space, s.rows)
+    if any(map(space.q, radical)):
+        return 0
+    size = 1 << (s.dim - len(pairs) - (aniso is not None))
+    return -size if aniso else size
 
 
 def type_of(space: QuadraticSpace, s: Subspace | None = None) -> SpaceType:
     """Type of the form restricted to s: plus, minus, or degenerate(r).
 
-    The sign of the Gauss sum decides plus/minus; up to dimension 12 the
-    census closed forms are recomputed as a cross-check.
+    The Arf invariant of the split decides plus/minus; up to dimension 12
+    the census closed forms are recomputed as a cross-check.
     """
     if s is None:
         s = space.full()
-    rad = space.radical(s)
-    if rad.dim:
-        return SpaceType("degenerate", rad.dim)
-    if s.dim % 2:
-        raise FalsificationError("non-singular odd-dimensional subspace over GF(2)")
-    plus = gauss_sum(space, s) > 0
+    _, aniso, radical = _split(space, s.rows)
+    if radical:
+        return SpaceType("degenerate", len(radical))
+    plus = aniso is None
     if s.dim <= 12 and singular_census(space, s) != lnum_closed(s.dim // 2, plus):
-        raise FalsificationError("Gauss sum sign disagrees with the singular census")
+        raise FalsificationError("Arf invariant disagrees with the singular census")
     return PLUS if plus else MINUS
 
 
@@ -301,21 +287,15 @@ def max_ts_extend(
 ) -> Subspace:
     """Grow a totally singular subspace to a maximal one, seeded.
 
-    Singular vectors are drawn by seeded sampling from the perp of the
-    current subspace (half of the relevant cosets are singular, so a couple
-    of draws usually suffice), with an exhaustive scan as the fallback.
+    In a non-degenerate space the perp of partial is partial plus a
+    non-singular complement C, chosen by the seed; partial and the first
+    vector of each singular pair of C span a maximal totally singular
+    subspace.
     """
     _require_totally_singular(space, partial)
-    rng = random.Random(seed)
-    cur = partial
-    while True:
-        perp = space.perp(cur)
-        if perp.dim == cur.dim:
-            return cur
-        v = _sample(perp, rng, lambda x: not space.q(x) and not cur.contains(x))
-        if v is None:
-            return cur
-        cur = rref(list(cur.rows) + [v], space.dim)
+    c = complement_in(partial, space.perp(partial), random.Random(seed))
+    pairs, _, _ = _split(space, c.rows)
+    return rref([*partial.rows, *(a for a, _ in pairs)], space.dim)
 
 
 def _require_totally_singular(space: QuadraticSpace, s: Subspace) -> None:
@@ -349,16 +329,18 @@ def isometry(
     """A q-preserving bijection t -> u between non-singular subspaces.
 
     Both sides are reduced to normalized symplectic bases which are then
-    matched up; equal dimension and equal type are required.
+    matched up; equal dimension and equal type (an anisotropic last pair on
+    both sides or on neither) are required.
     """
     if t.dim != u.dim:
         raise UsageError("isometry requires equal dimensions")
     if t.dim == 0:
         return LinearMap((), ())
-    if type_of(space, t) != type_of(space, u):
+    t_pairs, u_pairs = symplectic_basis(space, t, rng), symplectic_basis(space, u, rng)
+    if space.q(t_pairs[-1][0]) != space.q(u_pairs[-1][0]):
         raise UsageError("isometry requires equal types")
-    tb = [v for pair in symplectic_basis(space, t, rng) for v in pair]
-    ub = [v for pair in symplectic_basis(space, u, rng) for v in pair]
+    tb = [v for pair in t_pairs for v in pair]
+    ub = [v for pair in u_pairs for v in pair]
     for i, (a, x) in enumerate(zip(tb, ub)):
         if space.q(x) != space.q(a):
             raise FalsificationError("isometry failed to preserve q on a basis vector")
@@ -377,9 +359,10 @@ def nonsingular_inside(
 ) -> Subspace:
     """A non-singular subspace of the requested dimension and type inside pool.
 
-    pool may be degenerate (e.g. the perp of a totally singular subspace);
-    blocks are extracted pairwise by seeded sampling and always avoid the
-    radical, so pool is never listed unless sampling fails.
+    pool may be degenerate (e.g. the perp of a totally singular subspace).
+    The block is dim/2 pairs of pool's split: singular pairs, and for minus
+    type its anisotropic pair last, or, when pool is of plus type, the
+    minus plane (e1 + f1, e1 + e2 + f2) of two singular pairs.
     """
     if dim % 2:
         raise UsageError("non-singular GF(2) subspaces have even dimension")
@@ -387,33 +370,15 @@ def nonsingular_inside(
         if minus:
             raise UsageError("a 0-dimensional subspace has no minus type")
         return zero_subspace(space.dim)
-    blocks: list[int] = []
-    cur = pool
-    target = int(minus)  # q(a) for the first block; the rest are hyperbolic
-    while len(blocks) < dim:
-        # a must pair oddly with some row of cur, i.e. lie outside its radical
-        a = _sample(
-            cur,
-            rng,
-            lambda v: space.q(v) == target
-            and any((space.functional(v) & r).bit_count() & 1 for r in cur.rows),
-        )
-        if a is None:
-            raise FalsificationError("block extraction ran out of room")
-        fa = space.functional(a)
-        if target:
-            b = _sample(cur, rng, lambda v: (fa & v).bit_count() & 1 and space.q(v))
-            if b is None:
-                raise FalsificationError("block extraction ran out of room")
-        else:
-            b = _partner(space, cur, a, rng)
-        target = 0
-        blocks.extend((a, b))
-        cur = intersect(cur, kernel([fa, space.functional(b)], space.dim))
-    out = rref(blocks, space.dim)
-    if out.dim != dim or space.radical(out).dim:
-        raise FalsificationError("extracted blocks are not a non-singular subspace")
-    return out
+    pairs, aniso, _ = _split(space, pool.rows, rng)
+    h = dim // 2 - minus  # singular pairs beside the minus plane
+    if minus and aniso is None and len(pairs) >= h + 2:
+        (e1, f1), (e2, f2) = pairs.pop(), pairs.pop()
+        aniso = (e1 ^ f1, e1 ^ e2 ^ f2)
+    if len(pairs) < h or (minus and aniso is None):
+        raise FalsificationError("block extraction ran out of room")
+    blocks = pairs[:h] + ([aniso] if minus else [])
+    return rref([v for pair in blocks for v in pair], space.dim)
 
 
 @functools.lru_cache(maxsize=None)

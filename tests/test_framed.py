@@ -394,6 +394,12 @@ def test_census_rejects_oversized_word(monkeypatch, capsys):
         census_small.cache_clear()
 
 
+def test_decide_branch_rejects_projections_past_m():
+    # ones (1, 1, 0) read as k1 = k2 = 1, which m = 1 cannot hold: a wrong count, not a usage error
+    with pytest.raises(FalsificationError, match="exceed m = 1"):
+        framed._decide_branch(1, (1, 1, 0), 0, False)
+
+
 def test_wreath_order():
     assert framed._wreath_order(1) == 48
     assert framed._wreath_order(2) == 72**3 * 6

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from framedlie.quadspace import (
     MINUS,
     PLUS,
     QuadraticSpace,
+    _split,
     direct_sum,
     gauss_sum,
     isometry,
@@ -71,6 +73,7 @@ def test_gauss_sum_matches_enumeration():
                 direct = sum(1 - 2 * space.q(v) for v in enumerate_rows(s))
                 assert gauss_sum(space, s) == direct, (dim, s.rows)
                 rad = space.radical(s)
+                assert len(_split(space, s.rows)[2]) == rad.dim, (dim, s.rows)
                 q_on_rad = any(space.q(r) for r in rad.rows)
                 assert (direct == 0) == q_on_rad
                 seen.add((rad.dim > 0, q_on_rad))
@@ -173,8 +176,9 @@ def test_direct_sum_types():
 
 
 def test_symplectic_basis_shape():
-    rng = random.Random(4)
-    for space in (standard_plus(8), standard_minus(8)):
+    # minus(4) + minus(4) is of plus type, and its unseeded split meets both anisotropic planes
+    spaces = (standard_plus(8), standard_minus(8), direct_sum(standard_minus(4), standard_minus(4)))
+    for space, rng in itertools.product(spaces, (None, random.Random(4))):
         pairs = symplectic_basis(space, space.full(), rng)
         assert len(pairs) == 4
         flat = [v for p in pairs for v in p]
@@ -186,10 +190,8 @@ def test_symplectic_basis_shape():
                     for y in (c, d):
                         assert space.bilinear(x, y) == 0
         profile = [(space.q(a), space.q(b)) for a, b in pairs]
-        if space == standard_plus(8):
-            assert profile == [(0, 0)] * 4
-        else:
-            assert profile[:3] == [(0, 0)] * 3 and profile[3] == (1, 1)
+        last = (0, 0) if type_of(space) == PLUS else (1, 1)
+        assert profile == [(0, 0)] * 3 + [last]
 
 
 def test_max_ts_extend_dimensions():
@@ -308,11 +310,12 @@ def test_nonsingular_inside():
     def lines(k, dim):  # e_1, e_3, ...: a totally singular subspace of dim k
         return rref([1 << (2 * i) for i in range(k)], dim)
 
-    # (space, pool, block dim); rng None takes the scan-only path
+    # (space, pool, block dim); the last pool is of plus type with one pair to spare
     inputs = [
         (standard_plus(10), standard_plus(10).perp(lines(2, 10)), 4),
         (standard_plus(18), standard_plus(18).perp(lines(4, 18)), 8),
         (standard_minus(18), standard_minus(18).perp(lines(3, 18)), 10),
+        (standard_plus(12), standard_plus(12).perp(lines(2, 12)), 6),
     ]
     for space, pool, dim in inputs:
         for minus in (False, True):
