@@ -529,6 +529,12 @@ class CaseReport:
     ok: bool
     problems: list[str]
 
+    def matches(self, dim: int, alg: str, number: int) -> bool:
+        """This report agrees with a published table row."""
+        return (self.dim_computed, self.answer, self.schellekens) == (
+            dim, parse_decomposition(alg), number
+        )
+
 
 def _computed_dim(case: object) -> int:
     """Weight-one dimension of a case that _resolve_case returned."""

@@ -1,11 +1,11 @@
 """Acceptance suite: one test per check of full `framedlie verify`.
 
-The checks and their exact expected values live in `cli.verify_checks`.
+The checks and their exact expected values live in `checks.verify_checks`.
 """
 
 import pytest
 
-from framedlie.cli import verify_checks
+from framedlie.checks import verify_checks
 
 CHECKS = list(verify_checks(quick=False, ledger_path=None))
 

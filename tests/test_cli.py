@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import io
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from framedlie import __version__, cli, modlabels, quadspace
+from framedlie import __version__, checks, cli, modlabels, quadspace
 from framedlie.cli import main
 from framedlie.gf2 import FalsificationError
 from framedlie.liesolver import default_ledger_path, load_ledger, parse_decomposition
@@ -25,12 +26,12 @@ def run(capsys, *argv):
 
 def checks_only(monkeypatch, prefix):
     """Make verify run only the registry's checks whose names start with prefix."""
-    registry = cli.verify_checks
+    registry = checks.verify_checks
 
     def some_checks(quick, ledger_path):
         return ((n, fn) for n, fn in registry(quick, ledger_path) if n.startswith(prefix))
 
-    monkeypatch.setattr(cli, "verify_checks", some_checks)
+    monkeypatch.setattr(checks, "verify_checks", some_checks)
 
 
 def assert_run_metadata(data, seed):
@@ -236,13 +237,7 @@ def test_lie_tables(capsys):
 
 
 def test_corrupted_ledger_exits_1(capsys, tmp_path):
-    text = open(default_ledger_path()).read()
-    # a parseable, dimension-consistent corruption that is not a solution
-    bad = text.replace("answer A8,2 F4,2", "answer A7,1 A5,1 A4,1 C2,1", 1)
-    assert bad != text
-    p = tmp_path / "bad.ledger"
-    p.write_text(bad)
-    code, out = run(capsys, "lie", "ledger", "--ledger", str(p))
+    code, out = run(capsys, "lie", "ledger", "--ledger", str(_consistent_corruption(tmp_path)))
     assert code == 1
     data = json.loads(out)
     row = next(r for r in data["cases"] if r["case"] == "pcl5_3")
@@ -295,12 +290,83 @@ def test_verify_quick(capsys):
     assert all(c["status"] == "PASS" and c["error"] is None for c in data["checks"])
 
 
-def test_verify_refuses_optimized_python():
+def _consistent_corruption(tmp_path):
+    """A ledger with a parseable, dimension-consistent answer that is not a
+    solution: `lie ledger` and the verify checks find the mismatch."""
+    text = open(default_ledger_path()).read()
+    bad = text.replace("answer A8,2 F4,2", "answer A7,1 A5,1 A4,1 C2,1", 1)
+    assert bad != text
+    p = tmp_path / "bad.ledger"
+    p.write_text(bad)
+    return p
+
+
+def test_verify_fails_on_corrupted_ledger_under_optimized_python(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    argv = [sys.executable, "-O", "-m", "framedlie.cli", "verify", "--quick"]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
-    assert done.returncode == 2
-    assert "python -O" in done.stderr and "PASS" not in done.stdout
+    p = _consistent_corruption(tmp_path)
+    argv = [sys.executable, "-O", "-m", "framedlie.cli", "verify", "--quick", "--ledger", str(p)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert "FAIL lie_ledger: " in done.stdout and "ERROR" not in done.stdout
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so every check in the package raises instead
+    src = Path(__file__).resolve().parents[1] / "src" / "framedlie"
+    files = sorted(src.glob("*.py"))
+    assert len(files) >= 9
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], (path.name, lines)
+
+
+def test_check_that_raises_another_exception_is_an_error(capsys, monkeypatch):
+    registry = checks.verify_checks
+
+    def with_broken(quick, ledger_path):
+        for name, fn in registry(quick, ledger_path):
+            if name.startswith("codes_"):
+                yield name, (lambda: 1 // 0) if name == "codes_rm_duality" else fn
+
+    monkeypatch.setattr(checks.codes, "is_self_dual", lambda c: False)  # a mismatch
+    monkeypatch.setattr(checks, "verify_checks", with_broken)
+    code, out = run(capsys, "verify", "--quick")
+    assert code == 4  # an error outranks a mismatch
+    first, *rest = out.splitlines()
+    assert first == "ERROR codes_rm_duality: Traceback (most recent call last):"
+    assert "ZeroDivisionError: integer division or modulo by zero" in rest
+    want = "(self-dual, doubly even, dim) (False, True, 8), expected (True, True, 8)"
+    assert f"FAIL codes_d16plus: d16plus: {want}" in rest
+    assert rest[-1].startswith("verify: 3/5 checks passed in ")
+    code, out = run(capsys, "verify", "--quick", "--format", "json")
+    assert code == 4
+    data = json.loads(out)
+    assert (data["passed"], data["failed"]) == (3, 2)
+    bad = {c["name"]: (c["status"], c["error"]) for c in data["checks"] if c["status"] != "PASS"}
+    assert bad.keys() == {"codes_rm_duality", "codes_d16plus"}
+    status, error = bad["codes_rm_duality"]
+    assert status == "ERROR" and error.startswith("Traceback (most recent call last):")
+    assert error.endswith("ZeroDivisionError: integer division or modulo by zero")
+    assert bad["codes_d16plus"][0] == "FAIL"
+    # the mismatch alone exits 1
+    monkeypatch.setattr(checks, "verify_checks", registry)
+    checks_only(monkeypatch, "codes_")
+    code, out = run(capsys, "verify", "--quick")
+    assert code == 1
+    assert [ln.split()[0] for ln in out.splitlines()] == ["PASS"] * 3 + ["FAIL", "PASS", "verify:"]
+
+
+def test_uncaught_exception_exits_4(capsys, monkeypatch):
+    def crash(args):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "cmd_qspace", crash)
+    code = main(["qspace", "--dim", "4", "--type", "plus"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.endswith("KeyError: 'boom'\n")
 
 
 def test_ledger_bad_case_id_exits_2(capsys, monkeypatch, tmp_path):
@@ -319,11 +385,10 @@ def test_ledger_bad_case_id_exits_2(capsys, monkeypatch, tmp_path):
         err = capsys.readouterr().err
         assert code == 2, new
         assert err.startswith("usage error: ledger line ") and new[5:] + ":" in err, err
-        code, out = run(capsys, "verify", "--ledger", str(p), "--format", "json")
-        assert code == 1
-        errors = {c["name"]: c["error"] for c in json.loads(out)["checks"]}
-        for name in ("lie_ledger", "lie_published_tables", "lie_lieframed_coverage"):
-            assert errors[name].startswith("UsageError: ledger line "), errors[name]
+        code = main(["verify", "--ledger", str(p), "--format", "json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), new  # before any check runs
+        assert captured.err == err
 
 
 def test_negative_constraint_value_exits_2(capsys, tmp_path):
@@ -485,28 +550,30 @@ def test_unreadable_ledger_exits_2(capsys, monkeypatch, tmp_path):
             ["lie", "tables", "--which", "ta8"],
             ["lie", "tables", "--which", "ta16"],
             ["lie", "tables", "--which", "lieframed"],
+            ["verify", "--quick"],  # before any check runs
         ):
-            code = main([*argv, "--ledger", str(path)])  # a traceback would raise here
-            err = capsys.readouterr().err
-            assert code == 2, (argv, path)
-            assert err.startswith(f"usage error: cannot read --ledger {str(path)!r}: "), err
-        code, out = run(capsys, "verify", "--quick", "--ledger", str(path), "--format", "json")
-        assert code == 1
-        errors = {c["name"]: c["error"] for c in json.loads(out)["checks"]}
-        for name in ("lie_ledger", "lie_published_tables", "lie_lieframed_coverage"):
-            assert errors[name].startswith("UsageError: cannot read --ledger "), errors[name]
+            code = main([*argv, "--ledger", str(path)])  # an internal error would exit 4
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, ""), (argv, path)
+            assert captured.err.startswith(f"usage error: cannot read --ledger {str(path)!r}: ")
 
 
 def test_verify_quick_detects_corruption(capsys, monkeypatch, tmp_path):
     checks_only(monkeypatch, "lie_")  # the checks that read the ledger
-    text = open(default_ledger_path()).read()
-    p = tmp_path / "bad.ledger"
-    p.write_text(text.replace("answer C10,1 B6,1", "answer (A10,1)^2 B6,1"))
+    p = _consistent_corruption(tmp_path)
     code, out = run(capsys, "verify", "--quick", "--ledger", str(p), "--format", "json")
     assert code == 1
     ledger = next(c for c in json.loads(out)["checks"] if c["name"] == "lie_ledger")
-    assert ledger["status"] == "FAIL" and "ledger line" in ledger["error"]
-    assert ledger["error"].endswith("case pcl4_3: answer dimension is off")
+    assert ledger["status"] == "FAIL"
+    assert ledger["error"].startswith("FalsificationError: ledger cases with problems [('pcl5_3', ")
+    # a malformed ledger is a usage error, found before any check runs
+    text = open(default_ledger_path()).read()
+    p = tmp_path / "malformed.ledger"
+    p.write_text(text.replace("answer C10,1 B6,1", "answer (A10,1)^2 B6,1"))
+    code = main(["verify", "--quick", "--ledger", str(p), "--format", "json"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.endswith("case pcl4_3: answer dimension is off\n"), captured.err
 
 
 def test_ledger_flag_reaches_lieframed_coverage(capsys, monkeypatch, tmp_path):

@@ -1,7 +1,7 @@
 """Property tests of the text parsers: every input gives a value or a
 UsageError (exit 2 at the CLI), never another exception.  The CLI itself,
 run on argv drawn from its grammar, exits 0, 1, 2 or 3 and raises nothing
-but argparse's own exit 2."""
+but argparse's own exit 2; exit 4, an internal error, fails."""
 
 import contextlib
 import io
@@ -132,13 +132,28 @@ def test_cli_token_parser_on_any_token(parse, token):
         pass
 
 
+@pytest.fixture(scope="module")
+def ledgers(tmp_path_factory):
+    """Corrupted ledger files by kind: the first three make every command
+    that reads --ledger exit 2; the last is parseable but wrong, exit 1."""
+    root = tmp_path_factory.mktemp("ledgers")
+    text = open(liesolver.default_ledger_path()).read()
+    paths = {kind: root / f"{kind}.ledger" for kind in ("missing", "latin1", "malformed", "wrong")}
+    paths["latin1"].write_bytes("case caf\xe9\n".encode("latin-1"))
+    paths["malformed"].write_text(text.replace("answer C10,1 B6,1", "answer (A10,1)^2 B6,1"))
+    paths["wrong"].write_text(text.replace("answer A8,2 F4,2", "answer A7,1 A5,1 A4,1 C2,1"))
+    return {kind: str(path) for kind, path in paths.items()}
+
+
 @st.composite
-def argvs(draw):
-    """argv of one cheap command.  Sizes stay where a run takes milliseconds."""
+def argvs(draw, ledgers):
+    """argv of one cheap command.  Sizes stay where a run takes milliseconds,
+    and verify runs only on ledgers that stop it before its first check."""
     def num(lo, hi):
         return str(draw(st.integers(lo, hi)))
 
-    kind = draw(st.sampled_from(["qspace", "build", "census", "orbifold", "pair", "solve"]))
+    kinds = ["qspace", "build", "census", "orbifold", "pair", "solve", "ledger", "tables", "verify"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "qspace":
         dim = draw(st.one_of(st.integers(-4, 28), st.integers(30, 70)))
         argv = ["qspace", "--dim", str(dim), "--type", draw(st.sampled_from(["plus", "minus"]))]
@@ -153,16 +168,26 @@ def argvs(draw):
     elif kind == "pair":
         case = draw(st.one_of(st.sampled_from(framed.PAIR_CASE_IDS), st.text()))
         argv = ["frame", "pair", "--case", case, "--seed", str(draw(st.integers()))]
-    else:
+    elif kind == "solve":
         argv = ["lie", "solve", "--dim", num(-5, 1000)]
         for token in draw(st.lists(TOKENS, max_size=3)):
             argv += ["--constraint", token]
+    elif kind == "ledger":
+        argv = ["lie", "ledger", "--ledger", draw(st.sampled_from(sorted(ledgers.values())))]
+    elif kind == "tables":
+        which = draw(st.sampled_from(["ta8", "ta16", "lieframed"]))
+        ledger = draw(st.sampled_from(sorted(ledgers.values())))
+        argv = ["lie", "tables", "--which", which, "--ledger", ledger]
+    else:
+        ledger = ledgers[draw(st.sampled_from(["missing", "latin1", "malformed"]))]
+        argv = ["verify", "--quick", "--ledger", ledger]
     return argv + ["--format", draw(st.sampled_from(["json", "csv", "markdown"]))]
 
 
 @settings(deadline=None, max_examples=300)
-@given(argv=argvs())
-def test_cli_exit_code_on_any_argv(argv):
+@given(data=st.data())
+def test_cli_exit_code_on_any_argv(ledgers, data):
+    argv = data.draw(argvs(ledgers))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = cli.main(argv)
