@@ -16,7 +16,7 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .codes import interleave_word
 from .gf2 import (
@@ -54,7 +54,6 @@ from .quadspace import (
     isometry,
     nonsingular_inside,
     orthogonal_generators,
-    orthogonal_group,
     standard_plus,
     symplectic_basis,
     type_of,
@@ -568,6 +567,20 @@ def _mts_sums(m: int, lanes: list[int]) -> Iterator[int]:
             yield sum(map(table.__getitem__, cells))
 
 
+def _mts_rows(n: int, brows: tuple[int, ...], pivots: tuple[int, ...], code: int) -> list[int]:
+    """Basis rows of {E(b) + O(a + F b)}, the census subspace that _mts_sums
+    sums for shadow rows brows (pivots p_j) and form code: O(a) for each row
+    a of the annihilator, and E(b_l) + O(sum of e_(p_j)) over the pivot
+    pairs (l, j) that code sets, pair t being combinations(range(k), 2)[t]."""
+    rows = [interleave_word(a, n) << 1 for a in kernel(list(brows), n).rows]
+    odd = [0] * len(brows)
+    for t, (i, j) in enumerate(itertools.combinations(range(len(brows)), 2)):
+        if code >> t & 1:
+            odd[i] |= 1 << pivots[j]
+            odd[j] |= 1 << pivots[i]
+    return rows + [interleave_word(b, n) | interleave_word(x, n) << 1 for b, x in zip(brows, odd)]
+
+
 def mts_count_formula(m: int) -> int:
     """Product formula for the number of maximal totally singular subspaces."""
     n = 3 * m
@@ -575,67 +588,6 @@ def mts_count_formula(m: int) -> int:
     for i in range(n):
         out *= 2**i + 1
     return out
-
-
-# Chain slots (j, o): slots 2j and 2j + 1 hold the two partners o of block j.
-_CHAIN_SLOTS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
-
-
-def _census_counts(m: int) -> list[int]:
-    """Per-vector counts of the triple ambient for _census_classifier.
-
-    counts[v] is 1 << 8b when v lies in block b alone, and 1 << 24 when v
-    has two nonzero parts, both nonsingular; at m <= 2 no byte overflows.
-    From bit 32, v with a singular part x in block a, a nonzero part y in
-    block b and zero in the third adds 1 to field x of slot (a, b) and
-    field y of slot (b, a); a slot has 2^(2m) fields of m + 1 bits.  The
-    vectors of a subspace S one field counts lie in x + (S n A_b), and
-    S n A_b is totally singular in the 2m-dimensional plus-type block b,
-    so a field counts at most 2^m and never carries into the next.
-    """
-    w = 2 * m
-    mask = (1 << w) - 1
-    qtab = bytes(map(standard_plus(w).q, range(1 << w)))
-    field = {pair: (i << w) * (m + 1) + 32 for i, pair in enumerate(_CHAIN_SLOTS)}
-    counts = [0] * (1 << (6 * m))
-    for v in range(1, 1 << (6 * m)):
-        parts = (v & mask, (v >> w) & mask, v >> (2 * w))
-        a, *rest = [b for b in range(3) if parts[b]]
-        if not rest:
-            counts[v] = 1 << (8 * a)
-        elif len(rest) == 1:
-            (b,) = rest
-            if qtab[parts[a]] and qtab[parts[b]]:
-                counts[v] = 1 << 24
-            elif not qtab[parts[a]]:
-                x, y = parts[a], parts[b]
-                counts[v] = (1 << (field[a, b] + (m + 1) * x)) | (1 << (field[b, a] + (m + 1) * y))
-    return counts
-
-
-def _census_classifier(m: int) -> Callable[[int], TCCase]:
-    """classify_triple for the census, on the sum c of the _census_counts
-    entries over a subspace.  Condition two holds when, for some block j,
-    slots 2j and 2j + 1 have nonzero fields at the same x; adding 2^m - 1
-    sets a field's top bit exactly when it is nonzero.  The class is
-    memoized on bits 0-31 of c and condition two."""
-    slot = (m + 1) << (2 * m)
-    fields = sum(1 << (32 + (m + 1) * x) for x in range(6 << (2 * m)))
-    tops = fields << m
-    fill = tops - fields
-    pick = tops & sum(((1 << slot) - 1) << (32 + 2 * j * slot) for j in range(3))
-    classes: dict[int, TCCase] = {}
-
-    def classify(c: int) -> TCCase:
-        nonzero = (c + fill) & tops
-        key = c & 0xFFFFFFFF | bool(nonzero & nonzero >> slot & pick) << 32
-        case = classes.get(key)
-        if case is None:
-            ones = (c & 255, (c >> 8) & 255, (c >> 16) & 255)
-            case = classes[key] = _decide_branch(m, ones, (c >> 24) & 255, bool(key >> 32))
-        return case
-
-    return classify
 
 
 def _span(rows) -> list[int]:
@@ -668,9 +620,13 @@ def _wreath_generators(m: int) -> list[list[int]]:
 
 
 def _wreath_order(m: int) -> int:
-    """Order of the group _wreath_generators generates: O(2m)^+ acting on
-    each block and S_3 permuting the blocks."""
-    return len(orthogonal_group(standard_plus(2 * m))) ** 3 * 6
+    """Order of the group _wreath_generators generates: O+(2m, 2) acting on
+    each block and S_3 permuting the blocks, with |O+(2m, 2)| =
+    2 * 2^(m(m-1)) * (2^m - 1) * prod_{i=1}^{m-1} (4^i - 1)."""
+    block = (2 << (m * (m - 1))) * ((1 << m) - 1)
+    for i in range(1, m):
+        block *= 4**i - 1
+    return block**3 * 6
 
 
 def _check_isometry(tab: list[int], q: bytes) -> None:
@@ -699,21 +655,20 @@ def _fingerprint_words(m: int) -> list[int]:
 _LANE = (1 << 64) - 1
 
 
-def _census_lanes(words: list[int], gens: list[list[int]], counts: list[int]) -> list[int]:
-    """One int per vector v holding 64-bit lanes: lane 0 is words[v], lane
-    k in 1..g is words[gens[k - 1][v]], and lane g + 1, the top one, is
-    counts[v].  A sum over a span is then, lane by lane, the span's key, the
-    keys of its g generator images and its counts sum."""
-    columns = (words, *(map(words.__getitem__, tab) for tab in gens), counts)
+def _census_lanes(words: list[int], gens: list[list[int]]) -> list[int]:
+    """One int per vector v holding 64-bit lanes: lane 0 is words[v] and
+    lane k in 1..g is words[gens[k - 1][v]].  A sum over a span is then,
+    lane by lane, the span's key and the keys of its g generator images."""
+    columns = (words, *(map(words.__getitem__, tab) for tab in gens))
     return [sum(x << (64 * k) for k, x in enumerate(values)) for values in zip(*columns)]
 
 
-def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, ...]], int]]:
-    """Enumerate, classify and orbit-partition all maximal t.s. subspaces.
+def _census_pass(m: int) -> tuple[list[int], Callable[[Sequence[int]], int], list[list[int]]]:
+    """Enumerate and orbit-partition all maximal t.s. subspaces.
 
-    Returns each subspace's class and orbit label, the least census index
-    in its orbit, in enumeration order, and a function from a basis of a
-    maximal t.s. subspace to its census index.
+    Returns each subspace's orbit label, the least census index in its
+    orbit, in enumeration order; a function from a basis of a maximal t.s.
+    subspace to its census index; and the generator tables.
 
     A subspace's key is the sum of fixed random words over its span.  The
     keys are checked to be distinct and as many as the product formula, so
@@ -723,12 +678,10 @@ def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, 
     composed with the generator: the orbit pass does no row reduction.
 
     _mts_sums gives each subspace's sum of _census_lanes entries: lane 0 is
-    the key, lanes 1..g the image keys and the top lane the counts sum for
-    _census_classifier.  Words below 2^(63 - 3m), checked before any table
-    or span is made, keep each of the first g + 1 lanes below 2^63, so no
-    lane carries into the next; the counts lane is the top one, so its sum
-    can grow freely.  The image lanes go to an array('q') as little-endian
-    bytes, swapped once on a big-endian host.
+    the key and lanes 1..g the image keys.  Words below 2^(63 - 3m),
+    checked before any table or span is made, keep each lane below 2^63,
+    so no lane carries into the next.  The image lanes go to an array('q')
+    as little-endian bytes, swapped once on a big-endian host.
     """
     words = _fingerprint_words(m)
     if not 0 <= min(words) <= max(words) < 1 << (63 - 3 * m):
@@ -737,21 +690,17 @@ def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, 
     q = bytes(map(TripleAmbient(m).space.q, range(len(words))))
     for tab in gens:
         _check_isometry(tab, q)
-    lanes = _census_lanes(words, gens, _census_counts(m))
-    classify = _census_classifier(m)
+    lanes = _census_lanes(words, gens)
     g = len(gens)
-    image_mask, image_bytes, top = (1 << (64 * g)) - 1, 8 * g, 64 * (g + 1)
     index: dict[int, int] = {}
     images = array("q")
-    cases: list[TCCase] = []
     for i, t in enumerate(_mts_sums(m, lanes)):
         if index.setdefault(t & _LANE, i) != i:
             raise FalsificationError("duplicate subspace or key collision in the census")
-        images.frombytes(((t >> 64) & image_mask).to_bytes(image_bytes, "little"))
-        cases.append(classify(t >> top))
+        images.frombytes((t >> 64).to_bytes(8 * g, "little"))
     if sys.byteorder == "big":
         images.byteswap()
-    total = len(cases)
+    total = len(index)
     if total != mts_count_formula(m):
         raise FalsificationError(
             f"census total {total} disagrees with the product formula"
@@ -771,41 +720,72 @@ def _census_pass(m: int) -> tuple[list[TCCase], list[int], Callable[[tuple[int, 
                         queue.append(y)
 
     def locate(rows) -> int:
-        return index[sum(map(lanes.__getitem__, _span(rows))) & _LANE]
+        i = index.get(sum(map(lanes.__getitem__, _span(rows))) & _LANE)
+        if i is None:
+            raise FalsificationError("a subspace's key is not in the census")
+        return i
 
-    return cases, labels, locate
+    return labels, locate, gens
 
 
 @functools.lru_cache(maxsize=None)
 def census_small(m: int) -> CensusReport:
-    """Enumerate, classify and orbit-partition all maximal t.s. subspaces."""
+    """Enumerate, classify and orbit-partition all maximal t.s. subspaces.
+
+    Each orbit is classified once, by classify_triple on its least census
+    subspace, rebuilt from its index by _mts_rows; the rebuild must locate
+    back to that index, and every generator must map the subspace to one of
+    the same class.  Each built case must lie in an orbit of its own class.
+    """
     if m < 1:
         raise UsageError(f"census needs m >= 1, got {m}")
     if m > 2:
         raise ResourceLimitError("full census only at m = 1 and 2")
-    cases, labels, locate = _census_pass(m)
+    labels, locate, gens = _census_pass(m)
     sizes = Counter(labels)
-    orbit_case = {label: cases[label] for label in sizes}
-    for label, case in zip(labels, cases):
-        if orbit_case[label] is not case and orbit_case[label] != case:
-            raise FalsificationError("one orbit received two classifications")
     order = _wreath_order(m)
-    per_case: Counter[TCCase] = Counter()
-    for label, size in sizes.items():
+    for size in sizes.values():
         if order % size:
             raise FalsificationError(
                 f"an orbit of {size} subspaces does not divide the group order {order}"
             )
+    amb = TripleAmbient(m)
+    orbit_case: dict[int, TCCase] = {}
+    pending = sorted(sizes, reverse=True)
+    first = 0  # the census index of the shadow's first subspace
+    for brows, pivots in _all_subspace_rrefs(3 * m):
+        k = len(brows)
+        count = 1 << (k * (k - 1) // 2)
+        while pending and pending[-1] < first + count:
+            label = pending.pop()
+            rows = _mts_rows(3 * m, brows, pivots, label - first)
+            if locate(rows) != label:
+                raise FalsificationError(f"census subspace {label} rebuilds to another index")
+            s = MtsSubspace(amb, rref(rows, amb.dim))
+            s.validate()
+            case = orbit_case[label] = classify_triple(s)
+            for tab in gens:
+                image = classify_triple(MtsSubspace(amb, rref([tab[r] for r in rows], amb.dim)))
+                if image != case:
+                    raise FalsificationError(
+                        f"a census generator maps census subspace {label} of class {case} to {image}"
+                    )
+        first += count
+    per_case: Counter[TCCase] = Counter()
+    for label, size in sizes.items():
         per_case[orbit_case[label]] += size
     per_case_orbits = Counter(orbit_case.values())
-    # the builders validate, so a built subspace is in the census
-    built_case_orbits = {
-        case: labels[locate(build_case(case, seed=0).sub.rows)] for case in valid_params(m)
-    }
+    built_case_orbits = {}
+    for case in valid_params(m):
+        # the builders validate, so a built subspace is in the census
+        label = labels[locate(build_case(case, seed=0).sub.rows)]
+        if orbit_case[label] != case:
+            raise FalsificationError(f"built case {case} lies in an orbit of class {orbit_case[label]}")
+        built_case_orbits[case] = label
     built_distinct = len(set(built_case_orbits.values())) == len(built_case_orbits)
     return CensusReport(
         m=m,
-        total=len(cases),
+        total=len(labels),
         per_case={str(c): n for c, n in sorted(per_case.items())},
         orbit_count=len(orbit_case),
         per_case_orbits={str(c): n for c, n in sorted(per_case_orbits.items())},

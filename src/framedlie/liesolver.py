@@ -34,7 +34,6 @@ All rationals are exact; no floating point enters this module.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import astuple, dataclass, field
 from fractions import Fraction
@@ -499,7 +498,6 @@ def _resolve_case(case_id: str) -> object:
     raise UsageError(f"case {case_id}: not a pair case or a buildable triple case")
 
 
-@functools.lru_cache(maxsize=None)
 def load_ledger(path: str | None = None) -> tuple[CaseRecord, ...]:
     p = path if path is not None else default_ledger_path()
     try:
@@ -587,12 +585,11 @@ def candidate_table_report() -> list[dict]:
     """Regenerate every stored candidate table and compare as exact sets."""
     from . import tables
 
+    dims = {rec.case_id: rec.dim for rec in load_ledger()}
     out = []
     for case_id, (ratio_s, printed, extra) in tables.CANDIDATE_TABLES.items():
         ratio = Fraction(ratio_s)
-        budget = next(
-            rec.dim for rec in load_ledger() if rec.case_id == case_id
-        )
+        budget = dims[case_id]
         got = {str(c) for c in candidates(ratio, budget)}
         printed_set = {tok for tok, _, _ in printed}
         expected = printed_set | set(extra)

@@ -19,7 +19,6 @@ oracle in tests/test_quadspace.py.
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 from dataclasses import dataclass
 from operator import add, sub
@@ -39,7 +38,6 @@ from .gf2 import (
     kernel,
     recombine,
     rref,
-    rref_ints,
     zero_subspace,
 )
 
@@ -381,59 +379,16 @@ def nonsingular_inside(
     return rref([v for pair in blocks for v in pair], space.dim)
 
 
-@functools.lru_cache(maxsize=None)
-def orthogonal_group(space: QuadraticSpace) -> tuple[tuple[int, ...], ...]:
-    """All q-preserving invertible maps, as tuples of basis-vector images.
-
-    Exhaustive filter over the maps of GL(dim, 2) that keep q on the basis,
-    in the order of their packed images; only dimensions 2 and 4 are allowed.
-    """
-    d = space.dim
-    if d not in (2, 4):
-        raise ResourceLimitError("orthogonal groups are only enumerated at dim 2 and 4")
-    vectors = list(range(1 << d))
-    qs = [space.q(v) for v in vectors]
-    choices = [[v for v in vectors if qs[v] == qs[1 << i]] for i in range(d)]
-    out = []
-    for rev in itertools.product(*reversed(choices)):  # the image of e_1 varies fastest
-        images = rev[::-1]
-        if len(rref_ints(list(images))) != d:
-            continue
-        if all(qs[apply_map(images, v)] == qs[v] for v in vectors):
-            out.append(images)
-    return tuple(out)
+# Generators of the orthogonal groups of standard_plus(2) and standard_plus(4),
+# each map as its tuple of basis-vector images; tests/test_quadspace.py
+# checks that they generate every q-preserving invertible map.
+_ORTHOGONAL_GENERATORS = {2: ((2, 1),), 4: ((8, 4, 2, 1), (4, 9, 6, 1))}
 
 
-@functools.lru_cache(maxsize=None)
 def orthogonal_generators(space: QuadraticSpace) -> tuple[tuple[int, ...], ...]:
-    """A small generating set for orthogonal_group(space), with no map twice."""
-    group = orthogonal_group(space)
-    order = len(group)
-    gset = set(group)
-    for g in group:
-        for h in group:
-            if _closure_size((g, h), space.dim, gset) == order:
-                return (g,) if g == h else (g, h)
-    # fall back to the whole group (never needed for dims 2 and 4)
-    return group
-
-
-def _compose(g: Sequence[int], h: Sequence[int]) -> tuple[int, ...]:
-    return tuple(apply_map(g, hv) for hv in h)
-
-
-def _closure_size(gens: Sequence[tuple[int, ...]], dim: int, bound: set) -> int:
-    seen = set(gens)
-    frontier = list(gens)
-    while frontier:
-        nxt = []
-        for g in gens:
-            for h in frontier:
-                c = _compose(g, h)
-                if c not in seen:
-                    seen.add(c)
-                    nxt.append(c)
-        frontier = nxt
-        if len(seen) > len(bound):
-            return len(seen)
-    return len(seen)
+    """Generators of the orthogonal group of standard_plus(2) or
+    standard_plus(4), with no map twice."""
+    gens = _ORTHOGONAL_GENERATORS.get(space.dim)
+    if gens is None or space != standard_plus(space.dim):
+        raise UsageError("orthogonal generators are tabled only for standard_plus(2) and (4)")
+    return gens

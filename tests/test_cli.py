@@ -301,6 +301,17 @@ def _consistent_corruption(tmp_path):
     return p
 
 
+def test_ledger_rewritten_between_calls_is_read_again(capsys, tmp_path):
+    good = open(default_ledger_path()).read()
+    p = tmp_path / "one.ledger"
+    codes = []
+    for text in (good, _consistent_corruption(tmp_path).read_text(), good):
+        p.write_text(text)
+        codes.append(main(["lie", "ledger", "--ledger", str(p)]))
+        capsys.readouterr()
+    assert codes == [0, 1, 0]
+
+
 def test_verify_fails_on_corrupted_ledger_under_optimized_python(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     p = _consistent_corruption(tmp_path)

@@ -8,6 +8,7 @@ import pytest
 from framedlie import framed
 from framedlie.framed import (
     COND1,
+    COND2,
     MtsSubspace,
     TripleAmbient,
     build_case,
@@ -207,21 +208,28 @@ def _mts_spans(m):
 
 
 def _walk_mismatches(m, stride):
-    """Census subspaces, every stride-th, whose profile, invariants or class
-    disagree with the walk oracle and with the census classifier."""
+    """Census subspaces, every stride-th, whose profile or invariants
+    disagree with the walk oracle, or whose class is not that of the least
+    subspace of their orbit, the orbit taken from the census labels."""
     amb = TripleAmbient(m)
-    counts = framed._census_counts(m)
-    classify = framed._census_classifier(m)
+    labels = framed._census_pass(m)[0]
+    orbit_case = {}
     bad = []
-    for span in itertools.islice(_mts_spans(m), 0, None, stride):
-        s = MtsSubspace(amb, rref([span[1 << i] for i in range(3 * m)], amb.dim))
-        ones, n2, _, cond2 = _walk(s)
-        if (
-            framed._triple_invariants(s) != (ones, n2, cond2)
-            or profile(s) != (sum(ones), n2)
-            or classify_triple(s) != classify(sum(map(counts.__getitem__, span)))
-        ):
-            bad.append(s.sub.rows)
+    for i, span in enumerate(_mts_spans(m)):
+        if labels[i] != i and i % stride:
+            continue
+        s = MtsSubspace(amb, rref([span[1 << b] for b in range(3 * m)], amb.dim))
+        case = classify_triple(s)
+        if labels[i] == i:
+            orbit_case[i] = case
+        if i % stride == 0:
+            ones, n2, _, cond2 = _walk(s)
+            if (
+                framed._triple_invariants(s) != (ones, n2, cond2)
+                or profile(s) != (sum(ones), n2)
+                or case != orbit_case[labels[i]]
+            ):
+                bad.append(s.sub.rows)
     return bad
 
 
@@ -327,7 +335,7 @@ def _rref_orbit_labels(m):
 def test_census_m1():
     # the fingerprint-keyed orbit pass against the rref-keyed oracle
     keys, oracle_labels = _rref_orbit_labels(1)
-    _, labels, locate = framed._census_pass(1)
+    labels, locate, _ = framed._census_pass(1)
     assert labels == oracle_labels
     assert all(locate(rows) == i for rows, i in keys.items())
     assert len(set(labels)) == census_small(1).orbit_count == 4
@@ -379,7 +387,7 @@ def test_census_rejects_oversized_word(monkeypatch, capsys):
     def not_yet(*args):
         raise AssertionError("a table or subspace was made before the lane guard")
 
-    for name in ("_census_counts", "_census_lanes", "_mts_sums"):
+    for name in ("_census_lanes", "_mts_sums"):
         monkeypatch.setattr(framed, name, not_yet)
     census_small.cache_clear()
     try:
@@ -410,9 +418,9 @@ def test_census_rejects_orbit_size_not_dividing_the_group(monkeypatch, capsys):
     census_pass = framed._census_pass
 
     def split_orbit(m):
-        cases, labels, locate = census_pass(m)
+        labels, locate, gens = census_pass(m)
         i = next(i for i, r in enumerate(labels) if labels.count(r) == 8 and i != r)
-        return cases, labels[:i] + [i] + labels[i + 1 :], locate
+        return labels[:i] + [i] + labels[i + 1 :], locate, gens
 
     monkeypatch.setattr(framed, "_census_pass", split_orbit)
     census_small.cache_clear()
@@ -426,60 +434,147 @@ def test_census_rejects_orbit_size_not_dividing_the_group(monkeypatch, capsys):
         census_small.cache_clear()
 
 
+def _census_m1_falsified(capsys, message):
+    """`frame census --m 1` exits 1 naming message, with no traceback."""
+    census_small.cache_clear()
+    try:
+        capsys.readouterr()
+        assert main(["frame", "census", "--m", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"falsification: {message}" in err, err
+        assert "Traceback" not in err
+    finally:
+        census_small.cache_clear()
+
+
+@pytest.mark.parametrize("fault, message", [
+    # the next form of the same shadow: another subspace where the shadow has a pair,
+    # as the m = 1 orbit labelled 15 has
+    (
+        lambda real, n, brows, pivots, code: real(n, brows, pivots, code ^ 1),
+        "census subspace 15 rebuilds to another index",
+    ),
+    # half a subspace, whose key no census subspace has
+    (lambda real, *args: real(*args)[:-1], "a subspace's key is not in the census"),
+])
+def test_census_rejects_a_rebuild_off_its_index(monkeypatch, capsys, fault, message):
+    real = framed._mts_rows
+    monkeypatch.setattr(framed, "_mts_rows", lambda *args: fault(real, *args))
+    _census_m1_falsified(capsys, message)
+
+
+def test_census_rejects_a_generator_that_moves_the_class(monkeypatch, capsys):
+    # the second classify_triple call, the first orbit's first generator image, answers wrongly
+    real = framed.classify_triple
+    calls = []
+
+    def second_call_wrong(s):
+        calls.append(s)
+        case = real(s)
+        return case if len(calls) != 2 else COND2 if case != COND2 else COND1
+
+    monkeypatch.setattr(framed, "classify_triple", second_call_wrong)
+    _census_m1_falsified(capsys, "a census generator maps census subspace 0 of class ")
+
+
+def test_census_rejects_a_built_case_in_an_orbit_of_another_class(monkeypatch, capsys):
+    # a classifier that swaps the two builder cases at m = 1, consistently on every orbit
+    real = framed.classify_triple
+    swap = {even_case(1, 1, 0, "+"): odd_case(1, 0, 0), odd_case(1, 0, 0): even_case(1, 1, 0, "+")}
+    monkeypatch.setattr(framed, "classify_triple", lambda s: swap.get(real(s), real(s)))
+    _census_m1_falsified(capsys, "built case odd(1,0,0) lies in an orbit of class even(1,1,0,+)")
+
+
 def _lane_tables(m):
-    """The census words, counts, generator tables and lanes at m."""
+    """The census words, generator tables and lanes at m."""
     words = framed._fingerprint_words(m)
-    counts = framed._census_counts(m)
     gens = framed._wreath_generators(m)
-    return words, counts, gens, framed._census_lanes(words, gens, counts)
-
-
-def _chain_fields(span, m):
-    """{(slot, x): count} over the vectors of span with a singular part x in
-    block a, a nonzero part in block b and zero in the third block, slot
-    the index of (a, b) in framed._CHAIN_SLOTS; counted vector by vector."""
-    w = 2 * m
-    singular = [not q for q in map(standard_plus(w).q, range(1 << w))]
-    fields = collections.Counter()
-    for v in span:
-        parts = [(v >> (w * b)) & ((1 << w) - 1) for b in range(3)]
-        for slot, (a, b) in enumerate(framed._CHAIN_SLOTS):
-            if parts[a] and parts[b] and not parts[3 - a - b] and singular[parts[a]]:
-                fields[slot, parts[a]] += 1
-    return fields
+    return words, gens, framed._census_lanes(words, gens)
 
 
 @pytest.mark.parametrize("m, stride", [(1, 1), (2, 97)])
 def test_census_lanes_against_separate_sums(m, stride):
-    # each lane of a span's one sum against the sum it stands for, and
-    # each chain field of the counts lane against its own count
-    words, counts, gens, lanes = _lane_tables(m)
+    # each lane of a span's one sum against the sum it stands for
+    words, gens, lanes = _lane_tables(m)
     assert len({tuple(tab) for tab in gens}) == len(gens)  # so no two lanes agree by design
-    top = len(gens) + 1
-    width = m + 1
     for span in itertools.islice(_mts_spans(m), 0, None, stride):
         t = sum(lanes[v] for v in span)
-        got = [(t >> (64 * k)) & framed._LANE for k in range(top)] + [t >> (64 * top)]
+        got = [(t >> (64 * k)) & framed._LANE for k in range(len(gens) + 1)]
         want = [sum(words[v] for v in span)]
         want += [sum(words[tab[v]] for v in span) for tab in gens]
-        want += [sum(counts[v] for v in span)]
         assert got == want
-        chain = got[-1] >> 32
-        fields = _chain_fields(span, m)
-        assert max(fields.values(), default=0) <= 1 << m
-        want_chain = sum(n << (width * ((slot << (2 * m)) + x)) for (slot, x), n in fields.items())
-        assert chain == want_chain
+        assert t >> (64 * (len(gens) + 1)) == 0
 
 
 @pytest.mark.parametrize("m, count", [(1, None), (2, 25000)])
 def test_census_sums_against_span_sums(m, count):
     # the per-shadow coset tables give each subspace's lane sum, in the
     # order of the enumeration oracle: all of m = 1, a prefix of m = 2
-    lanes = _lane_tables(m)[3]
+    lanes = _lane_tables(m)[2]
     got = list(itertools.islice(framed._mts_sums(m, lanes), count))
     want = [sum(map(lanes.__getitem__, span)) for span in itertools.islice(_mts_spans(m), count)]
     assert got == want
     assert len(got) == (count or framed.mts_count_formula(m))
+
+
+def _rebuilt_rows(m, indices):
+    """{i: rref rows of framed._mts_rows for census index i}, walking the
+    shadows in census order, 2^(k(k-1)/2) subspaces to a k-dimensional one."""
+    pending = sorted(indices, reverse=True)
+    out = {}
+    first = 0
+    for brows, pivots in framed._all_subspace_rrefs(3 * m):
+        k = len(brows)
+        while pending and pending[-1] < first + (1 << (k * (k - 1) // 2)):
+            i = pending.pop()
+            out[i] = tuple(rref_ints(framed._mts_rows(3 * m, brows, pivots, i - first)))
+        first += 1 << (k * (k - 1) // 2)
+    return out
+
+
+@pytest.mark.parametrize("m, stride", [(1, 1), (2, 53)])
+def test_mts_rows_against_census_order(m, stride):
+    spans = itertools.islice(_mts_spans(m), 0, None, stride)
+    want = {
+        i: tuple(rref_ints(span[1 << b] for b in range(3 * m)))
+        for i, span in zip(itertools.count(0, stride), spans)
+    }
+    assert len(want) == -(-framed.mts_count_formula(m) // stride)
+    assert _rebuilt_rows(m, want) == want
+
+
+def _random_shadow_subspace(rng, m):
+    """A maximal totally singular subspace of the triple ambient from a
+    random even-half shadow and a random alternating form on it."""
+    n = 3 * m
+    brows = tuple(rref_ints(rng.getrandbits(n) for _ in range(rng.randrange(n + 1))))
+    pivots = tuple((b & -b).bit_length() - 1 for b in brows)
+    k = len(brows)
+    rows = framed._mts_rows(n, brows, pivots, rng.getrandbits(k * (k - 1) // 2))
+    amb = TripleAmbient(m)
+    return MtsSubspace(amb, rref(rows, amb.dim))
+
+
+def test_random_mts_subspaces_against_walk_oracle():
+    # subspaces no builder makes, cond1 and cond2 among them at every m
+    rng = random.Random("random shadows")
+    for m, count in ((2, 300), (3, 300), (4, 200), (5, 40), (6, 8)):
+        kinds = collections.Counter()
+        for _ in range(count):
+            s = _random_shadow_subspace(rng, m)
+            s.validate()
+            ones, n2, _, cond2 = _walk(s)
+            assert framed._triple_invariants(s) == (ones, n2, cond2), s.sub.rows
+            assert profile(s) == (sum(ones), n2), s.sub.rows
+            case = classify_triple(s)
+            if all(ones):
+                assert case == COND1, s.sub.rows
+            elif cond2:
+                assert case == COND2, s.sub.rows
+            else:
+                assert lnumber_closed(case) == (sum(ones), n2), s.sub.rows
+            kinds[case.kind] += 1
+        assert kinds["cond1"] and kinds["cond2"], (m, kinds)
 
 
 def test_census_m1_against_independent_scan():

@@ -26,7 +26,6 @@ from framedlie.quadspace import (
     max_ts_extend,
     nonsingular_inside,
     orthogonal_generators,
-    orthogonal_group,
     singular_census,
     standard_minus,
     standard_plus,
@@ -260,38 +259,22 @@ def test_isometry_type_mismatch():
         isometry(space, t, u)
 
 
-def test_orthogonal_group_sizes():
-    assert len(orthogonal_group(standard_plus(2))) == 2
-    assert len(orthogonal_group(standard_minus(2))) == 6
-    assert len(orthogonal_group(standard_plus(4))) == 72
+def _orthogonal_group(space):
+    """Oracle: every q-preserving invertible map, as a tuple of basis-vector
+    images, by an exhaustive filter over the maps that keep q on the basis."""
+    d = space.dim
+    vectors = range(1 << d)
+    qs = [space.q(v) for v in vectors]
+    choices = [[v for v in vectors if qs[v] == qs[1 << i]] for i in range(d)]
+    return {
+        images
+        for images in itertools.product(*choices)
+        if len(rref_ints(images)) == d and all(qs[apply_map(images, v)] == qs[v] for v in vectors)
+    }
 
 
-def test_orthogonal_group_closure_and_preservation():
-    space = standard_plus(4)
-    group = orthogonal_group(space)
-    gset = set(group)
-    rng = random.Random(0)
-    sample = rng.sample(group, 12)
-    for g in sample:
-        for h in sample:
-            comp = tuple(apply_map(g, hv) for hv in h)
-            assert comp in gset
-    for g in group:
-        for v in range(16):
-            assert space.q(apply_map(g, v)) == space.q(v)
-
-
-def test_orthogonal_generators_distinct():
-    for space in (standard_plus(2), standard_minus(2), standard_plus(4), standard_minus(4)):
-        gens = orthogonal_generators(space)
-        assert len(set(gens)) == len(gens), gens
-    assert orthogonal_generators(standard_plus(2)) == ((2, 1),)
-
-
-def test_orthogonal_generators_generate():
-    space = standard_plus(4)
-    gens = orthogonal_generators(space)
-    group = set(orthogonal_group(space))
+def _closure(gens):
+    """The group the maps gens generate, by breadth-first composition."""
     seen = set(gens)
     frontier = list(gens)
     while frontier:
@@ -303,7 +286,48 @@ def test_orthogonal_generators_generate():
                     seen.add(c)
                     nxt.append(c)
         frontier = nxt
-    assert seen == group
+    return seen
+
+
+def test_orthogonal_group_sizes():
+    assert len(_orthogonal_group(standard_plus(2))) == 2
+    assert len(_orthogonal_group(standard_minus(2))) == 6
+    assert len(_orthogonal_group(standard_plus(4))) == 72
+
+
+def test_orthogonal_group_closure_and_preservation():
+    space = standard_plus(4)
+    group = _orthogonal_group(space)
+    rng = random.Random(0)
+    sample = rng.sample(sorted(group), 12)
+    for g in sample:
+        for h in sample:
+            comp = tuple(apply_map(g, hv) for hv in h)
+            assert comp in group
+    for g in group:
+        for v in range(16):
+            assert space.q(apply_map(g, v)) == space.q(v)
+
+
+def test_orthogonal_generators_distinct():
+    for space in (standard_plus(2), standard_plus(4)):
+        gens = orthogonal_generators(space)
+        assert len(set(gens)) == len(gens), gens
+    assert orthogonal_generators(standard_plus(2)) == ((2, 1),)
+    for space in (standard_minus(2), standard_minus(4), standard_plus(6)):
+        with pytest.raises(UsageError):
+            orthogonal_generators(space)
+
+
+def test_orthogonal_generators_generate():
+    # the tables generate the whole group, whose order is the closed form
+    # |O+(2m, 2)| = 2 * 2^(m(m-1)) * (2^m - 1) * prod_{i<m} (4^i - 1): 2 and 72
+    from framedlie.framed import _wreath_order
+
+    for m in (1, 2):
+        group = _orthogonal_group(standard_plus(2 * m))
+        assert _closure(orthogonal_generators(standard_plus(2 * m))) == group
+        assert _wreath_order(m) == len(group) ** 3 * 6
 
 
 def test_nonsingular_inside():
