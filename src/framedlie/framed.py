@@ -34,6 +34,7 @@ from .gf2 import (
     parse_bits,
     rref,
     subspace_sum,
+    vanishing_on,
 )
 from .modlabels import (
     CHI0_PLUS,
@@ -130,6 +131,10 @@ class MtsSubspace:
             raise FalsificationError("basis vector is not singular")
         if space.perp(self.sub).rows != self.sub.rows:  # so the rows pair to 0
             raise FalsificationError("subspace is not self-perpendicular")
+
+    @functools.cached_property
+    def triple_invariants(self) -> tuple[tuple[int, ...], int, bool]:
+        return _triple_invariants(self)
 
 
 # ---------------------------------------------------------------------------
@@ -298,18 +303,20 @@ def build_case(case: TCCase, seed: int = 0) -> MtsSubspace:
 def profile(s: MtsSubspace) -> tuple[int, int]:
     """(count of one-coordinate vectors, count of two-coordinate
     nonsingular-pair vectors), from the invariants of the subspace."""
-    ones, n2, _ = _triple_invariants(s)
+    ones, n2, _ = s.triple_invariants
     return sum(ones), n2
 
 
 def _triple_invariants(s: MtsSubspace) -> tuple[tuple[int, ...], int, bool]:
     """(one-coordinate count per block, n2, condition two) in polynomial time.
 
-    For blocks a, b let W = S n (A_a + A_b) and P = pi_a(W); the kernel of
-    pi_a on W is S n A_b.  Singularity of S makes the a- and b-parts of a
-    vector of W equally singular, so the pair adds to n2 the vectors of W
-    with nonsingular a-part: (|W| - 2^(dim W - dim P) G(P)) / 2, where G is
-    the Gauss sum.  Condition two holds at block j when
+    For blocks a, b let W = S n (A_a + A_b), found by eliminating the rows
+    of S on the coordinates of the third block (gf2.vanishing_on), and
+    P = pi_a(W); the kernel of pi_a on W is S n A_b.  Singularity of S
+    makes the a- and b-parts of a vector of W equally singular, so the pair
+    adds to n2 the vectors of W with nonsingular a-part:
+    (|W| - 2^(dim W - dim P) G(P)) / 2, where G is the Gauss sum.
+    Condition two holds at block j when
     U = pi_j(W_j,o1) n pi_j(W_j,o2) has a singular vector that both pairs
     reach with exactly two nonzero blocks: U holds (|U| + G(U)) / 2 singular
     vectors, of which S n A_j is excluded if S n A_o1 or S n A_o2 is zero,
@@ -321,12 +328,11 @@ def _triple_invariants(s: MtsSubspace) -> tuple[tuple[int, ...], int, bool]:
     block = amb.block
     w = 2 * amb.m
     mask = (1 << w) - 1
-    coords = [rref([1 << i for i in range(w * b, w * (b + 1))], amb.dim) for b in range(3)]
     dims = [0, 0, 0]
     shadow = {}
     n2 = 0
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        pair = intersect(s.sub, subspace_sum(coords[a], coords[b]))
+        pair = vanishing_on(s.sub, mask << (w * (3 - a - b)))
         for x, y in ((a, b), (b, a)):
             shadow[x, y] = rref([(r >> (w * x)) & mask for r in pair.rows], w)
             dims[y] = pair.dim - shadow[x, y].dim
@@ -365,7 +371,7 @@ def weight1_dim_triple(s: MtsSubspace) -> int:
 
 def classify_triple(s: MtsSubspace) -> TCCase:
     """Decide which of the four classification branches the subspace is in."""
-    ones, n2, cond2 = _triple_invariants(s)
+    ones, n2, cond2 = s.triple_invariants
     return _decide_branch(s.ambient.m, ones, n2, cond2)
 
 
@@ -867,7 +873,7 @@ def build_pair_case(case_id: str, seed: int = 0) -> MtsSubspace:
 def _rho_kernel_projection(sub: Subspace, side: int) -> Subspace:
     """rho_i of the part of sub that vanishes on the other side."""
     lo, hi = (0, 18) if side == 0 else (18, 28)
-    part = intersect(sub, rref([1 << i for i in range(lo, hi)], 28))
+    part = vanishing_on(sub, ((1 << 28) - 1) ^ ((1 << hi) - (1 << lo)))
     return rref([r >> lo for r in part.rows], hi - lo)
 
 

@@ -160,26 +160,39 @@ def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.ambient_width, tuple(rref_ints(list(a.rows) + list(b.rows))))
 
 
+def _residues(rows: Iterable[int], mask: int) -> list[int]:
+    """Each row reduced by the residues before it, on the pivots of their
+    mask parts.  A residue's mask part is 0 exactly when the row's mask
+    part lies in the span of the earlier rows' mask parts."""
+    basis: list[tuple[int, int]] = []  # (pivot bit of the mask part, residue)
+    out: list[int] = []
+    for row in rows:
+        for low, r in basis:
+            if row & low:
+                row ^= r
+        if row & mask:
+            basis.append((row & mask & -(row & mask), row))
+        out.append(row)
+    return out
+
+
 def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus trick on paired rows."""
+    """Intersection via the Zassenhaus trick: of the paired rows (r, r) for
+    r in a and (r, 0) for r in b, those whose left half reduces to 0 have
+    right halves spanning a n b."""
     if a.ambient_width != b.ambient_width:
         raise UsageError("intersection of subspaces in different ambients")
     w = a.ambient_width
-    # pairs (left | right << w); reduce on the left block only
-    work = [r | (r << w) for r in a.rows] + [r for r in b.rows]
-    basis: list[int] = []
-    inter: list[int] = []
-    lmask = (1 << w) - 1
-    for row in work:
-        for bas in basis:
-            low = (bas & lmask) & -(bas & lmask)
-            if row & low:
-                row ^= bas
-        if row & lmask:
-            basis.append(row)
-        elif row:
-            inter.append(row >> w)
-    return Subspace(w, tuple(rref_ints(inter)))
+    left = (1 << w) - 1
+    res = _residues([r | (r << w) for r in a.rows] + list(b.rows), left)
+    return Subspace(w, tuple(rref_ints(r >> w for r in res if not r & left)))
+
+
+def vanishing_on(s: Subspace, mask: int) -> Subspace:
+    """s n {v : v & mask = 0}: the residues of s's rows with a zero mask
+    part, which span it as the rows are independent."""
+    res = _residues(s.rows, mask)
+    return Subspace(s.ambient_width, tuple(rref_ints(r for r in res if not r & mask)))
 
 
 def recombine(rows: Sequence[int], rng: random.Random) -> list[int]:
@@ -198,17 +211,15 @@ def complement_in(a: Subspace, b: Subspace, rng: random.Random | None = None) ->
     """A complement C of a inside b, so a + C = b and a intersect C = 0.
 
     The complement is not unique; with an rng the choice is randomized but
-    deterministic for a given seeded generator.
+    deterministic for a given seeded generator.  A pool vector (a row of
+    b, or of its seeded recombination) is picked when its residue after a's
+    rows and the pool vectors before it is nonzero.
     """
     if a.ambient_width != b.ambient_width or not all(map(b.contains, a.rows)):
         raise UsageError("complement_in requires a to be a subspace of b")
     pool = list(b.rows) if rng is None else recombine(b.rows, rng)
-    picked: list[int] = []
-    span = a
-    for v in pool:
-        if span.reduce(v):
-            picked.append(v)
-            span = Subspace(span.ambient_width, tuple(rref_ints(span.rows + (v,))))
+    res = _residues([*a.rows, *pool], (1 << a.ambient_width) - 1)[a.dim :]
+    picked = [v for v, r in zip(pool, res) if r]
     if len(picked) != b.dim - a.dim:
         raise FalsificationError("complement extraction lost rank")
     return Subspace(a.ambient_width, tuple(rref_ints(picked)))

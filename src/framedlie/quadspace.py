@@ -94,8 +94,9 @@ class QuadraticSpace:
         return full_subspace(self.dim)
 
 
+@functools.lru_cache(maxsize=None)
 def standard_plus(dim: int) -> QuadraticSpace:
-    """q(x) = x1 x2 + x3 x4 + ...  (a sum of hyperbolic planes)."""
+    """q(x) = x1 x2 + x3 x4 + ...  (hyperbolic planes); one shared instance per dim."""
     rows = []
     for i in range(dim):
         rows.append((1 << (i + 1)) if i % 2 == 0 else 0)
@@ -290,19 +291,14 @@ def max_ts_extend(
     vector of each singular pair of C span a maximal totally singular
     subspace.
     """
-    _require_totally_singular(space, partial)
-    c = complement_in(partial, space.perp(partial), random.Random(seed))
+    if any(map(space.q, partial.rows)):
+        raise UsageError("subspace is not totally singular")
+    perp = space.perp(partial)
+    if not all(map(perp.contains, partial.rows)):
+        raise UsageError("subspace is not totally singular")
+    c = complement_in(partial, perp, random.Random(seed))
     pairs, _, _ = _split(space, c.rows)
     return rref([*partial.rows, *(a for a, _ in pairs)], space.dim)
-
-
-def _require_totally_singular(space: QuadraticSpace, s: Subspace) -> None:
-    for i, r in enumerate(s.rows):
-        if space.q(r):
-            raise UsageError("subspace is not totally singular")
-        for r2 in s.rows[:i]:
-            if space.bilinear(r, r2):
-                raise UsageError("subspace is not totally singular")
 
 
 class LinearMap:
@@ -342,8 +338,9 @@ def isometry(
     for i, (a, x) in enumerate(zip(tb, ub)):
         if space.q(x) != space.q(a):
             raise FalsificationError("isometry failed to preserve q on a basis vector")
+        fa, fx = space.functional(a), space.functional(x)
         for b, y in zip(tb[:i], ub[:i]):
-            if space.bilinear(x, y) != space.bilinear(a, b):
+            if (fx & y).bit_count() & 1 != (fa & b).bit_count() & 1:
                 raise FalsificationError("isometry failed to preserve the pairing")
     return LinearMap(tb, ub)
 

@@ -1,0 +1,67 @@
+"""Golden outputs: the exact stdout and exit code of a fixed command list.
+
+`tests/test_golden.py` replays every command in COMMANDS in-process through
+`cli.main` and compares its stdout and exit code with the files here, byte
+for byte.  Rewrite the files after an intended output change with
+
+    PYTHONPATH=src python tests/golden/regen.py
+
+and name each changed file, and why it changed, in CHANGES.md.
+`classify_input.txt` is an input, not an output: it is committed once and
+never rewritten.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from framedlie import cli, framed
+
+GOLDEN = Path(__file__).resolve().parent
+EXIT_CODES = GOLDEN / "exit_codes.json"
+CLASSIFY_INPUT = GOLDEN / "classify_input.txt"
+
+
+def _build_command(case: framed.TCCase) -> tuple[str, list[str]]:
+    argv = ["frame", "build", "--m", str(case.m), "--k1", str(case.k1), "--k2", str(case.k2)]
+    name = f"frame_build_{case.kind}_{case.m}_{case.k1}_{case.k2}"
+    if case.kind == "even":
+        kind = {"+": "plus", "-": "minus"}[case.eps]
+        argv += ["--type", kind]
+        name += f"_{kind}"
+    return name, argv + ["--format", "json", "--seed", "0"]
+
+
+def commands() -> list[tuple[str, list[str]]]:
+    """(file stem, argv) of every golden command."""
+    out = [_build_command(case) for m in (5, 6) for case in framed.valid_params(m)]
+    out.append(("frame_orbifold_odd_5_4_0", ["frame", "orbifold", "--base", "odd:5,4,0"]))
+    out += [(f"frame_pair_{c}", ["frame", "pair", "--case", c]) for c in framed.PAIR_CASE_IDS]
+    out.append(("frame_classify", ["frame", "classify", "--input", str(CLASSIFY_INPUT)]))
+    return out
+
+
+def run(argv: list[str]) -> tuple[int, str]:
+    """cli.main's exit code and stdout for argv."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(argv)
+    return code, buf.getvalue()
+
+
+def main() -> int:
+    codes = {}
+    for name, argv in commands():
+        codes[name], out = run(argv)
+        (GOLDEN / f"{name}.out").write_text(out)
+    EXIT_CODES.write_text(json.dumps(codes, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(codes)} golden outputs to {GOLDEN}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

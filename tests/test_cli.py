@@ -321,6 +321,30 @@ def test_verify_fails_on_corrupted_ledger_under_optimized_python(tmp_path):
     assert "FAIL lie_ledger: " in done.stdout and "ERROR" not in done.stdout
 
 
+def test_python_dash_m_framedlie():
+    # a checkout with src on PYTHONPATH and no install runs as python -m framedlie
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    argvs = (
+        ["qspace", "--dim", "4", "--type", "plus"],
+        ["qspace", "--dim", "0", "--type", "plus"],
+        ["frame", "census", "--m", "3"],
+    )
+    done = [
+        subprocess.run([sys.executable, "-m", "framedlie", *argv], env=env, capture_output=True, text=True, timeout=60)
+        for argv in argvs
+    ]
+    assert [d.returncode for d in done] == [0, 2, 3], [d.stderr for d in done]
+    assert json.loads(done[0].stdout)["singular_nonzero"] == 9
+    assert done[2].stderr == "resource guard: full census only at m = 1 and 2\n"
+
+
+def test_importing_the_main_module_runs_nothing(capsys):
+    # perfbench imports every framedlie module by a package walk
+    import framedlie.__main__  # noqa: F401
+
+    assert capsys.readouterr() == ("", "")
+
+
 def test_package_has_no_assert_statements():
     # python -O strips asserts, so every check in the package raises instead
     src = Path(__file__).resolve().parents[1] / "src" / "framedlie"

@@ -34,8 +34,17 @@ from framedlie.framed import (
 )
 from framedlie.cli import main
 from framedlie.codes import interleave_word
-from framedlie.gf2 import FalsificationError, UsageError, enumerate_rows, kernel, rref, rref_ints
-from framedlie.quadspace import max_ts_extend, standard_plus
+from framedlie.gf2 import (
+    FalsificationError,
+    UsageError,
+    enumerate_rows,
+    intersect,
+    kernel,
+    rref,
+    rref_ints,
+    subspace_sum,
+)
+from framedlie.quadspace import gauss_sum, max_ts_extend, standard_plus
 from framedlie.tables import TA8_ROWS
 
 WEIGHT1_PUBLISHED = {row[0]: row[1] for row in TA8_ROWS}
@@ -231,6 +240,52 @@ def _walk_mismatches(m, stride):
             ):
                 bad.append(s.sub.rows)
     return bad
+
+
+def _zassenhaus_invariants(s):
+    """Oracle: _triple_invariants as first written, with each
+    W = S n (A_a + A_b) found by gf2.intersect against the coordinate
+    subspace of blocks a and b."""
+    amb = s.ambient
+    w = 2 * amb.m
+    mask = (1 << w) - 1
+    coords = [rref([1 << i for i in range(w * b, w * (b + 1))], amb.dim) for b in range(3)]
+    dims = [0, 0, 0]
+    shadow = {}
+    n2 = 0
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        pair = intersect(s.sub, subspace_sum(coords[a], coords[b]))
+        for x, y in ((a, b), (b, a)):
+            shadow[x, y] = rref([(r >> (w * x)) & mask for r in pair.rows], w)
+            dims[y] = pair.dim - shadow[x, y].dim
+        n2 += ((1 << pair.dim) - (gauss_sum(amb.block, shadow[a, b]) << dims[b])) // 2
+    cond2 = False
+    for j, o1, o2 in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        u = intersect(shadow[j, o1], shadow[j, o2])
+        singular = ((1 << u.dim) + gauss_sum(amb.block, u)) // 2
+        excluded = 1 << dims[j] if 0 in (dims[o1], dims[o2]) else 1
+        cond2 = cond2 or singular > excluded
+    return tuple((1 << d) - 1 for d in dims), n2, cond2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 10])
+def test_invariants_match_zassenhaus_oracle(m):
+    for case in valid_params(m):
+        s = build_case(case, seed=0)
+        assert framed._triple_invariants(s) == _zassenhaus_invariants(s), str(case)
+
+
+def test_profile_and_classify_run_the_invariants_once(monkeypatch):
+    calls = []
+    real = framed._triple_invariants
+    monkeypatch.setattr(framed, "_triple_invariants", lambda s: calls.append(s) or real(s))
+    s = build_case(odd_case(5, 2, 0), seed=0)
+    assert (profile(s), classify_triple(s)) == (lnumber_closed(odd_case(5, 2, 0)), odd_case(5, 2, 0))
+    assert weight1_dim_triple(s) == 8 * profile(s)[0] + profile(s)[1]
+    assert calls == [s]
+    # an equal subspace built afresh is a new object, with its own run
+    classify_triple(MtsSubspace(s.ambient, s.sub))
+    assert len(calls) == 2
 
 
 def test_conditions_on_builders():

@@ -14,8 +14,11 @@ from framedlie.gf2 import (
     intersect,
     kernel,
     parse_bits,
+    recombine,
     rref,
+    rref_ints,
     subspace_sum,
+    vanishing_on,
     zero_subspace,
 )
 
@@ -141,6 +144,49 @@ def test_complement_in_seeded_choices():
         assert c.dim == b.dim - a.dim
         assert intersect(a, c).dim == 0
         assert subspace_sum(a, c).rows == b.rows
+
+
+def _complement_by_rref(a, b, rng=None):
+    """Oracle: complement_in as first written, one full rref of a + the
+    picked vectors after every pick."""
+    pool = list(b.rows) if rng is None else recombine(b.rows, rng)
+    picked = []
+    span = a
+    for v in pool:
+        if span.reduce(v):
+            picked.append(v)
+            span = Subspace(span.ambient_width, tuple(rref_ints(span.rows + (v,))))
+    return Subspace(a.ambient_width, tuple(rref_ints(picked)))
+
+
+def test_complement_in_against_rref_oracle():
+    draw = random.Random(17)
+    for _ in range(200):
+        width = draw.randrange(1, 65)
+        b = rref([draw.getrandbits(width) for _ in range(draw.randrange(width + 1))], width)
+        a = rref(recombine(b.rows, draw)[: draw.randrange(b.dim + 1)], width)
+        seed = draw.randrange(1 << 16)
+        assert complement_in(a, b) == _complement_by_rref(a, b)
+        got = complement_in(a, b, random.Random(seed))
+        assert got == _complement_by_rref(a, b, random.Random(seed))
+
+
+def _coordinate_subspace(width, mask):
+    """{v : v & mask = 0} in F_2^width."""
+    return rref([1 << i for i in range(width) if not mask >> i & 1], width)
+
+
+def test_vanishing_on_against_intersect():
+    draw = random.Random(19)
+    for width in range(1, 65):
+        full = (1 << width) - 1
+        sparse = draw.getrandbits(width) & draw.getrandbits(width) & draw.getrandbits(width)
+        block = full >> draw.randrange(width) << draw.randrange(width) & full
+        for mask in (0, full, sparse, block, draw.getrandbits(width)):
+            s = rref([draw.getrandbits(width) for _ in range(draw.randrange(width + 1))], width)
+            got = vanishing_on(s, mask)
+            assert got == intersect(s, _coordinate_subspace(width, mask)), (width, mask)
+    assert vanishing_on(rref([0b011, 0b110], 3), 0b001).rows == (0b110,)
 
 
 def test_enumerate_properties():

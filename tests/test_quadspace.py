@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from framedlie import quadspace
 from framedlie.gf2 import (
     FalsificationError,
     UsageError,
@@ -257,6 +258,31 @@ def test_isometry_type_mismatch():
     u = rref([0b0100, 0b1000], 4)
     with pytest.raises(UsageError):
         isometry(space, t, u)
+
+
+def test_isometry_rejects_a_broken_pairing(monkeypatch):
+    # the u side's second pair (e1, f1) becomes (e1 + e0, f1): every basis
+    # vector keeps q = 0, and only the pairing of e1 + e0 with f0 turns odd
+    space = standard_plus(8)
+    t = rref([1 << i for i in range(4)], 8)
+    u = rref([1 << i for i in range(4, 8)], 8)
+    real = quadspace.symplectic_basis
+    sides = []
+
+    def broken(space, s, rng=None):
+        pairs = real(space, s, rng)
+        sides.append(s)
+        if s == u:
+            (e0, f0), (e1, f1) = pairs
+            pairs[1] = (e1 ^ e0, f1)
+        return pairs
+
+    phi = isometry(space, t, u, random.Random(2))
+    assert all(space.q(phi.apply(v)) == space.q(v) for v in enumerate_rows(t))
+    monkeypatch.setattr(quadspace, "symplectic_basis", broken)
+    with pytest.raises(FalsificationError, match="pairing"):
+        isometry(space, t, u, random.Random(2))
+    assert sides == [t, u]
 
 
 def _orthogonal_group(space):
