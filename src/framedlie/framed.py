@@ -35,6 +35,7 @@ from .gf2 import (
     rref,
     subspace_sum,
     vanishing_on,
+    walsh_hadamard,
 )
 from .modlabels import (
     CHI0_PLUS,
@@ -515,62 +516,53 @@ class CensusReport:
 
 
 def _all_subspace_rrefs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(rows, pivots) for every rref matrix over F_2^n, dimension 0..n."""
+    """(rows, pivots) for every rref matrix over F_2^n, dimension 0..n; for
+    each pivot set, the free entries of the first row vary fastest."""
     for k in range(n + 1):
         for pivots in itertools.combinations(range(n), k):
-            freecols = [
-                [c for c in range(p + 1, n) if c not in pivots] for p in pivots
-            ]
-            total = sum(len(f) for f in freecols)
-            for code in range(1 << total):
-                rows = []
-                pos = 0
-                for i, p in enumerate(pivots):
-                    r = 1 << p
-                    for c in freecols[i]:
-                        if (code >> pos) & 1:
-                            r |= 1 << c
-                        pos += 1
-                    rows.append(r)
-                yield tuple(rows), pivots
+            free = [_span([1 << c for c in range(p + 1, n) if c not in pivots]) for p in pivots]
+            for parts in itertools.product(*free[::-1]):
+                yield tuple(1 << p | x for p, x in zip(pivots, parts[::-1])), pivots
 
 
 def _mts_sums(m: int, lanes: list[int]) -> Iterator[int]:
     """The sum of lanes over every maximal totally singular subspace of
     the triple ambient, once each, independent of the classification.
 
-    A subspace is {E(b) + O(a + F b) : b in B, a in A = kernel(B)}, for an
-    even-half shadow B (rref rows b_i, pivots p_i, k = dim B) and an
-    alternating k x k form F, with E and O the even and odd embeddings.
-    As <e_(p_j), b_l> = delta_jl, its sum is, over beta in F_2^k, the sum
-    of T[beta << k | F beta], where T[beta << k | gamma] sums lanes over
-    E(sum beta_i b_i) + O(sum gamma_l e_(p_l)) + O(A): the lanes of the
-    span of A, the pivot units and B, halved dim A times.  Code bit t of F,
-    pivot pair t = (i, j), sets gamma bit j where beta_i is 1 and bit i
-    where beta_j is: code - 1 -> code XORs a table fixed by k into cells.
+    A subspace is {E(b) + O(a + F b) : b in B, a in A = kernel(B)}: B an
+    even-half shadow (rref rows b_i, pivots p_i, k = dim B), F an
+    alternating form, E and O the even and odd embeddings, and F b_beta =
+    p_(F beta), where b_beta and p_beta sum the b_i and e_(p_i) beta picks.
+    By Poisson summation over A, lanes[E(e) | O(x + a)] sums over a in A to
+    2^-k times the sum over y in B of rhat[e][y] (-1)^(x . y), where rhat[e]
+    is the transform of lanes[E(e) | O(.)], and p_gamma . b_delta = gamma .
+    delta.  The form enters through a wedge: delta . F beta = code . w(beta,
+    delta), bit t of w being delta_i beta_j + delta_j beta_i for pivot pair
+    t = (i, j).  So the sums are the Walsh-Hadamard transform over code of V,
+    V[c] the sum of rhat[b_beta][b_delta] over w(beta, delta) = c, shifted
+    right by k: all linear in the packed ints, so only the sums are read.
     """
     n = 3 * m
-    tables_of: dict[int, tuple[list[int], list[list[int]]]] = {}
-    for brows, pivots in _all_subspace_rrefs(n):
+    evens = _span([interleave_word(1 << i, n) for i in range(n)])
+    rhat = [walsh_hadamard([lanes[ev | ox << 1] for ox in evens], n) for ev in evens]
+    wedges: dict[int, list[int]] = {}
+    for brows, _ in _all_subspace_rrefs(n):
         k = len(brows)
-        ann = kernel(list(brows), n).rows
-        odd = [interleave_word(a, n) << 1 for a in itertools.chain(ann, (1 << p for p in pivots))]
-        table = list(map(lanes.__getitem__, _span(odd + [interleave_word(b, n) for b in brows])))
-        for _ in ann:
-            table = list(map(operator.add, table[::2], table[1::2]))
-        if k not in tables_of:
-            flips = [
-                [(beta >> i & 1) << j | (beta >> j & 1) << i for beta in range(1 << k)]
-                for i, j in itertools.combinations(range(k), 2)
-            ]
-            # code - 1 -> code flips the code bits up to the lowest set bit of code
-            steps = list(itertools.accumulate(flips, lambda a, b: list(map(operator.xor, a, b))))
-            tables_of[k] = [beta << k for beta in range(1 << k)], steps
-        cells, steps = tables_of[k]
-        yield sum(map(table.__getitem__, cells))
-        for code in range(1, 1 << len(steps)):
-            cells = list(map(operator.xor, cells, steps[(code & -code).bit_length() - 1]))
-            yield sum(map(table.__getitem__, cells))
+        if k not in wedges:  # w is bilinear: span w(e_i, e_j) over beta, then delta
+            unit = [[0] * k for _ in range(k)]
+            for t, (i, j) in enumerate(itertools.combinations(range(k), 2)):
+                unit[i][j] = unit[j][i] = 1 << t
+            cols = list(map(_span, unit))
+            wedges[k] = [w for beta in range(1 << k) for w in _span([col[beta] for col in cols])]
+        p = k * (k - 1) // 2
+        span = _span(brows)
+        v = [0] * (1 << p)
+        cells = itertools.chain.from_iterable(map(rhat[e].__getitem__, span) for e in span)
+        for c, x in zip(wedges[k], cells):
+            v[c] += x
+        h = len(v) // 2  # top code bit first, while v is sparse: half the peak memory
+        for half in [list(map(op, v[:h], v[h:])) for op in (operator.add, operator.sub)] if h else [v]:
+            yield from map(k.__rrshift__, walsh_hadamard(half, max(p - 1, 0)))
 
 
 def _mts_rows(n: int, brows: tuple[int, ...], pivots: tuple[int, ...], code: int) -> list[int]:
@@ -650,10 +642,10 @@ def _check_isometry(tab: list[int], q: bytes) -> None:
 def _fingerprint_words(m: int) -> list[int]:
     """One fixed random word per vector of the triple ambient, below 2^56.
 
-    The census sums words over the 2^(3m) <= 64 vectors of a span inside
-    one 64-bit lane of a _census_lanes entry.  A sum of 2^(3m) words below
-    2^(63 - 3m) stays below 2^63, so it neither carries into the next lane
-    nor overflows an array('q') entry; _census_pass checks that bound."""
+    A census sum adds the words of 2^(3m) <= 64 vectors in one 64-bit lane
+    of whole packed ints; only the final sums, not the signed intermediates
+    of _mts_sums, must stay in their lanes.  Words below 2^(63 - 3m), as
+    _census_pass checks, keep them below 2^63: no carry, no array('q') overflow."""
     rng = random.Random(f"census fingerprint m={m}")
     return [rng.getrandbits(56) for _ in range(1 << (6 * m))]
 
@@ -711,9 +703,11 @@ def _census_pass(m: int) -> tuple[list[int], Callable[[Sequence[int]], int], lis
         raise FalsificationError(
             f"census total {total} disagrees with the product formula"
         )
-    # image keys to census indices in place; an orbit's first index labels it
-    for i in range(0, len(images), 1 << 16):
-        images[i : i + (1 << 16)] = array("q", map(index.__getitem__, images[i : i + (1 << 16)]))
+    try:  # image keys to census indices in place; an orbit's first index labels it
+        for i in range(0, len(images), 1 << 16):
+            images[i : i + (1 << 16)] = array("q", map(index.__getitem__, images[i : i + (1 << 16)]))
+    except KeyError:
+        raise FalsificationError("a census generator maps a subspace outside the census") from None
     labels = [-1] * total
     for i in range(total):
         if labels[i] < 0:

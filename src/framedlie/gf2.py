@@ -1,5 +1,5 @@
 """Bit-packed GF(2) vectors, subspaces, row reduction, row combination by a
-mask and solving in a basis.
+mask, solving in a basis and the Walsh-Hadamard transform.
 
 Vectors live in ``F_2^width`` with coordinate ``i`` stored in bit ``i`` of a
 Python int (LSB = first coordinate).  Widths are capped at one machine word;
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 MAX_WIDTH = 64
@@ -59,6 +60,14 @@ def apply_map(images: Sequence[int], v: int) -> int:
         out ^= images[low.bit_length() - 1]
         v ^= low
     return out
+
+
+def walsh_hadamard(values: list[int], bits: int) -> list[int]:
+    """Entry c is the sum of (-1)^(c . x) values[x] over the 2^bits x, in bits passes."""
+    for _ in range(bits):
+        even, odd = values[0::2], values[1::2]
+        values = [*map(add, even, odd), *map(sub, even, odd)]
+    return values
 
 
 class EchelonSolver:

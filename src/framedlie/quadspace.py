@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from operator import add, sub
 from typing import Sequence
 
 from .gf2 import (
@@ -38,6 +37,7 @@ from .gf2 import (
     kernel,
     recombine,
     rref,
+    walsh_hadamard,
     zero_subspace,
 )
 
@@ -165,10 +165,7 @@ def singular_census(space: QuadraticSpace, s: Subspace | None = None) -> tuple[i
     frow = [space.functional(r) for r in s.rows]
     masks = [sum(((f & l).bit_count() & 1) << i for i, l in enumerate(low)) for f in frow]
     low_q, _ = _span_walk(low, qrow, frow, masks)
-    w = [1 - 2 * q for q in low_q]
-    for _ in range(k):  # constant-geometry butterflies: k passes give w[c]
-        even, odd = w[0::2], w[1::2]
-        w = [*map(add, even, odd), *map(sub, even, odd)]
+    w = walsh_hadamard([1 - 2 * q for q in low_q], k)
     high_q, high_c = _span_walk(s.rows[k:], qrow[k:], frow[k:], masks[k:])
     total = sum(-w[c] if q else w[c] for q, c in zip(high_q, high_c))
     singular = ((1 << s.dim) + total) // 2  # the zero vector included

@@ -42,6 +42,7 @@ def commands() -> list[tuple[str, list[str]]]:
     out.append(("frame_orbifold_odd_5_4_0", ["frame", "orbifold", "--base", "odd:5,4,0"]))
     out += [(f"frame_pair_{c}", ["frame", "pair", "--case", c]) for c in framed.PAIR_CASE_IDS]
     out.append(("frame_classify", ["frame", "classify", "--input", str(CLASSIFY_INPUT)]))
+    out += [(f"frame_census_m{m}", ["frame", "census", "--m", str(m)]) for m in (1, 2)]
     return out
 
 

@@ -422,6 +422,29 @@ def test_census_rejects_bad_generator(monkeypatch, capsys, kind):
         census_small.cache_clear()
 
 
+def test_census_rejects_an_image_outside_the_census(monkeypatch, capsys):
+    # one image lane off by one: some subspace's image key names no subspace
+    census_lanes = framed._census_lanes
+
+    def off_by_one(words, gens):
+        lanes = census_lanes(words, gens)
+        lanes[5] += 1 << 64
+        return lanes
+
+    monkeypatch.setattr(framed, "_census_lanes", off_by_one)
+    census_small.cache_clear()
+    try:
+        with pytest.raises(FalsificationError, match="maps a subspace outside the census"):
+            census_small(1)
+        capsys.readouterr()
+        assert main(["frame", "census", "--m", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "falsification: a census generator maps a subspace outside the census" in err
+        assert "Traceback" not in err
+    finally:
+        census_small.cache_clear()
+
+
 def test_census_rejects_key_collision(monkeypatch):
     # a word table of zeros gives every subspace the key 0
     monkeypatch.setattr(framed, "_fingerprint_words", lambda m: [0] * (1 << (6 * m)))
@@ -563,7 +586,7 @@ def test_census_lanes_against_separate_sums(m, stride):
 
 @pytest.mark.parametrize("m, count", [(1, None), (2, 25000)])
 def test_census_sums_against_span_sums(m, count):
-    # the per-shadow coset tables give each subspace's lane sum, in the
+    # the per-shadow transforms give each subspace's lane sum, in the
     # order of the enumeration oracle: all of m = 1, a prefix of m = 2
     lanes = _lane_tables(m)[2]
     got = list(itertools.islice(framed._mts_sums(m, lanes), count))
@@ -585,6 +608,41 @@ def _rebuilt_rows(m, indices):
             out[i] = tuple(rref_ints(framed._mts_rows(3 * m, brows, pivots, i - first)))
         first += 1 << (k * (k - 1) // 2)
     return out
+
+
+def _rref_oracle(n):
+    """(rows, pivots) of every rref matrix over F_2^n by decoding a counter:
+    per pivot set, bit pos of code is the pos-th free entry, row by row."""
+    for k in range(n + 1):
+        for pivots in itertools.combinations(range(n), k):
+            free = [[c for c in range(p + 1, n) if c not in pivots] for p in pivots]
+            cols = [(i, c) for i, f in enumerate(free) for c in f]
+            for code in range(1 << len(cols)):
+                rows = [1 << p for p in pivots]
+                for pos, (i, c) in enumerate(cols):
+                    rows[i] |= (code >> pos & 1) << c
+                yield tuple(rows), pivots
+
+
+def test_all_subspace_rrefs_order():
+    # census indices, and the messages that name them, rest on this order
+    for n in range(1, 7):
+        assert list(framed._all_subspace_rrefs(n)) == list(_rref_oracle(n))
+
+
+def test_census_sums_against_rebuilt_spans():
+    # m = 2 sums at a stride and at both ends of each shadow dimension 0..6,
+    # against the lane sum over the span of the _mts_rows rebuild
+    lanes = _lane_tables(2)[2]
+    sums = list(framed._mts_sums(2, lanes))
+    dims = collections.Counter(len(brows) for brows, _ in framed._all_subspace_rrefs(6))
+    bounds = [0, *itertools.accumulate(dims[k] << (k * (k - 1) // 2) for k in range(7))]
+    assert bounds[-1] == len(sums) == framed.mts_count_formula(2)
+    picks = {*bounds[:-1], *(b - 1 for b in bounds[1:]), *range(0, len(sums), 211)}
+    rebuilt = _rebuilt_rows(2, picks)
+    assert len(rebuilt) == len(picks) > 700
+    for i, rows in rebuilt.items():
+        assert sums[i] == sum(map(lanes.__getitem__, framed._span(rows))), i
 
 
 @pytest.mark.parametrize("m, stride", [(1, 1), (2, 53)])

@@ -19,6 +19,7 @@ from framedlie.gf2 import (
     rref_ints,
     subspace_sum,
     vanishing_on,
+    walsh_hadamard,
     zero_subspace,
 )
 
@@ -241,3 +242,17 @@ def test_coefficients_roundtrip():
     with pytest.raises(UsageError, match="not in span"):
         solver.coefficients(0b001)
     assert zero_subspace(12).reduce(0) == 0
+
+
+@pytest.mark.parametrize("bits", range(7))
+def test_walsh_hadamard_against_character_sum(bits):
+    # small and 200-bit entries of both signs, as packed census lanes have
+    rng = random.Random(bits)
+    small = [rng.randrange(-1000, 1000) for _ in range(1 << bits)]
+    wide = [rng.getrandbits(200) - (1 << 199) for _ in range(1 << bits)]
+    for values in (small, wide):
+        want = [
+            sum(v if (c & x).bit_count() % 2 == 0 else -v for x, v in enumerate(values))
+            for c in range(1 << bits)
+        ]
+        assert walsh_hadamard(values, bits) == want
