@@ -38,9 +38,9 @@ def verify_checks(quick: bool, ledger_path: str | None):
         expect("m = 5 builder cases", sorted(map(str, cases)), sorted(published))
         case = next(c for c in cases if str(c) == case_str)
         sub = framed.build_case(case, seed=0)
-        n1, n2 = framed.profile(sub)
-        expect(f"{case} seed 0: profile", (n1, n2), framed.lnumber_closed(case))
-        expect(f"{case} seed 0: weight-one value", 8 * n1 + n2, published[case_str])
+        expect(f"{case} seed 0: profile", framed.profile(sub), framed.lnumber_closed(case))
+        weight1 = framed.weight1_dim_triple(sub)
+        expect(f"{case} seed 0: weight-one value", weight1, published[case_str])
         expect(f"{case} seed 0: classified as", framed.classify_triple(sub), case)
 
     for case_str in published:
@@ -176,8 +176,10 @@ def verify_checks(quick: bool, ledger_path: str | None):
         by_case = {r.case_id: r for r in ledger_reports()}
         wrong = [
             (case_id, rep.dim_computed, str(rep.answer), rep.schellekens)
+            if rep
+            else (case_id, "missing")
             for case_id, dim, alg, number, _ in tables.TA8_ROWS + tables.TA16_ROWS
-            if not (rep := by_case[case_id]).matches(dim, alg, number)
+            if not ((rep := by_case.get(case_id)) and rep.matches(dim, alg, number))
         ]
         expect("published rows that disagree with the ledger reports", wrong, [])
         # the exact sets follow from the dimension alone
@@ -194,7 +196,8 @@ def verify_checks(quick: bool, ledger_path: str | None):
 
     def coverage():
         cov = liesolver.lieframed_coverage(ledger_reports())
-        expect("uncovered lieframed rows", [c for c in cov if not c["ok"]], [])
+        uncovered = [(c["no"], c["dim"], str(c["algebra"])) for c in cov if not c["ok"]]
+        expect("uncovered lieframed rows (no, dim, algebra)", uncovered, [])
         got = (len(cov), len(tables.LIEFRAMED_ROWS))
         expect("lieframed rows (covered, published)", got, (17, 17))
 

@@ -84,7 +84,7 @@ def cmd_qspace(args) -> int:
         "singular_nonzero": singular,
         "nonsingular": nonsingular,
         "closed_form_match": (singular, nonsingular) == expect,
-        "arf_type": str(quadspace.type_of(space)),
+        "arf_type": quadspace.type_of(space),
     }
     _emit(payload, None, args)
     return EXIT_OK if payload["closed_form_match"] else EXIT_FALSIFIED
@@ -112,12 +112,11 @@ def cmd_frame_build(args) -> int:
         eps = {"plus": "+", "minus": "-"}[args.type]
         case = framed.even_case(args.m, args.k1, args.k2, eps)
     sub = framed.build_case(case, seed=args.seed)
-    n1, n2 = framed.profile(sub)
     payload = {
         "case": str(case),
-        "profile": [n1, n2],
+        "profile": list(framed.profile(sub)),
         "profile_closed_form": list(framed.lnumber_closed(case)),
-        "weight1": 8 * n1 + n2,
+        "weight1": framed.weight1_dim_triple(sub),
         "classified": str(framed.classify_triple(sub)),
         "subspace": framed.to_text(sub).splitlines(),
     }
@@ -264,8 +263,8 @@ def cmd_lie_tables(args) -> int:
         reports = {r.case_id: r for r in liesolver.run_ledger(args.ledger)}
         rows = []
         for case_id, dim, alg, number, ref in published:
-            rep = reports[case_id]
-            match = rep.ok and rep.matches(dim, alg, number)
+            rep = reports.get(case_id)  # a ledger without the case is a mismatch
+            match = rep is not None and rep.ok and rep.matches(dim, alg, number)
             ok &= match
             rows.append(
                 {

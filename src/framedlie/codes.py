@@ -63,9 +63,7 @@ def weight_enumerator(code: BinaryCode) -> tuple[int, ...]:
 
 
 def _all_weights_divisible(code: BinaryCode, modulus: int) -> bool:
-    if code.dim > WEIGHT_SCAN_GUARD:
-        raise ResourceLimitError(f"weight scan of 2^{code.dim} codewords refused")
-    return all(w.bit_count() % modulus == 0 for w in code.codewords())
+    return not any(n for w, n in enumerate(weight_enumerator(code)) if w % modulus)
 
 
 def is_doubly_even(code: BinaryCode) -> bool:

@@ -35,7 +35,7 @@ All rationals are exact; no floating point enters this module.
 from __future__ import annotations
 
 import itertools
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -44,13 +44,17 @@ from .gf2 import MAX_WIDTH, FalsificationError, UsageError
 MAX_TOTAL_RANK = 24
 
 _FAMILY_RANGES = {"A": (1, 24), "B": (3, 24), "C": (2, 24), "D": (4, 24)}
-_EXCEPTIONAL = {("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)}
+_EXCEPTIONAL = {  # (family, rank) -> (dim, h_vee)
+    ("E", 6): (78, 12), ("E", 7): (133, 18), ("E", 8): (248, 30),
+    ("F", 4): (52, 9), ("G", 2): (14, 4),
+}
 
 
 @dataclass(frozen=True, order=True)
-class SimpleType:
+class LeveledType:
     family: str
     rank: int
+    level: int
 
     def __post_init__(self) -> None:
         if self.family in _FAMILY_RANGES:
@@ -59,6 +63,8 @@ class SimpleType:
                 raise UsageError(f"{self.family}{self.rank} is outside the naming convention")
         elif (self.family, self.rank) not in _EXCEPTIONAL:
             raise UsageError(f"unknown simple type {self.family}{self.rank}")
+        if self.level < 1:
+            raise UsageError("levels are positive integers")
 
     @property
     def dim(self) -> int:
@@ -69,9 +75,7 @@ class SimpleType:
             return n * (2 * n + 1)
         if self.family == "D":
             return n * (2 * n - 1)
-        return {("E", 6): 78, ("E", 7): 133, ("E", 8): 248, ("F", 4): 52, ("G", 2): 14}[
-            (self.family, self.rank)
-        ]
+        return _EXCEPTIONAL[self.family, n][0]
 
     @property
     def h_vee(self) -> int:
@@ -82,41 +86,14 @@ class SimpleType:
             return 2 * n - 1
         if self.family == "D":
             return 2 * n - 2
-        return {("E", 6): 12, ("E", 7): 18, ("E", 8): 30, ("F", 4): 9, ("G", 2): 4}[
-            (self.family, self.rank)
-        ]
+        return _EXCEPTIONAL[self.family, n][1]
 
     @property
     def n_roots(self) -> int:
         return self.dim - self.rank
 
     def __str__(self) -> str:
-        return f"{self.family}{self.rank}"
-
-
-@dataclass(frozen=True, order=True)
-class LeveledType:
-    type: SimpleType
-    level: int
-
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise UsageError("levels are positive integers")
-
-    @property
-    def dim(self) -> int:
-        return self.type.dim
-
-    @property
-    def rank(self) -> int:
-        return self.type.rank
-
-    @property
-    def n_roots(self) -> int:
-        return self.type.n_roots
-
-    def __str__(self) -> str:
-        return f"{self.type},{self.level}"
+        return f"{self.family}{self.rank},{self.level}"
 
 
 def leveled(token: str) -> LeveledType:
@@ -125,7 +102,7 @@ def leveled(token: str) -> LeveledType:
     if not lvl:
         raise UsageError(f"missing level in {token!r}")
     try:
-        return LeveledType(SimpleType(name[:1], int(name[1:])), int(lvl))
+        return LeveledType(name[:1], int(name[1:]), int(lvl))
     except ValueError as exc:
         raise UsageError(f"bad type token {token!r}") from exc
 
@@ -192,16 +169,14 @@ def candidates(ratio: Fraction, dim_budget: int) -> list[LeveledType]:
     if ratio <= 0:
         raise UsageError("the ratio must be positive")
     out = []
-    types: list[SimpleType] = []
-    for fam, (lo, hi) in _FAMILY_RANGES.items():
-        types += [SimpleType(fam, n) for n in range(lo, hi + 1)]
-    types += [SimpleType(f, n) for f, n in sorted(_EXCEPTIONAL)]
-    for st in types:
+    types = [(fam, n) for fam, (lo, hi) in _FAMILY_RANGES.items() for n in range(lo, hi + 1)]
+    for fam, n in types + sorted(_EXCEPTIONAL):
+        st = LeveledType(fam, n, 1)
         level = Fraction(st.h_vee) / ratio
         if level.denominator != 1 or level < 1:
             continue
         if st.dim <= dim_budget and st.rank <= MAX_TOTAL_RANK:
-            out.append(LeveledType(st, int(level)))
+            out.append(LeveledType(fam, n, int(level)))
     out.sort(key=lambda lt: (-lt.dim, str(lt)))
     return out
 
@@ -211,21 +186,8 @@ def candidates(ratio: Fraction, dim_budget: int) -> list[LeveledType]:
 # ---------------------------------------------------------------------------
 
 
-class _Counts:
-    """Constraint values count dimensions, ranks or roots: none is negative."""
-
-    def __post_init__(self) -> None:
-        todo = list(astuple(self))
-        while todo:
-            v = todo.pop()
-            if isinstance(v, tuple):
-                todo += v
-            elif isinstance(v, int) and v < 0:
-                raise UsageError(f"constraint values are non-negative counts, got {v}")
-
-
 @dataclass(frozen=True)
-class TotalRank(_Counts):
+class TotalRank:
     value: int
 
     def check(self, parts: Sequence[LeveledType]) -> bool:
@@ -233,7 +195,7 @@ class TotalRank(_Counts):
 
 
 @dataclass(frozen=True)
-class IdealExists(_Counts):
+class IdealExists:
     dim: int
     rank: int | None = None
 
@@ -244,7 +206,7 @@ class IdealExists(_Counts):
 
 
 @dataclass(frozen=True)
-class RootSpaceIdeal(_Counts):
+class RootSpaceIdeal:
     roots: int
 
     def check(self, parts: Sequence[LeveledType]) -> bool:
@@ -252,7 +214,7 @@ class RootSpaceIdeal(_Counts):
 
 
 @dataclass(frozen=True)
-class RootSpacePartition(_Counts):
+class RootSpacePartition:
     parts: tuple[int, ...]
 
     def check(self, comps: Sequence[LeveledType]) -> bool:
@@ -260,7 +222,7 @@ class RootSpacePartition(_Counts):
 
 
 @dataclass(frozen=True)
-class PartitionDims(_Counts):
+class PartitionDims:
     blocks: tuple[tuple[int, int], ...]  # (dim, rank) per block
 
     def check(self, comps: Sequence[LeveledType]) -> bool:
@@ -279,24 +241,33 @@ def _ints(parts: list[str], token: str) -> list[int]:
 
 def parse_constraint(token: str) -> Constraint:
     """One constraint token, as `lie solve --constraint` and the ledger's
-    `constraint` lines write it."""
+    `constraint` lines write it.  Constraint values count dimensions, ranks
+    or roots, so none may be negative."""
+
+    def counts(parts: list[str]) -> list[int]:
+        values = _ints(parts, token)
+        for v in values:
+            if v < 0:
+                raise UsageError(f"constraint values are non-negative counts, got {v}")
+        return values
+
     kind, _, rest = token.partition(":")
     if kind == "rank":
-        return TotalRank(*_ints([rest], token))
+        return TotalRank(*counts([rest]))
     if kind == "ideal":
-        bits = _ints(rest.split(":"), token)
+        bits = counts(rest.split(":"))
         if len(bits) > 2:
             raise UsageError(f"ideal takes dim or dim:rank: {token!r}")
         return IdealExists(bits[0], bits[1] if len(bits) > 1 else None)
     if kind == "rootideal":
-        return RootSpaceIdeal(*_ints([rest], token))
+        return RootSpaceIdeal(*counts([rest]))
     if kind == "rootpart":
-        return RootSpacePartition(tuple(_ints(rest.split(","), token)))
+        return RootSpacePartition(tuple(counts(rest.split(","))))
     if kind == "partition":
         blocks = [b.split("/") for b in rest.split(",")]
         if any(len(b) != 2 for b in blocks):
             raise UsageError(f"partition blocks are dim/rank: {token!r}")
-        return PartitionDims(tuple(tuple(_ints(b, token)) for b in blocks))
+        return PartitionDims(tuple(tuple(counts(b)) for b in blocks))
     raise UsageError(f"unknown constraint {token!r}")
 
 
@@ -598,7 +569,7 @@ def candidate_table_report() -> list[dict]:
             problems.append(f"set mismatch: {sorted(got ^ expected)}")
         for tok, h, d in printed:
             lt = leveled(tok)
-            if lt.type.h_vee != h or lt.dim != d:
+            if lt.h_vee != h or lt.dim != d:
                 problems.append(f"{tok}: printed data disagrees with type data")
         out.append(
             {

@@ -116,21 +116,6 @@ def direct_sum(a: QuadraticSpace, b: QuadraticSpace) -> QuadraticSpace:
     return QuadraticSpace(a.dim + b.dim, tuple(rows))
 
 
-@dataclass(frozen=True)
-class SpaceType:
-    kind: str  # "plus" | "minus" | "degenerate"
-    radical_dim: int = 0
-
-    def __str__(self) -> str:
-        if self.kind == "degenerate":
-            return f"degenerate({self.radical_dim})"
-        return self.kind
-
-
-PLUS = SpaceType("plus")
-MINUS = SpaceType("minus")
-
-
 def lnum_closed(m: int, plus: bool) -> tuple[int, int]:
     """Closed-form (nonzero singular, nonsingular) counts for dim 2m."""
     if plus:
@@ -261,8 +246,9 @@ def gauss_sum(space: QuadraticSpace, s: Subspace) -> int:
     return -size if aniso else size
 
 
-def type_of(space: QuadraticSpace, s: Subspace | None = None) -> SpaceType:
-    """Type of the form restricted to s: plus, minus, or degenerate(r).
+def type_of(space: QuadraticSpace, s: Subspace | None = None) -> str:
+    """Type of the form restricted to s: "plus", "minus", or "degenerate(r)"
+    with r the radical's dimension.
 
     The Arf invariant of the split decides plus/minus; up to dimension 12
     the census closed forms are recomputed as a cross-check.
@@ -271,11 +257,11 @@ def type_of(space: QuadraticSpace, s: Subspace | None = None) -> SpaceType:
         s = space.full()
     _, aniso, radical = _split(space, s.rows)
     if radical:
-        return SpaceType("degenerate", len(radical))
+        return f"degenerate({len(radical)})"
     plus = aniso is None
     if s.dim <= 12 and singular_census(space, s) != lnum_closed(s.dim // 2, plus):
         raise FalsificationError("Arf invariant disagrees with the singular census")
-    return PLUS if plus else MINUS
+    return "plus" if plus else "minus"
 
 
 def max_ts_extend(

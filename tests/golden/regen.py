@@ -43,6 +43,14 @@ def commands() -> list[tuple[str, list[str]]]:
     out += [(f"frame_pair_{c}", ["frame", "pair", "--case", c]) for c in framed.PAIR_CASE_IDS]
     out.append(("frame_classify", ["frame", "classify", "--input", str(CLASSIFY_INPUT)]))
     out += [(f"frame_census_m{m}", ["frame", "census", "--m", str(m)]) for m in (1, 2)]
+    out += [
+        (f"qspace_{kind}_{d}", ["qspace", "--dim", str(d), "--type", kind])
+        for d in range(2, 29, 2)
+        for kind in ("plus", "minus")
+    ]
+    out += [(f"lie_tables_{w}", ["lie", "tables", "--which", w]) for w in ("ta8", "ta16", "lieframed")]
+    out.append(("lie_ledger", ["lie", "ledger"]))
+    out.append(("lie_solve_60_ideal_28_4", ["lie", "solve", "--dim", "60", "--constraint", "ideal:28:4"]))
     return out
 
 

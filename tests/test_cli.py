@@ -626,6 +626,30 @@ def test_ledger_flag_reaches_lieframed_coverage(capsys, monkeypatch, tmp_path):
     assert "FAIL lie_lieframed_coverage" in out
 
 
+def test_ledger_missing_a_published_case_is_a_mismatch(capsys, monkeypatch, tmp_path):
+    text = open(default_ledger_path()).read()
+    record = text[text.index("case odd(5,3,1)") :]
+    record = record[: record.index("end\n") + 4]
+    p = tmp_path / "short.ledger"
+    p.write_text(text.replace(record, "", 1))
+    code, out = run(capsys, "lie", "tables", "--which", "ta8", "--ledger", str(p))
+    assert code == 1
+    status = {r["case"]: r["status"] for r in json.loads(out)["rows"]}
+    assert status.pop("odd(5,3,1)") == "MISMATCH"
+    assert set(status.values()) == {"MATCH"}
+    checks_only(monkeypatch, "lie_")  # the checks that read the ledger
+    code, out = run(capsys, "verify", "--quick", "--ledger", str(p), "--format", "json")
+    assert code == 1
+    errors = {c["name"]: c["error"] for c in json.loads(out)["checks"] if c["status"] != "PASS"}
+    assert errors == {
+        "lie_ledger": "FalsificationError: ledger cases 20, expected 21",
+        "lie_published_tables": "FalsificationError: published rows that disagree with the "
+        "ledger reports [('odd(5,3,1)', 'missing')], expected []",
+        "lie_lieframed_coverage": "FalsificationError: uncovered lieframed rows (no, dim, "
+        "algebra) [(53, 240, 'E7,2 B5,1 F4,1')], expected []",
+    }
+
+
 def test_fusion_laws_check_raises_falsification(capsys, monkeypatch):
     add = modlabels.rx_add
 

@@ -482,7 +482,20 @@ def test_census_rejects_oversized_word(monkeypatch, capsys):
 
 def test_decide_branch_rejects_projections_past_m():
     # ones (1, 1, 0) read as k1 = k2 = 1, which m = 1 cannot hold: a wrong count, not a usage error
-    with pytest.raises(FalsificationError, match="exceed m = 1"):
+    with pytest.raises(FalsificationError, match="match no builder case of m = 1"):
+        framed._decide_branch(1, (1, 1, 0), 0, False)
+
+
+def test_decide_branch_reads_each_builder_case_from_its_closed_profile():
+    for m in range(1, 11):
+        for case in framed.valid_params(m):
+            ones = ((1 << case.k1) - 1, (1 << case.k2) - 1, 0)
+            n2 = framed.lnumber_closed(case)[1]
+            assert framed._decide_branch(m, ones, n2, False) == case
+            for wrong in (n2 - 1, n2 + 1):
+                with pytest.raises(FalsificationError):
+                    framed._decide_branch(m, ones, wrong, False)
+    with pytest.raises(FalsificationError):  # no builder case, which is a finding, not a usage error
         framed._decide_branch(1, (1, 1, 0), 0, False)
 
 

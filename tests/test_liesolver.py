@@ -10,10 +10,10 @@ from framedlie.liesolver import (
     CaseRecord,
     Decomposition,
     IdealExists,
+    LeveledType,
     PartitionDims,
     RootSpaceIdeal,
     RootSpacePartition,
-    SimpleType,
     TotalRank,
     candidates,
     candidate_table_report,
@@ -40,22 +40,22 @@ EXCEPTIONAL_ROOTS = {("E", 6): 72, ("E", 7): 126, ("E", 8): 240, ("F", 4): 48, (
 def test_simple_type_data():
     for fam, lo in (("A", 1), ("B", 3), ("C", 2), ("D", 4)):
         for n in range(lo, 25):
-            st = SimpleType(fam, n)
+            st = LeveledType(fam, n, 1)
             assert st.dim - st.rank == ROOT_COUNTS[fam](n)
     for (fam, n), roots in EXCEPTIONAL_ROOTS.items():
-        st = SimpleType(fam, n)
+        st = LeveledType(fam, n, 1)
         assert st.dim - st.rank == roots
 
 
 def test_naming_convention():
     with pytest.raises(UsageError):
-        SimpleType("B", 2)  # reported as C2
+        LeveledType("B", 2, 1)  # reported as C2
     with pytest.raises(UsageError):
-        SimpleType("D", 3)  # reported as A3
+        LeveledType("D", 3, 1)  # reported as A3
     with pytest.raises(UsageError):
-        SimpleType("D", 2)
+        LeveledType("D", 2, 1)
     with pytest.raises(UsageError):
-        SimpleType("E", 5)
+        LeveledType("E", 5, 1)
     with pytest.raises(UsageError):
         leveled("A3,0")
 
