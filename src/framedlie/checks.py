@@ -142,7 +142,7 @@ def verify_checks(quick: bool, ledger_path: str | None):
     yield "orbifold_section47", orbifold
 
     def candidate_tables():
-        rep = liesolver.candidate_table_report()
+        rep = liesolver.candidate_table_report(ledger_path)
         expect("candidate tables", len(rep), 21)
         bad = [(r["case"], r["problems"]) for r in rep if not r["ok"]]
         expect("candidate tables with problems", bad, [])
@@ -158,7 +158,7 @@ def verify_checks(quick: bool, ledger_path: str | None):
 
     def ledger():
         reports = ledger_reports()
-        bad = [(r.case_id, r.problems) for r in reports if not r.ok]
+        bad = [(r.record.case_id, r.problems) for r in reports if not r.ok]
         expect("ledger cases with problems", bad, [])
         expect("ledger cases", len(reports), 21)
 
@@ -173,20 +173,22 @@ def verify_checks(quick: bool, ledger_path: str | None):
     }
 
     def published_tables():
-        by_case = {r.case_id: r for r in ledger_reports()}
-        wrong = [
-            (case_id, rep.dim_computed, str(rep.answer), rep.schellekens)
-            if rep
-            else (case_id, "missing")
-            for case_id, dim, alg, number, _ in tables.TA8_ROWS + tables.TA16_ROWS
-            if not ((rep := by_case.get(case_id)) and rep.matches(dim, alg, number))
+        reports = ledger_reports()
+        by_case = {r.record.case_id: r for r in reports}
+        unmatched = liesolver.unmatched_rows(reports, tables.TA8_ROWS + tables.TA16_ROWS)
+        wrong = [  # what the report holds, and why it was not sound
+            (case_id, "missing")
+            if (rep := by_case.get(case_id)) is None
+            else (case_id, rep.dim_computed, str(rep.record.answer), rep.record.schellekens,
+                  rep.problems)
+            for case_id, *_ in unmatched
         ]
         expect("published rows that disagree with the ledger reports", wrong, [])
         # the exact sets follow from the dimension alone
         constrained = [
-            rec.case_id
-            for rec in liesolver.load_ledger(ledger_path)
-            if rec.case_id in exact_solutions and rec.constraints
+            r.record.case_id
+            for r in reports
+            if r.record.case_id in exact_solutions and r.record.constraints
         ]
         expect("exact-set cases with constraints", constrained, [])
         got = {c: set(map(str, by_case[c].solutions)) for c in exact_solutions}

@@ -233,12 +233,12 @@ def cmd_lie_ledger(args) -> int:
     reports = liesolver.run_ledger(args.ledger)
     rows = [
         {
-            "case": r.case_id,
+            "case": r.record.case_id,
             "dim": r.dim_computed,
-            "published_dim": r.dim_published,
-            "answer": str(r.answer),
+            "published_dim": r.record.dim,
+            "answer": str(r.record.answer),
             "solutions": len(r.solutions),
-            "uniqueness": r.uniqueness,
+            "uniqueness": r.record.uniqueness,
             "status": "MATCH" if r.ok else "MISMATCH: " + "; ".join(r.problems),
         }
         for r in reports
@@ -246,9 +246,9 @@ def cmd_lie_ledger(args) -> int:
     payload = {
         "cases": rows,
         "identification_notes": [
-            {"case": r.case_id, "identified": r.identified}
+            {"case": r.record.case_id, "identified": r.record.identified}
             for r in reports
-            if r.identified
+            if r.record.identified
         ],
         "all_match": all(r.ok for r in reports),
     }
@@ -257,25 +257,15 @@ def cmd_lie_ledger(args) -> int:
 
 
 def cmd_lie_tables(args) -> int:
-    ok = True
     if args.which in ("ta8", "ta16"):
         published = tables.TA8_ROWS if args.which == "ta8" else tables.TA16_ROWS
-        reports = {r.case_id: r for r in liesolver.run_ledger(args.ledger)}
-        rows = []
-        for case_id, dim, alg, number, ref in published:
-            rep = reports.get(case_id)  # a ledger without the case is a mismatch
-            match = rep is not None and rep.ok and rep.matches(dim, alg, number)
-            ok &= match
-            rows.append(
-                {
-                    "case": case_id,
-                    "dim": dim,
-                    "algebra": alg,
-                    "no": number,
-                    "ref": ref,
-                    "status": "MATCH" if match else "MISMATCH",
-                }
-            )
+        unmatched = liesolver.unmatched_rows(liesolver.run_ledger(args.ledger), published)
+        keys = ("case", "dim", "algebra", "no", "ref")
+        rows = [
+            dict(zip(keys, row), status="MISMATCH" if row in unmatched else "MATCH")
+            for row in published
+        ]
+        ok = not unmatched
     else:  # lieframed
         cov = liesolver.lieframed_coverage(liesolver.run_ledger(args.ledger))
         rows = [

@@ -175,7 +175,7 @@ def candidates(ratio: Fraction, dim_budget: int) -> list[LeveledType]:
         level = Fraction(st.h_vee) / ratio
         if level.denominator != 1 or level < 1:
             continue
-        if st.dim <= dim_budget and st.rank <= MAX_TOTAL_RANK:
+        if st.dim <= dim_budget:
             out.append(LeveledType(fam, n, int(level)))
     out.sort(key=lambda lt: (-lt.dim, str(lt)))
     return out
@@ -486,23 +486,14 @@ def load_ledger(path: str | None = None) -> tuple[CaseRecord, ...]:
 
 @dataclass
 class CaseReport:
-    case_id: str
-    table: str
+    record: CaseRecord
     dim_computed: int
-    dim_published: int
     solutions: list[Decomposition]
-    answer: Decomposition
-    uniqueness: str
-    schellekens: int
-    identified: str | None
-    ok: bool
     problems: list[str]
 
-    def matches(self, dim: int, alg: str, number: int) -> bool:
-        """This report agrees with a published table row."""
-        return (self.dim_computed, self.answer, self.schellekens) == (
-            dim, parse_decomposition(alg), number
-        )
+    @property
+    def ok(self) -> bool:
+        return not self.problems
 
 
 def _computed_dim(case: object) -> int:
@@ -532,19 +523,7 @@ def run_case(rec: CaseRecord, computed_dim: int | None = None) -> CaseReport:
         problems.append("marked arithmetic-unique but the solver found more")
     if rec.uniqueness != "arithmetic" and len(got) > 3:
         problems.append("asserted cases must leave at most three candidates")
-    return CaseReport(
-        case_id=rec.case_id,
-        table=rec.table,
-        dim_computed=dim,
-        dim_published=rec.dim,
-        solutions=sols,
-        answer=rec.answer,
-        uniqueness=rec.uniqueness,
-        schellekens=rec.schellekens,
-        identified=rec.identified,
-        ok=not problems,
-        problems=problems,
-    )
+    return CaseReport(rec, dim, sols, problems)
 
 
 def run_ledger(path: str | None = None) -> list[CaseReport]:
@@ -552,20 +531,37 @@ def run_ledger(path: str | None = None) -> list[CaseReport]:
     return [run_case(rec) for rec in load_ledger(path)]
 
 
-def candidate_table_report() -> list[dict]:
-    """Regenerate every stored candidate table and compare as exact sets."""
+def unmatched_rows(reports: Sequence[CaseReport], rows: Sequence[tuple]) -> list[tuple]:
+    """The published table rows (case, dim, algebra, number, ref) that no
+    report without problems agrees with on dimension, algebra and number.
+    A case missing from the reports leaves its row unmatched."""
+    agreed = {
+        (r.record.case_id, r.dim_computed, r.record.answer, r.record.schellekens)
+        for r in reports
+        if r.ok
+    }
+    return [
+        row
+        for row in rows
+        if (row[0], row[1], parse_decomposition(row[2]), row[3]) not in agreed
+    ]
+
+
+def candidate_table_report(path: str | None) -> list[dict]:
+    """Regenerate every stored candidate table, with the dimension budget
+    from the ledger at path, and compare as exact sets."""
     from . import tables
 
-    dims = {rec.case_id: rec.dim for rec in load_ledger()}
+    dims = {rec.case_id: rec.dim for rec in load_ledger(path)}
     out = []
     for case_id, (ratio_s, printed, extra) in tables.CANDIDATE_TABLES.items():
-        ratio = Fraction(ratio_s)
-        budget = dims[case_id]
-        got = {str(c) for c in candidates(ratio, budget)}
         printed_set = {tok for tok, _, _ in printed}
         expected = printed_set | set(extra)
         problems = []
-        if got != expected:
+        if case_id not in dims:
+            got = set()
+            problems.append("case not in the ledger")
+        elif (got := {str(c) for c in candidates(Fraction(ratio_s), dims[case_id])}) != expected:
             problems.append(f"set mismatch: {sorted(got ^ expected)}")
         for tok, h, d in printed:
             lt = leveled(tok)
@@ -592,7 +588,7 @@ def lieframed_coverage(reports: Sequence[CaseReport]) -> list[dict]:
 
     by_alg: dict[tuple[int, Decomposition], list[str]] = {}
     for rep in reports:
-        by_alg.setdefault((rep.dim_published, rep.answer), []).append(rep.case_id)
+        by_alg.setdefault((rep.record.dim, rep.record.answer), []).append(rep.record.case_id)
     out = []
     for no, dim, alg in tables.LIEFRAMED_ROWS:
         dec = parse_decomposition(alg)

@@ -49,7 +49,10 @@ def commands() -> list[tuple[str, list[str]]]:
         for kind in ("plus", "minus")
     ]
     out += [(f"lie_tables_{w}", ["lie", "tables", "--which", w]) for w in ("ta8", "ta16", "lieframed")]
+    out.append(("lie_tables_ta8_markdown", ["lie", "tables", "--which", "ta8", "--format", "markdown"]))
+    out.append(("lie_tables_lieframed_csv", ["lie", "tables", "--which", "lieframed", "--format", "csv"]))
     out.append(("lie_ledger", ["lie", "ledger"]))
+    out.append(("lie_ledger_csv", ["lie", "ledger", "--format", "csv"]))
     out.append(("lie_solve_60_ideal_28_4", ["lie", "solve", "--dim", "60", "--constraint", "ideal:28:4"]))
     return out
 

@@ -640,14 +640,51 @@ def test_ledger_missing_a_published_case_is_a_mismatch(capsys, monkeypatch, tmp_
     checks_only(monkeypatch, "lie_")  # the checks that read the ledger
     code, out = run(capsys, "verify", "--quick", "--ledger", str(p), "--format", "json")
     assert code == 1
-    errors = {c["name"]: c["error"] for c in json.loads(out)["checks"] if c["status"] != "PASS"}
+    results = json.loads(out)["checks"]
+    assert {c["status"] for c in results} == {"FAIL"}  # all four, and no ERROR
+    errors = {c["name"]: c["error"] for c in results}
     assert errors == {
+        "lie_candidate_tables": "FalsificationError: candidate tables with problems "
+        "[('odd(5,3,1)', ['case not in the ledger'])], expected []",
         "lie_ledger": "FalsificationError: ledger cases 20, expected 21",
         "lie_published_tables": "FalsificationError: published rows that disagree with the "
         "ledger reports [('odd(5,3,1)', 'missing')], expected []",
         "lie_lieframed_coverage": "FalsificationError: uncovered lieframed rows (no, dim, "
         "algebra) [(53, 240, 'E7,2 B5,1 F4,1')], expected []",
     }
+
+
+def test_lie_tables_and_verify_agree_on_an_unsound_case(capsys, monkeypatch, tmp_path):
+    # even(5,5,0,+) has two solutions, so calling it arithmetic-unique is a
+    # problem of the case even though its row values agree with TA8
+    text = open(default_ledger_path()).read()
+    record = text.index("case even(5,5,0,+)")
+    flipped = text[record:].replace("uniqueness identification-only", "uniqueness arithmetic", 1)
+    p = tmp_path / "flipped.ledger"
+    p.write_text(text[:record] + flipped)
+    code, out = run(capsys, "lie", "tables", "--which", "ta8", "--ledger", str(p))
+    assert code == 1
+    rows = json.loads(out)["rows"]
+    assert [r["case"] for r in rows if r["status"] == "MISMATCH"] == ["even(5,5,0,+)"]
+    checks_only(monkeypatch, "lie_published_tables")
+    code, out = run(capsys, "verify", "--quick", "--ledger", str(p), "--format", "json")
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "FAIL"
+    assert check["error"] == (
+        "FalsificationError: published rows that disagree with the ledger reports "
+        "[('even(5,5,0,+)', 744, 'D16,1 E8,1', 69, "
+        "['marked arithmetic-unique but the solver found more'])], expected []"
+    )
+
+
+def test_lie_ledger_output_ignores_the_hash_seed():
+    # the ledger builds sets of solutions; their order must not reach stdout
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "PYTHONHASHSEED": "123"}
+    argv = [sys.executable, "-m", "framedlie", "lie", "ledger"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    golden = Path(__file__).resolve().parent / "golden" / "lie_ledger.out"
+    assert (done.returncode, done.stdout) == (0, golden.read_text()), done.stderr
 
 
 def test_fusion_laws_check_raises_falsification(capsys, monkeypatch):

@@ -101,7 +101,7 @@ def test_candidates_examples():
 
 
 def test_candidate_tables_regression():
-    report = candidate_table_report()
+    report = candidate_table_report(None)
     assert len(report) == 21
     for row in report:
         assert row["ok"], (row["case"], row["problems"])
