@@ -583,12 +583,14 @@ def candidate_table_report(path: str | None) -> list[dict]:
 
 def lieframed_coverage(reports: Sequence[CaseReport]) -> list[dict]:
     """Match every row of the final classification table to its sources:
-    the ledger cases in ``reports`` and the reference rows."""
+    the ledger cases in ``reports`` without problems (the rule of
+    ``unmatched_rows``) and the reference rows."""
     from . import tables
 
     by_alg: dict[tuple[int, Decomposition], list[str]] = {}
     for rep in reports:
-        by_alg.setdefault((rep.record.dim, rep.record.answer), []).append(rep.record.case_id)
+        if rep.ok:
+            by_alg.setdefault((rep.record.dim, rep.record.answer), []).append(rep.record.case_id)
     out = []
     for no, dim, alg in tables.LIEFRAMED_ROWS:
         dec = parse_decomposition(alg)

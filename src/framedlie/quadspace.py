@@ -9,11 +9,12 @@ bases, non-singular blocks of a given type, isometries between blocks and
 maximal totally singular extensions are all read off that split; a seed
 acts only through one random recombination of the basis
 (``gf2.recombine``).  Exact singular-vector censuses serve as the
-independent cross-check of the type at small dimensions.  A census splits
-the basis in two halves and meets in the middle through a Walsh-Hadamard
-transform, so it takes about d * 2^(d/2) steps for a d-dimensional
-subspace; the exhaustive 2^d Gray walk it replaced is kept as the test
-oracle in tests/test_quadspace.py.
+independent cross-check of the type at small dimensions.  A census
+counts every vector, bit-sliced: one big-int operation covers the 2^14
+vectors of the span of 14 basis rows, one more row is paired in by a
+popcount identity, and the rest of the basis is walked in Gray order;
+the one-vector-per-step Gray walk is the test oracle in
+tests/test_quadspace.py.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .gf2 import (
     kernel,
     recombine,
     rref,
-    walsh_hadamard,
     zero_subspace,
 )
 
@@ -123,53 +123,93 @@ def lnum_closed(m: int, plus: bool) -> tuple[int, int]:
     return (2 ** (2 * m - 1) - 2 ** (m - 1) - 1, 2 ** (2 * m - 1) + 2 ** (m - 1))
 
 
+# Basis rows whose span a census tabulates in one int, one bit per vector:
+# 2^14 bits (2 KiB) per big-int operation.  Past dimension 15 a census
+# walks 2^(d - 15) steps of one XOR, one AND and one popcount each.
+SLICE_ROWS = 14
+
+
 def singular_census(space: QuadraticSpace, s: Subspace | None = None) -> tuple[int, int]:
     """Exact (nonzero singular, nonsingular) counts over s (default: all).
 
-    The zero vector and the nonzero singular vectors number (2^dim s + T)/2,
-    where T is the character sum of (-1)^q(v) over s.  The basis of s splits
-    into k = dim s // 2 low rows l_i and the remaining high rows, so each v
-    is h + l_a, with h in the high span and a the coefficient vector of l_a
-    over the low rows.  Polarization, q(h + l) = q(h) + q(l) + <h, l>,
-    gives <h, l_a> = c_h . a for the mask c_h = (<h, l_i>)_i, so
+    Every vector of s is counted, bit-sliced: a 2^k-bit int holds q on a
+    coset of the span of the first k = min(dim s - 1, SLICE_ROWS) basis
+    rows l_i, the low rows, and one more row is paired with it.  Bit a of
+    a pattern stands for l_a, the sum of the l_i with bit i of a set.
+    With P_i the pattern of bit i of a, q(l_a) = sum a_i q(l_i) + sum
+    over i < j of a_i a_j <l_i, l_j> gives the pattern of q over the low
+    span,
 
-        T = sum over h of (-1)^q(h) * w[c_h],
+        Q = XOR_i P_i & (q(l_i) ONES ^ XOR_{j > i, <l_i, l_j> = 1} P_j).
 
-    where w is the Walsh-Hadamard transform of the table (-1)^q(l_a).
-    That is about dim s * 2^(dim s / 2) steps where listing s takes
-    2^dim s.  The exhaustive Gray walk this replaced is the oracle in
-    tests/test_quadspace.py.
+    By polarization, q(v + h + l_a) = q(v + l_a) + q(h) + <h, v> + <h, l_a>,
+    so adding a row h to v XORs in the cross pattern of h (the XOR of the
+    P_i with <h, l_i> = 1), complemented when q(h) + <h, v> = 1.  The next
+    row h_0 pairs each coset v + low span, of pattern C, with v + h_0 + low
+    span: if h_0 XORs in y, the two hold popcount(C) + popcount(C ^ y) =
+    popcount(y) + 2 popcount(C & ~y) nonsingular vectors.  The remaining
+    rows are walked in Gray order, one XOR, one AND and one popcount per
+    step.  The one-vector-per-step Gray walk in tests/test_quadspace.py is
+    the oracle.
     """
     if s is None:
         s = space.full()
     if s.dim > ENUM_GUARD:
         raise ResourceLimitError(f"census of 2^{s.dim} vectors refused")
-    k = s.dim // 2
+    if not s.dim:
+        return 0, 0  # the zero vector alone
+    k = min(s.dim - 1, SLICE_ROWS)
     low = s.rows[:k]
-    qrow = [space.q(r) for r in s.rows]
-    frow = [space.functional(r) for r in s.rows]
-    masks = [sum(((f & l).bit_count() & 1) << i for i, l in enumerate(low)) for f in frow]
-    low_q, _ = _span_walk(low, qrow, frow, masks)
-    w = walsh_hadamard([1 - 2 * q for q in low_q], k)
-    high_q, high_c = _span_walk(s.rows[k:], qrow[k:], frow[k:], masks[k:])
-    total = sum(-w[c] if q else w[c] for q, c in zip(high_q, high_c))
-    singular = ((1 << s.dim) + total) // 2  # the zero vector included
-    return singular - 1, (1 << s.dim) - singular
+    ones = (1 << (1 << k)) - 1
+    pats = _bit_patterns(k)
+
+    def cross(f: int, start: int = 0) -> int:
+        """The pattern of <x, l_a> over a, for the x with functional f,
+        from the low rows start.. only."""
+        x = 0
+        for p, l in zip(pats[start:], low[start:]):
+            if (f & l).bit_count() & 1:
+                x ^= p
+        return x
+
+    def step(h: int) -> tuple[int, int, int]:
+        """h's functional, and the patterns adding h XORs in by <h, v>."""
+        f = space.functional(h)
+        x = cross(f) ^ (ones if space.q(h) else 0)
+        return f, x, x ^ ones
+
+    cur = 0
+    for i, (p, l) in enumerate(zip(pats, low)):
+        cur ^= p & ((ones if space.q(l) else 0) ^ cross(space.functional(l), i + 1))
+    (f0, y0, y1), *steps = map(step, s.rows[k:])
+    pair = ((y0.bit_count(), y1), (y1.bit_count(), y0))  # (popcount(y), ~y) by <h_0, v>
+    high = s.rows[k + 1 :]
+    v = nonsingular = 0
+    for n in range(1 << len(high)):
+        if n:
+            t = (n & -n).bit_length() - 1
+            f, x0, x1 = steps[t]
+            cur ^= x1 if (f & v).bit_count() & 1 else x0
+            v ^= high[t]
+        ny, not_y = pair[(f0 & v).bit_count() & 1]
+        nonsingular += ny + 2 * (cur & not_y).bit_count()
+    return (1 << s.dim) - nonsingular - 1, nonsingular
 
 
-def _span_walk(
-    rows: Sequence[int], qrow: Sequence[int], frow: Sequence[int], masks: Sequence[int]
-) -> tuple[list[int], list[int]]:
-    """q(v) and the XOR of the masks of v's rows, for each v in the span of
-    rows, indexed by v's coefficient vector.  The span is listed by
-    doubling: q(v + r) = q(v) + q(r) + <r, v>, where q(r) is qrow's entry
-    and the functional of r is frow's."""
-    vs, qs, cs = [0], [0], [0]
-    for r, qr, fr, mr in zip(rows, qrow, frow, masks):
-        qs += [qv ^ qr ^ ((fr & v).bit_count() & 1) for v, qv in zip(vs, qs)]
-        cs += [c ^ mr for c in cs]
-        vs += [v ^ r for v in vs]
-    return qs, cs
+def _bit_patterns(k: int) -> list[int]:
+    """P_i for i < k: the 2^k-bit int whose bit a is bit i of a.
+
+    P_(k-1) is the upper half of the bits.  Below it, P_i = P_(i+1) ^
+    (P_(i+1) >> 2^i): adding 2^i to a flips bit i + 1 exactly when bit i
+    is set, and the bits shifted in at the top are 0 where bit i is 1.
+    """
+    if not k:
+        return []
+    half = 1 << (k - 1)
+    pats = [((1 << half) - 1) << half]
+    for i in reversed(range(k - 1)):
+        pats.append(pats[-1] ^ (pats[-1] >> (1 << i)))
+    return pats[::-1]
 
 
 def _split(

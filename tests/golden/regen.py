@@ -26,14 +26,16 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 CLASSIFY_INPUT = GOLDEN / "classify_input.txt"
 
 
-def _build_command(case: framed.TCCase) -> tuple[str, list[str]]:
+def _build_command(case: framed.TCCase, fmt: str = "json") -> tuple[str, list[str]]:
     argv = ["frame", "build", "--m", str(case.m), "--k1", str(case.k1), "--k2", str(case.k2)]
     name = f"frame_build_{case.kind}_{case.m}_{case.k1}_{case.k2}"
     if case.kind == "even":
         kind = {"+": "plus", "-": "minus"}[case.eps]
         argv += ["--type", kind]
         name += f"_{kind}"
-    return name, argv + ["--format", "json", "--seed", "0"]
+    if fmt != "json":
+        name += f"_{fmt}"
+    return name, argv + ["--format", fmt, "--seed", "0"]
 
 
 def commands() -> list[tuple[str, list[str]]]:
@@ -48,12 +50,21 @@ def commands() -> list[tuple[str, list[str]]]:
         for d in range(2, 29, 2)
         for kind in ("plus", "minus")
     ]
+    out.append(("qspace_minus_18_csv", ["qspace", "--dim", "18", "--type", "minus", "--format", "csv"]))
+    out.append(("qspace_plus_16_markdown", ["qspace", "--dim", "16", "--type", "plus", "--format", "markdown"]))
+    out.append(_build_command(framed.even_case(5, 2, 1, "+"), "csv"))
     out += [(f"lie_tables_{w}", ["lie", "tables", "--which", w]) for w in ("ta8", "ta16", "lieframed")]
     out.append(("lie_tables_ta8_markdown", ["lie", "tables", "--which", "ta8", "--format", "markdown"]))
     out.append(("lie_tables_lieframed_csv", ["lie", "tables", "--which", "lieframed", "--format", "csv"]))
     out.append(("lie_ledger", ["lie", "ledger"]))
     out.append(("lie_ledger_csv", ["lie", "ledger", "--format", "csv"]))
     out.append(("lie_solve_60_ideal_28_4", ["lie", "solve", "--dim", "60", "--constraint", "ideal:28:4"]))
+    out.append(
+        (
+            "lie_solve_60_ideal_28_4_markdown",
+            ["lie", "solve", "--dim", "60", "--constraint", "ideal:28:4", "--format", "markdown"],
+        )
+    )
     return out
 
 

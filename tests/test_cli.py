@@ -626,6 +626,28 @@ def test_ledger_flag_reaches_lieframed_coverage(capsys, monkeypatch, tmp_path):
     assert "FAIL lie_lieframed_coverage" in out
 
 
+def test_unsound_case_is_no_lieframed_source(capsys, monkeypatch, tmp_path):
+    # the solver does not find this extra solution, so the case has a
+    # problem; row 13 of the lieframed table has this case as its only source
+    text = open(default_ledger_path()).read()
+    end = text.index("end\n", text.index("case even(5,1,0,+)"))
+    p = tmp_path / "also.ledger"
+    p.write_text(text[:end] + "also A6,1 (A1,1)^4\n" + text[end:])
+    code, out = run(capsys, "lie", "tables", "--which", "ta8", "--ledger", str(p))
+    assert code == 1
+    assert [r["no"] for r in json.loads(out)["rows"] if r["status"] == "MISMATCH"] == [13]
+    code, out = run(capsys, "lie", "tables", "--which", "lieframed", "--ledger", str(p))
+    assert code == 1
+    rows = {r["no"]: r for r in json.loads(out)["rows"]}
+    assert rows[13]["status"] == "UNCOVERED" and rows[13]["sources"] == ""
+    assert [no for no, r in rows.items() if r["status"] != "COVERED"] == [13]
+    checks_only(monkeypatch, "lie_lieframed_coverage")
+    code, out = run(capsys, "verify", "--quick", "--ledger", str(p), "--format", "json")
+    assert code == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["status"] == "FAIL"
+
+
 def test_ledger_missing_a_published_case_is_a_mismatch(capsys, monkeypatch, tmp_path):
     text = open(default_ledger_path()).read()
     record = text[text.index("case odd(5,3,1)") :]

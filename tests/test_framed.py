@@ -703,6 +703,53 @@ def test_random_mts_subspaces_against_walk_oracle():
         assert kinds["cond1"] and kinds["cond2"], (m, kinds)
 
 
+def _random_block_isometry(rng, m):
+    """A random isometry of the triple ambient: three reflections
+    x -> x + <x, v> v, each in a nonsingular v of a random block, then a
+    random permutation of the blocks."""
+    amb = TripleAmbient(m)
+    w = 2 * m
+    mask = (1 << w) - 1
+    reflections = []
+    for _ in range(3):
+        v = 0
+        while not amb.block.q(v):
+            v = rng.getrandbits(w)
+        v = amb.embed(v, rng.randrange(3))
+        reflections.append((amb.space.functional(v), v))
+    src = rng.sample(range(3), 3)  # new block i is old block src[i]
+
+    def apply(x):
+        for f, v in reflections:
+            if (f & x).bit_count() & 1:
+                x ^= v
+        return sum(((x >> (w * s)) & mask) << (w * i) for i, s in enumerate(src))
+
+    return apply
+
+
+@pytest.mark.parametrize("m, draws", [*((m, 20) for m in range(3, 9)), (9, 10), (10, 10)])
+def test_class_invariants_under_block_isometries(m, draws):
+    # above m = 2 no census checks that the class is invariant under the
+    # symmetry of the three blocks; builds reach the classes that random
+    # draws miss.  This checks invariance only, not that the maps generate
+    # the group.
+    rng = random.Random(f"block isometries {m}")
+    inputs = [build_case(case) for case in valid_params(m)]
+    inputs += [_random_shadow_subspace(rng, m) for _ in range(draws)]
+    moved = 0
+    for s in inputs:
+        want = (classify_triple(s), profile(s), weight1_dim_triple(s))
+        for _ in range(3):
+            rows = map(_random_block_isometry(rng, m), s.sub.rows)
+            image = MtsSubspace(s.ambient, rref(rows, s.ambient.dim))
+            image.validate()
+            got = (classify_triple(image), profile(image), weight1_dim_triple(image))
+            assert got == want, s.sub.rows
+            moved += image.sub != s.sub
+    assert moved > len(inputs)
+
+
 def test_census_m1_against_independent_scan():
     # second, dumber oracle at m=1: scan all orthogonal singular triples
     space = standard_plus(6)

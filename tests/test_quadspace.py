@@ -146,6 +146,27 @@ def test_census_matches_gray_walk():
     assert seen == {"zero", "odd", "even", "degenerate", "nondegenerate", "full", "proper"}
 
 
+def test_census_matches_gray_walk_above_the_slice():
+    # Above quadspace.SLICE_ROWS the census adds rows to the tabulated
+    # ones; the standard forms never pair the two, random forms do.
+    rng = random.Random(1618)
+    seen = set()
+    for dim in (16, 18):
+        for _ in range(3):
+            space = QuadraticSpace(dim, tuple(rng.getrandbits(dim) & -(1 << i) for i in range(dim)))
+            cases = [full_subspace(dim)]
+            for sdim in range(15, dim):
+                s = rref([rng.getrandbits(dim) for _ in range(sdim)], dim)
+                while s.dim != sdim:
+                    s = rref([*s.rows, rng.getrandbits(dim)], dim)
+                cases.append(s)
+            for s in cases:
+                assert s.dim > quadspace.SLICE_ROWS
+                assert singular_census(space, s) == _gray_census(space, s), (space, s)
+                seen.add("degenerate" if space.radical(s).dim else "nondegenerate")
+    assert seen == {"degenerate", "nondegenerate"}
+
+
 def test_census_matches_closed_forms_small():
     for m in range(1, 7):
         assert singular_census(standard_plus(2 * m)) == lnum_closed(m, True)
