@@ -2,7 +2,9 @@
 
 `tests/test_golden.py` replays every command in COMMANDS in-process through
 `cli.main` and compares its stdout and exit code with the files here, byte
-for byte.  Rewrite the files after an intended output change with
+for byte.  `run` writes every `"seconds"` timing field as 0, so the
+`verify --quick --format json` record compares; full `verify` is not
+pinned, as its m = 2 census alone takes about a second.  Rewrite the files after an intended output change with
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -42,6 +45,9 @@ def commands() -> list[tuple[str, list[str]]]:
     """(file stem, argv) of every golden command."""
     out = [_build_command(case) for m in (5, 6) for case in framed.valid_params(m)]
     out.append(("frame_orbifold_odd_5_4_0", ["frame", "orbifold", "--base", "odd:5,4,0"]))
+    out.append(
+        ("frame_orbifold_odd_5_4_0_all", ["frame", "orbifold", "--base", "odd:5,4,0", "--choices", "200"])
+    )
     out += [(f"frame_pair_{c}", ["frame", "pair", "--case", c]) for c in framed.PAIR_CASE_IDS]
     out.append(("frame_classify", ["frame", "classify", "--input", str(CLASSIFY_INPUT)]))
     out += [(f"frame_census_m{m}", ["frame", "census", "--m", str(m)]) for m in (1, 2)]
@@ -65,15 +71,17 @@ def commands() -> list[tuple[str, list[str]]]:
             ["lie", "solve", "--dim", "60", "--constraint", "ideal:28:4", "--format", "markdown"],
         )
     )
+    out.append(("verify_quick_json", ["verify", "--quick", "--format", "json"]))
     return out
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    """cli.main's exit code and stdout for argv."""
+    """cli.main's exit code and stdout for argv, each `"seconds": <float>`
+    timing field written as 0."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = cli.main(argv)
-    return code, buf.getvalue()
+    return code, re.sub(r'"seconds": [0-9.e+-]+', '"seconds": 0', buf.getvalue())
 
 
 def main() -> int:
