@@ -87,7 +87,8 @@ def cmd_qspace(args) -> int:
         "arf_type": quadspace.type_of(space),
     }
     _emit(payload, None, args)
-    return EXIT_OK if payload["closed_form_match"] else EXIT_FALSIFIED
+    agree = payload["closed_form_match"] and payload["arf_type"] == args.type
+    return EXIT_OK if agree else EXIT_FALSIFIED
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ from .gf2 import (
     ResourceLimitError,
     Subspace,
     UsageError,
-    enumerate_rows,
     format_bits,
     kernel,
     parse_bits,
     rref,
+    span,
 )
 
 WEIGHT_SCAN_GUARD = 20
@@ -37,9 +37,6 @@ class BinaryCode:
     def dim(self) -> int:
         return self.generators.dim
 
-    def codewords(self):
-        return enumerate_rows(self.generators)
-
     def contains(self, word: int) -> bool:
         return self.generators.contains(word)
 
@@ -57,7 +54,7 @@ def weight_enumerator(code: BinaryCode) -> tuple[int, ...]:
     if code.dim > WEIGHT_SCAN_GUARD:
         raise ResourceLimitError(f"weight scan of 2^{code.dim} codewords refused")
     counts = [0] * (code.length + 1)
-    for w in code.codewords():
+    for w in span(code.generators.rows):
         counts[w.bit_count()] += 1
     return tuple(counts)
 

@@ -25,14 +25,13 @@ from .gf2 import (
     ResourceLimitError,
     Subspace,
     UsageError,
-    apply_map,
     complement_in,
-    enumerate_rows,
     format_bits,
     intersect,
     kernel,
     parse_bits,
     rref,
+    span,
     subspace_sum,
     vanishing_on,
     walsh_hadamard,
@@ -419,7 +418,7 @@ def z2_orbifold(s: MtsSubspace, w: int) -> MtsSubspace:
     return out
 
 
-def section47_orbifold_choices(s: MtsSubspace, limit: int = 5) -> list[tuple[int, int, int]]:
+def section47_orbifold_choices(s: MtsSubspace, limit: int) -> list[tuple[int, int, int]]:
     """(s0, t0, W) triples for the orbifold move on the odd(5,4,0) case.
 
     t0 ranges over singular vectors of the T block not perpendicular to the
@@ -431,13 +430,17 @@ def section47_orbifold_choices(s: MtsSubspace, limit: int = 5) -> list[tuple[int
     amb = s.ambient
     space = amb.block
     t_block, s1, z = comps["T"], comps["S1"], comps["z"]
+    # both spans are walked in Gray order: step i sums the rows i ^ i >> 1 selects
+    ts, ss = span(t_block.rows), span(s1.rows)
+    s1_walk = [ss[i ^ i >> 1] for i in range(len(ss))]
     out = []
-    for t0 in enumerate_rows(t_block):
+    for i in range(len(ts)):
         if len(out) >= limit:
             break
+        t0 = ts[i ^ i >> 1]
         if t0 == 0 or space.q(t0):
             continue
-        s0 = next((sv for sv in enumerate_rows(s1) if space.bilinear(sv, t0)), None)
+        s0 = next((sv for sv in s1_walk if space.bilinear(sv, t0)), None)
         if s0 is None:
             continue
         w = amb.embed(t0, 0) | amb.embed(z, 2)
@@ -506,7 +509,7 @@ def _all_subspace_rrefs(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ..
     each pivot set, the free entries of the first row vary fastest."""
     for k in range(n + 1):
         for pivots in itertools.combinations(range(n), k):
-            free = [_span([1 << c for c in range(p + 1, n) if c not in pivots]) for p in pivots]
+            free = [span([1 << c for c in range(p + 1, n) if c not in pivots]) for p in pivots]
             for parts in itertools.product(*free[::-1]):
                 yield tuple(1 << p | x for p, x in zip(pivots, parts[::-1])), pivots
 
@@ -529,7 +532,7 @@ def _mts_sums(m: int, lanes: list[int]) -> Iterator[int]:
     right by k: all linear in the packed ints, so only the sums are read.
     """
     n = 3 * m
-    evens = _span([interleave_word(1 << i, n) for i in range(n)])
+    evens = span([interleave_word(1 << i, n) for i in range(n)])
     rhat = [walsh_hadamard([lanes[ev | ox << 1] for ox in evens], n) for ev in evens]
     wedges: dict[int, list[int]] = {}
     for brows, _ in _all_subspace_rrefs(n):
@@ -538,12 +541,12 @@ def _mts_sums(m: int, lanes: list[int]) -> Iterator[int]:
             unit = [[0] * k for _ in range(k)]
             for t, (i, j) in enumerate(itertools.combinations(range(k), 2)):
                 unit[i][j] = unit[j][i] = 1 << t
-            cols = list(map(_span, unit))
-            wedges[k] = [w for beta in range(1 << k) for w in _span([col[beta] for col in cols])]
+            cols = list(map(span, unit))
+            wedges[k] = [w for beta in range(1 << k) for w in span([col[beta] for col in cols])]
         p = k * (k - 1) // 2
-        span = _span(brows)
+        shadow = span(brows)
         v = [0] * (1 << p)
-        cells = itertools.chain.from_iterable(map(rhat[e].__getitem__, span) for e in span)
+        cells = itertools.chain.from_iterable(map(rhat[e].__getitem__, shadow) for e in shadow)
         for c, x in zip(wedges[k], cells):
             v[c] += x
         h = len(v) // 2  # top code bit first, while v is sparse: half the peak memory
@@ -574,15 +577,6 @@ def mts_count_formula(m: int) -> int:
     return out
 
 
-def _span(rows) -> list[int]:
-    """Entry i is the sum of the rows that the bits of i select, by
-    doubling; for independent rows, every vector of their span once."""
-    span = [0]
-    for r in rows:
-        span += [x ^ r for x in span]
-    return span
-
-
 def _wreath_generators(m: int) -> list[list[int]]:
     """Maps on the triple ambient: the block group on coordinate one plus
     the two coordinate permutations, each as its table of images of all
@@ -592,7 +586,7 @@ def _wreath_generators(m: int) -> list[list[int]]:
     vectors = range(1 << (3 * w))
     gens = []
     for g in orthogonal_generators(standard_plus(w)):
-        block = [apply_map(g, x) for x in range(1 << w)]
+        block = span(g)
         gens.append([(v & ~mask) | block[v & mask] for v in vectors])
     # new block i is old block src[i]: swap blocks one and two, then cycle
     for src in ((1, 0, 2), (2, 0, 1)):
@@ -706,7 +700,7 @@ def _census_pass(m: int) -> tuple[list[int], Callable[[Sequence[int]], int], lis
                         queue.append(y)
 
     def locate(rows) -> int:
-        i = index.get(sum(map(lanes.__getitem__, _span(rows))) & _LANE)
+        i = index.get(sum(map(lanes.__getitem__, span(rows))) & _LANE)
         if i is None:
             raise FalsificationError("a subspace's key is not in the census")
         return i
@@ -902,17 +896,17 @@ def weight1_dim_pair(s: MtsSubspace) -> dict:
     # one byte per vector of s: the row of its X label in the low nibble and
     # the doubled lowest weight of its V label (0, 1 or 2) in the high one;
     # the X and V parts are spanned by doubling, in the same order
-    rows = bytes(map(table.__getitem__, _span([r & _X_MASK for r in s.sub.rows])))
-    small = bytes(map(amb.rv.lowest2.__getitem__, _span([r >> 18 for r in s.sub.rows])))
+    rows = bytes(map(table.__getitem__, span([r & _X_MASK for r in s.sub.rows])))
+    small = bytes(map(amb.rv.lowest2.__getitem__, span([r >> 18 for r in s.sub.rows])))
     keys = int.from_bytes(rows, "little") | int.from_bytes(small, "little") << 4
     keys = keys.to_bytes(len(rows), "little")
     direct = 0
     for row, (lw2, dim) in enumerate(TABLE_ROW_LOWEST2):
         if row and lw2 <= 2:
             direct += keys.count(row | (2 - lw2) << 4) * dim * RV_DIM[2 - lw2]
-    kernel_rows = Counter(map(table.__getitem__, _span(inv["rho1_of_kernel2"].rows)[1:]))
+    kernel_rows = Counter(map(table.__getitem__, span(inv["rho1_of_kernel2"].rows)[1:]))
     rows_hist = {r: kernel_rows[r] for r in range(1, 9)}
-    n_row3_full = bytes(map(table.__getitem__, _span(inv["rho1"].rows))).count(3)
+    n_row3_full = bytes(map(table.__getitem__, span(inv["rho1"].rows))).count(3)
     size_ker1 = 1 << inv["rho2_of_kernel1"].dim
     terms = (
         16 * rows_hist[2],

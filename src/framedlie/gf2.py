@@ -1,5 +1,6 @@
 """Bit-packed GF(2) vectors, subspaces, row reduction, row combination by a
-mask, solving in a basis and the Walsh-Hadamard transform.
+mask, the span of rows, linear maps given on a basis and the
+Walsh-Hadamard transform.
 
 Vectors live in ``F_2^width`` with coordinate ``i`` stored in bit ``i`` of a
 Python int (LSB = first coordinate).  Widths are capped at one machine word;
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 MAX_WIDTH = 64
 ENUM_GUARD = 28
@@ -70,31 +71,48 @@ def walsh_hadamard(values: list[int], bits: int) -> list[int]:
     return values
 
 
-class EchelonSolver:
-    """Expresses vectors in a fixed (not necessarily rref) basis."""
+def span(rows: Sequence[int]) -> list[int]:
+    """Entry i is the XOR of the rows that the bits of i select, by
+    doubling; for independent rows, every vector of their span once."""
+    if len(rows) > ENUM_GUARD:
+        raise ResourceLimitError(f"refusing to enumerate 2^{len(rows)} vectors")
+    out = [0]
+    for r in rows:
+        out += [x ^ r for x in out]
+    return out
 
-    def __init__(self, basis: Sequence[int]):
-        self.rows: list[tuple[int, int]] = []  # (vector, coefficient mask)
-        for i, v in enumerate(basis):
-            m = 1 << i
-            for r, rm in self.rows:
-                if v & (r & -r):
-                    v ^= r
-                    m ^= rm
-            if not v:
+
+class LinearMap:
+    """A linear map on the span of a (not necessarily rref) basis, given by
+    the images of that basis.
+
+    The basis is eliminated once, each step applied to the images too, so
+    every kept row is a sum of basis vectors held with the sum of their
+    images.
+    """
+
+    def __init__(self, basis: Sequence[int], images: Sequence[int]):
+        if len(images) != len(basis):
+            raise UsageError("need one image per basis vector")
+        self.rows: list[tuple[int, int, int]] = []  # (pivot bit, row, image)
+        for x, y in zip(basis, images):
+            for low, r, ry in self.rows:
+                if x & low:
+                    x ^= r
+                    y ^= ry
+            if not x:
                 raise UsageError("basis rows are dependent")
-            self.rows.append((v, m))
+            self.rows.append((x & -x, x, y))
 
-    def coefficients(self, v: int) -> int:
-        """The mask m with apply_map(basis, m) == v."""
-        m = 0
-        for r, rm in self.rows:
-            if v & (r & -r):
+    def apply(self, v: int) -> int:
+        out = 0
+        for low, r, ry in self.rows:
+            if v & low:
                 v ^= r
-                m ^= rm
+                out ^= ry
         if v:
             raise UsageError("vector not in span")
-        return m
+        return out
 
 
 def rref_ints(rows: Iterable[int]) -> list[int]:
@@ -232,17 +250,6 @@ def complement_in(a: Subspace, b: Subspace, rng: random.Random | None = None) ->
     if len(picked) != b.dim - a.dim:
         raise FalsificationError("complement extraction lost rank")
     return Subspace(a.ambient_width, tuple(rref_ints(picked)))
-
-
-def enumerate_rows(s: Subspace) -> Iterator[int]:
-    """All 2^dim member vectors as ints, in Gray-code order starting at 0."""
-    if s.dim > ENUM_GUARD:
-        raise ResourceLimitError(f"refusing to enumerate 2^{s.dim} vectors")
-    v = 0
-    yield v
-    for i in range(1, 1 << s.dim):
-        v ^= s.rows[(i & -i).bit_length() - 1]
-        yield v
 
 
 def kernel(functionals: Sequence[int], width: int) -> Subspace:

@@ -505,9 +505,9 @@ def _computed_dim(case: object) -> int:
     return framed.weight1_dim_triple(framed.build_case(case, seed=0))
 
 
-def run_case(rec: CaseRecord, computed_dim: int | None = None) -> CaseReport:
+def run_case(rec: CaseRecord) -> CaseReport:
     problems: list[str] = []
-    dim = computed_dim if computed_dim is not None else _computed_dim(rec.case)
+    dim = _computed_dim(rec.case)
     if dim != rec.dim:
         problems.append(f"computed dimension {dim} != published {rec.dim}")
     sols = decompose(rec.dim, rec.constraints)

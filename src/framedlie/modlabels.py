@@ -28,7 +28,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gf2 import EchelonSolver, FalsificationError, UsageError
+from .gf2 import FalsificationError, LinearMap, UsageError
 from .quadspace import QuadraticSpace, standard_plus
 
 N_COORDS = 16
@@ -407,7 +407,7 @@ class RXCoordinates:
         )
         self.q_values = tuple(_qx(b) for b in self.basis)
         try:
-            self._solver = EchelonSolver(self.gram_rows)
+            self._solve = LinearMap(self.gram_rows, [1 << i for i in range(n)]).apply
         except UsageError:
             raise FalsificationError("Gram matrix of the label basis is singular") from None
         u_rows = []
@@ -426,7 +426,7 @@ class RXCoordinates:
         p = 0
         for i, b in enumerate(self.basis):
             p |= _pairing(x, b) << i
-        return self._solver.coefficients(p)
+        return self._solve(p)
 
     def packed_label(self, coords: int) -> int:
         """The packed label with these coordinates: a sum of basis labels."""

@@ -8,8 +8,10 @@ pair, and the radical.  The Gauss sum, the plus/minus type, symplectic
 bases, non-singular blocks of a given type, isometries between blocks and
 maximal totally singular extensions are all read off that split; a seed
 acts only through one random recombination of the basis
-(``gf2.recombine``).  Exact singular-vector censuses serve as the
-independent cross-check of the type at small dimensions.  A census
+(``gf2.recombine``).  Exact singular-vector censuses check the type
+independently: ``qspace`` compares its census with the closed form of
+the type that ``type_of`` names, and test_census_matches_gray_walk in
+tests/test_quadspace.py does so for random forms.  A census
 counts every vector, bit-sliced: one big-int operation covers the 2^14
 vectors of the span of 14 basis rows, one more row is paired in by a
 popcount identity, and the rest of the basis is walked in Gray order;
@@ -26,8 +28,8 @@ from typing import Sequence
 
 from .gf2 import (
     ENUM_GUARD,
-    EchelonSolver,
     FalsificationError,
+    LinearMap,
     ResourceLimitError,
     Subspace,
     UsageError,
@@ -288,20 +290,14 @@ def gauss_sum(space: QuadraticSpace, s: Subspace) -> int:
 
 def type_of(space: QuadraticSpace, s: Subspace | None = None) -> str:
     """Type of the form restricted to s: "plus", "minus", or "degenerate(r)"
-    with r the radical's dimension.
-
-    The Arf invariant of the split decides plus/minus; up to dimension 12
-    the census closed forms are recomputed as a cross-check.
-    """
+    with r the radical's dimension, read off the split: minus exactly when
+    an anisotropic pair is left, that is, when the Arf invariant is 1."""
     if s is None:
         s = space.full()
     _, aniso, radical = _split(space, s.rows)
     if radical:
         return f"degenerate({len(radical)})"
-    plus = aniso is None
-    if s.dim <= 12 and singular_census(space, s) != lnum_closed(s.dim // 2, plus):
-        raise FalsificationError("Arf invariant disagrees with the singular census")
-    return "plus" if plus else "minus"
+    return "plus" if aniso is None else "minus"
 
 
 def max_ts_extend(
@@ -322,19 +318,6 @@ def max_ts_extend(
     c = complement_in(partial, perp, random.Random(seed))
     pairs, _, _ = _split(space, c.rows)
     return rref([*partial.rows, *(a for a, _ in pairs)], space.dim)
-
-
-class LinearMap:
-    """A linear map on the span of a basis, given by the images of that basis."""
-
-    def __init__(self, basis: Sequence[int], images: Sequence[int]):
-        if len(images) != len(basis):
-            raise UsageError("need one image per basis vector")
-        self.solver = EchelonSolver(basis)
-        self.images = tuple(images)
-
-    def apply(self, v: int) -> int:
-        return apply_map(self.images, self.solver.coefficients(v))
 
 
 def isometry(

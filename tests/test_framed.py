@@ -37,11 +37,11 @@ from framedlie.codes import interleave_word
 from framedlie.gf2 import (
     FalsificationError,
     UsageError,
-    enumerate_rows,
     intersect,
     kernel,
     rref,
     rref_ints,
+    span,
     subspace_sum,
 )
 from framedlie.quadspace import gauss_sum, max_ts_extend, standard_plus
@@ -81,7 +81,7 @@ def test_builders_are_maximal_totally_singular():
         s = build_case(case, seed=1)
         s.validate()
         space = s.space()
-        for v in enumerate_rows(s.sub):
+        for v in span(s.sub.rows):
             assert space.q(v) == 0
 
 
@@ -200,7 +200,7 @@ def _mts_spans(m):
     spread_odd = [x << 1 for x in spread_even]
     for brows, pivots in framed._all_subspace_rrefs(n):
         ann = kernel(list(brows), n)
-        span = framed._span([spread_even[b] for b in brows] + [spread_odd[a] for a in ann.rows])
+        vecs = span([spread_even[b] for b in brows] + [spread_odd[a] for a in ann.rows])
         flips = [
             [
                 spread_odd[((x >> i) & 1) << pivots[j] | ((x >> j) & 1) << pivots[i]]
@@ -210,10 +210,10 @@ def _mts_spans(m):
         ]
         # code - 1 -> code flips the code bits up to the lowest set bit of code
         steps = list(itertools.accumulate(flips, lambda a, b: list(map(operator.xor, a, b))))
-        yield span
+        yield vecs
         for code in range(1, 1 << len(flips)):
-            span = list(map(operator.xor, span, steps[(code & -code).bit_length() - 1]))
-            yield span
+            vecs = list(map(operator.xor, vecs, steps[(code & -code).bit_length() - 1]))
+            yield vecs
 
 
 def _walk_mismatches(m, stride):
@@ -655,7 +655,7 @@ def test_census_sums_against_rebuilt_spans():
     rebuilt = _rebuilt_rows(2, picks)
     assert len(rebuilt) == len(picks) > 700
     for i, rows in rebuilt.items():
-        assert sums[i] == sum(map(lanes.__getitem__, framed._span(rows))), i
+        assert sums[i] == sum(map(lanes.__getitem__, span(rows))), i
 
 
 @pytest.mark.parametrize("m, stride", [(1, 1), (2, 53)])
@@ -800,8 +800,8 @@ def test_pair_weight1_coset_pairing_property():
     s = build_pair_case("pcl5_3", seed=1)
     from framedlie.modlabels import RXLabel, qx
 
-    xs = framed._span([r & framed._X_MASK for r in s.sub.rows])
-    vs = framed._span([r >> 18 for r in s.sub.rows])
+    xs = span([r & framed._X_MASK for r in s.sub.rows])
+    vs = span([r >> 18 for r in s.sub.rows])
     assert len(xs) == len(vs) == 1 << 14
     for x, v in zip(xs, vs):
         assert qx(RXLabel.from_packed(amb.coords.packed_label(x))) == amb.rv.space.q(v)

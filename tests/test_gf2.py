@@ -3,13 +3,12 @@ import random
 import pytest
 
 from framedlie.gf2 import (
-    EchelonSolver,
+    LinearMap,
     ResourceLimitError,
     Subspace,
     UsageError,
     apply_map,
     complement_in,
-    enumerate_rows,
     format_bits,
     intersect,
     kernel,
@@ -17,6 +16,7 @@ from framedlie.gf2 import (
     recombine,
     rref,
     rref_ints,
+    span,
     subspace_sum,
     vanishing_on,
     walsh_hadamard,
@@ -50,7 +50,7 @@ def test_parse_and_format_bits():
 def test_rref_empty_span():
     s = rref([], width=4)
     assert s.dim == 0
-    assert list(enumerate_rows(s)) == [0]
+    assert span(s.rows) == [0]
 
 
 def test_rref_span_matches_bruteforce():
@@ -59,7 +59,7 @@ def test_rref_span_matches_bruteforce():
     assert s.dim == 2
     assert s.contains(0b0011)
     expect = brute_span(rows, 4)
-    assert set(enumerate_rows(s)) == expect
+    assert set(span(s.rows)) == expect
 
 
 def test_rref_duplicate_rows():
@@ -108,7 +108,7 @@ def test_intersect_and_sum_examples():
     assert intersect(a, b).dim == 0
     s = subspace_sum(rref([0b011], 3), rref([0b110], 3))
     assert s.dim == 2
-    assert set(enumerate_rows(s)) == brute_span([0b011, 0b110], 3)
+    assert set(span(s.rows)) == brute_span([0b011, 0b110], 3)
 
 
 def test_dimension_formula_random():
@@ -192,23 +192,24 @@ def test_vanishing_on_against_intersect():
 
 def test_enumerate_properties():
     s = rref([0b100, 0b010, 0b001], 3)
-    got = list(enumerate_rows(s))
+    got = span(s.rows)
     assert len(got) == 8
     assert len(set(got)) == 8
     assert all(s.contains(v) for v in got)
 
     s14 = rref([1 << i for i in range(14)], 20)
-    count = sum(1 for _ in enumerate_rows(s14))
-    assert count == 16384
+    assert len(set(span(s14.rows))) == 16384
 
-    big = Subspace(30, tuple(1 << i for i in range(30)))
     with pytest.raises(ResourceLimitError):
-        list(enumerate_rows(big))
+        span([1 << i for i in range(29)])
 
 
 def test_enumerate_deterministic():
-    s = rref([0b110, 0b011], 3)
-    assert list(enumerate_rows(s)) == list(enumerate_rows(s))
+    # the doubling order, for dependent rows as well: entry i sums the rows bit i selects
+    rng = random.Random(5)
+    for _ in range(20):
+        rows = [rng.getrandbits(6) for _ in range(rng.randrange(7))]
+        assert span(rows) == [apply_map(rows, i) for i in range(1 << len(rows))]
 
 
 def test_kernel():
@@ -217,7 +218,7 @@ def test_kernel():
         width = rng.randrange(2, 16)
         funcs = [rng.getrandbits(width) for _ in range(rng.randrange(1, 5))]
         ker = kernel(funcs, width)
-        for v in enumerate_rows(ker):
+        for v in span(ker.rows):
             assert all((f & v).bit_count() % 2 == 0 for f in funcs)
         assert ker.dim == width - rref(funcs, width).dim
 
@@ -232,15 +233,20 @@ def test_coefficients_roundtrip():
             v = rng.getrandbits(width)
             if rref(basis + [v], width).dim > len(basis):
                 basis.append(v)
-        solver = EchelonSolver(basis)
+        coefficients = LinearMap(basis, [1 << i for i in range(len(basis))])
+        images = [rng.getrandbits(30) for _ in basis]
+        phi = LinearMap(basis, images)
         for _ in range(20):
             m = rng.getrandbits(len(basis))
-            assert solver.coefficients(apply_map(basis, m)) == m
+            assert coefficients.apply(apply_map(basis, m)) == m
+            assert phi.apply(apply_map(basis, m)) == apply_map(images, m)
     with pytest.raises(UsageError, match="dependent"):
-        EchelonSolver([0b011, 0b110, 0b101])
-    solver = EchelonSolver([0b011, 0b110])
+        LinearMap([0b011, 0b110, 0b101], [0, 0, 0])
+    with pytest.raises(UsageError, match="one image per basis vector"):
+        LinearMap([0b011, 0b110], [0])
     with pytest.raises(UsageError, match="not in span"):
-        solver.coefficients(0b001)
+        LinearMap([0b011, 0b110], [1, 2]).apply(0b001)
+    assert LinearMap((), ()).apply(0) == 0
     assert zero_subspace(12).reduce(0) == 0
 
 

@@ -296,13 +296,13 @@ def test_corrupted_ledger_detected():
     target = next(r for r in records if r.case_id == "even(5,4,1,+)")
     target.answer = parse_decomposition("(B8,1)^2 A14,1")  # dim 496: wrong on purpose
     target.dim = 496
-    rep = run_case(target, computed_dim=384)
+    rep = run_case(target)  # computes 384
     assert not rep.ok
     assert any("computed dimension" in p for p in rep.problems)
 
     target2 = next(r for r in records if r.case_id == "pcl5_3")
     target2.answer = parse_decomposition("B5,2 B5,2 A2,2")  # not a valid solution
-    rep2 = run_case(target2, computed_dim=132)
+    rep2 = run_case(target2)  # computes 132
     assert not rep2.ok
     assert any("not a solver output" in p for p in rep2.problems)
 

@@ -8,10 +8,10 @@ from framedlie.gf2 import (
     FalsificationError,
     UsageError,
     apply_map,
-    enumerate_rows,
     full_subspace,
     rref,
     rref_ints,
+    span,
     zero_subspace,
 )
 from framedlie.modlabels import coordinatize, rv_model
@@ -68,7 +68,7 @@ def test_gauss_sum_matches_enumeration():
         for space in (standard_plus(dim), standard_minus(dim)):
             for _ in range(60):
                 s = rref([rng.getrandbits(dim) for _ in range(rng.randrange(dim + 1))], dim)
-                direct = sum(1 - 2 * space.q(v) for v in enumerate_rows(s))
+                direct = sum(1 - 2 * space.q(v) for v in span(s.rows))
                 assert gauss_sum(space, s) == direct, (dim, s.rows)
                 rad = space.radical(s)
                 assert len(_split(space, s.rows)[2]) == rad.dim, (dim, s.rows)
@@ -138,7 +138,11 @@ def test_census_matches_gray_walk():
                 cases.append((space, rref(rows, dim)))
     seen = set()
     for space, s in cases:
-        assert singular_census(space, s) == _gray_census(space, s), (space, s)
+        got = _gray_census(space, s)
+        assert singular_census(space, s) == got, (space, s)
+        sub = space.full() if s is None else s
+        if sub.dim and not space.radical(sub).dim:
+            assert lnum_closed(sub.dim // 2, type_of(space, s) == "plus") == got, (space, s)
         if s is not None:
             seen.add("odd" if s.dim % 2 else "even" if s.dim else "zero")
             seen.add("degenerate" if space.radical(s).dim else "nondegenerate")
@@ -244,9 +248,7 @@ def test_isometry_identity_admissible():
     space = standard_plus(4)
     t = rref([0b0001, 0b0010], 4)
     phi = isometry(space, t, t, random.Random(0))
-    from framedlie.gf2 import enumerate_rows
-
-    for v in enumerate_rows(t):
+    for v in span(t.rows):
         assert t.contains(phi.apply(v))
         assert space.q(phi.apply(v)) == space.q(v)
 
@@ -256,17 +258,15 @@ def test_isometry_disjoint_planes():
     t = rref([0b0001, 0b0010], 4)
     u = rref([0b0100, 0b1000], 4)
     phi = isometry(space, t, u, random.Random(1))
-    from framedlie.gf2 import enumerate_rows
-
     seen = set()
-    for v in enumerate_rows(t):
+    for v in span(t.rows):
         w = phi.apply(v)
         assert u.contains(w)
         assert space.q(w) == space.q(v)
         seen.add(w)
     assert len(seen) == 4
-    for a in enumerate_rows(t):
-        for b in enumerate_rows(t):
+    for a in span(t.rows):
+        for b in span(t.rows):
             assert space.bilinear(phi.apply(a), phi.apply(b)) == space.bilinear(a, b)
 
 
@@ -296,7 +296,7 @@ def test_isometry_rejects_a_broken_pairing(monkeypatch):
         return pairs
 
     phi = isometry(space, t, u, random.Random(2))
-    assert all(space.q(phi.apply(v)) == space.q(v) for v in enumerate_rows(t))
+    assert all(space.q(phi.apply(v)) == space.q(v) for v in span(t.rows))
     monkeypatch.setattr(quadspace, "symplectic_basis", broken)
     with pytest.raises(FalsificationError, match="pairing"):
         isometry(space, t, u, random.Random(2))
@@ -358,6 +358,13 @@ def test_orthogonal_generators_distinct():
         gens = orthogonal_generators(space)
         assert len(set(gens)) == len(gens), gens
     assert orthogonal_generators(standard_plus(2)) == ((2, 1),)
+
+
+def test_orthogonal_generator_tables_are_spans():
+    # the census tabulates each generator's block map as the span of its images
+    for space in (standard_plus(2), standard_plus(4)):
+        for g in orthogonal_generators(space):
+            assert span(g) == [apply_map(g, x) for x in range(1 << space.dim)], g
     for space in (standard_minus(2), standard_minus(4), standard_plus(6)):
         with pytest.raises(UsageError):
             orthogonal_generators(space)
