@@ -205,7 +205,7 @@ def test_enumerate_properties():
 
 
 def test_enumerate_deterministic():
-    # the doubling order, for dependent rows as well: entry i sums the rows bit i selects
+    # the doubling order, for dependent rows as well: entry i sums the rows the bits of i select
     rng = random.Random(5)
     for _ in range(20):
         rows = [rng.getrandbits(6) for _ in range(rng.randrange(7))]
