@@ -124,13 +124,19 @@ class MtsSubspace:
         return self.ambient.space
 
     def validate(self) -> None:
+        """Exact with no kernel: both ambients are non-degenerate and the rows independent, so
+        S = S-perp iff dim S = dim V / 2 and <r_i, r_j> = 0 for i < j; q is then additive on S."""
         space = self.space()
-        if 2 * self.sub.dim != space.dim:
+        rows = self.sub.rows
+        if 2 * len(rows) != space.dim:
             raise FalsificationError("subspace is not half-dimensional")
-        if any(map(space.q, self.sub.rows)):
+        if any(map(space.q, rows)):
             raise FalsificationError("basis vector is not singular")
-        if space.perp(self.sub).rows != self.sub.rows:  # so the rows pair to 0
-            raise FalsificationError("subspace is not self-perpendicular")
+        for i, r in enumerate(rows):
+            f = space.functional(r)
+            for x in rows[i + 1 :]:
+                if (f & x).bit_count() & 1:
+                    raise FalsificationError("subspace is not self-perpendicular")
 
     @functools.cached_property
     def triple_invariants(self) -> tuple[tuple[int, ...], int, bool]:

@@ -3,9 +3,9 @@ mask, the span of rows, linear maps given on a basis and the
 Walsh-Hadamard transform.
 
 Vectors live in ``F_2^width`` with coordinate ``i`` stored in bit ``i`` of a
-Python int (LSB = first coordinate).  Widths are capped at one machine word;
-nothing in this package needs more than 28 coordinates.  0/1 text enters
-and leaves through ``parse_bits`` and ``format_bits`` only.
+Python int (LSB = first coordinate), at most ``MAX_WIDTH`` = 64 of them (the
+triple ambient reaches 6m = 60); ``ENUM_GUARD`` = 28 caps the rows of an
+enumerated span.  0/1 text enters and leaves through ``parse_bits`` and ``format_bits`` only.
 """
 
 from __future__ import annotations
@@ -255,15 +255,12 @@ def complement_in(a: Subspace, b: Subspace, rng: random.Random | None = None) ->
 def kernel(functionals: Sequence[int], width: int) -> Subspace:
     """Common kernel of parity functionals x -> popcount(f & x) mod 2."""
     _check_width(width)
-    rows = rref_ints(functionals)
-    pivots = {(r & -r).bit_length() - 1 for r in rows}
-    out = []
-    for free in range(width):
-        if free in pivots:
-            continue
-        v = 1 << free
-        for r in rows:
-            if (r >> free) & 1:
-                v |= 1 << ((r & -r).bit_length() - 1)
-        out.append(v)
+    rows = [(r & -r, r) for r in rref_ints(functionals)]  # (pivot bit, row)
+    pivots = sum(low for low, _ in rows)
+    # one kernel vector per free coordinate: it plus the pivots of the rows holding it
+    out = [
+        1 << free | sum(low for low, r in rows if r >> free & 1)
+        for free in range(width)
+        if not pivots >> free & 1
+    ]
     return Subspace(width, tuple(rref_ints(out)))

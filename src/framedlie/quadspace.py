@@ -72,10 +72,15 @@ class QuadraticSpace:
             out.append(r)
         return tuple(out)
 
+    @functools.cached_property
+    def support(self) -> int:
+        """The coordinates with a nonzero coefficient row, the only ones q reads."""
+        return sum(1 << i for i, r in enumerate(self.u_rows) if r)
+
     def q(self, x: int) -> int:
         if x >> self.dim:
             raise UsageError("vector width exceeds space dimension")
-        return (apply_map(self.u_rows, x) & x).bit_count() & 1
+        return (apply_map(self.u_rows, x & self.support) & x).bit_count() & 1
 
     def bilinear(self, x: int, y: int) -> int:
         if (x >> self.dim) or (y >> self.dim):

@@ -44,7 +44,7 @@ from framedlie.gf2 import (
     span,
     subspace_sum,
 )
-from framedlie.quadspace import gauss_sum, max_ts_extend, standard_plus
+from framedlie.quadspace import gauss_sum, max_ts_extend, standard_plus, type_of
 from framedlie.tables import TA8_ROWS
 
 WEIGHT1_PUBLISHED = {row[0]: row[1] for row in TA8_ROWS}
@@ -127,7 +127,7 @@ def test_builders_seed_sweep():
     sweep += [(c, 0) for c in valid_params(10)]
     for case, seed in sweep:
         sub = build_case(case, seed=seed)
-        sub.validate()  # perp-idempotence and maximality
+        sub.validate()  # half-dimensional, singular rows pairing to 0: S = S-perp
         assert classify_triple(sub) == case, (case, seed)
         assert profile(sub) == lnumber_closed(case), (case, seed)
         if str(case) in WEIGHT1_PUBLISHED:
@@ -339,6 +339,27 @@ def test_z2_orbifold_basics():
     nonsingular = next(v for v in range(1, 1 << 30) if space.q(v))
     with pytest.raises(UsageError):
         z2_orbifold(s, nonsingular)
+
+
+def test_section47_orbifold_choices_properties():
+    # what the golden order of all 120 choices stands for
+    s = build_odd(5, 4, 0, seed=0)
+    amb, block = s.ambient, s.ambient.block
+    t_block, z = s.components["T"], s.components["z"]
+    ts, ss = span(t_block.rows), span(s.components["S1"].rows)
+    t_walk = [ts[i ^ i >> 1] for i in range(len(ts))]
+    s1_walk = [ss[i ^ i >> 1] for i in range(len(ss))]
+    choices = section47_orbifold_choices(s, 200)
+    assert len(choices) == 120
+    steps = [t_walk.index(t0) for _, t0, _ in choices]
+    assert steps == sorted(set(steps))  # T's Gray order, no t0 twice
+    for s0, t0, w in choices:
+        assert t0 and block.q(t0) == 0 and t_block.contains(t0)
+        assert s0 == next(v for v in s1_walk if block.bilinear(v, t0))
+        assert w == amb.embed(t0, 0) | amb.embed(z, 2)
+        out = z2_orbifold(s, w)
+        out.validate()
+        assert classify_triple(out) == even_case(5, 3, 0, "+")
 
 
 def test_z2_orbifold_random_property():
@@ -701,6 +722,57 @@ def test_random_mts_subspaces_against_walk_oracle():
                 assert lnumber_closed(case) == (sum(ones), n2), s.sub.rows
             kinds[case.kind] += 1
         assert kinds["cond1"] and kinds["cond2"], (m, kinds)
+
+
+def _perp_verdict(s):
+    """validate's message from the kernel: S-perp computed and compared with S."""
+    space = s.space()
+    if 2 * s.dim != space.dim:
+        return "subspace is not half-dimensional"
+    if any(map(space.q, s.sub.rows)):
+        return "basis vector is not singular"
+    if space.perp(s.sub).rows != s.sub.rows:
+        return "subspace is not self-perpendicular"
+    return None
+
+
+def _near_miss(rng, s):
+    """A half-dimensional subspace off a valid s, its rref rows often all
+    singular: a hyperplane H of s n y-perp, a row x of s with <x, y> = 1,
+    and a singular y outside s.  In the basis (H, x, y) only <x, y> is odd."""
+    space = s.space()
+    y = 0
+    while space.q(y) or s.sub.contains(y):
+        y = rng.getrandbits(space.dim)
+    fy = space.functional(y)
+    fixed = list(intersect(s.sub, kernel([fy], space.dim)).rows)
+    fixed.pop(rng.randrange(len(fixed)))
+    x = next(r for r in s.sub.rows if (fy & r).bit_count() & 1)
+    return MtsSubspace(s.ambient, rref([*fixed, x, y], space.dim))
+
+
+def test_validate_matches_the_perp_oracle():
+    # the pairing check is exact only on non-degenerate ambients
+    assert all(type_of(TripleAmbient(m).space) == "plus" for m in range(1, 11))
+    assert type_of(pair_ambient().space) == "plus"
+    rng = random.Random("validate oracle")
+    subs = [build_case(case) for m in range(5, 11) for case in valid_params(m)]
+    subs += [_random_shadow_subspace(rng, m) for m in range(1, 5) for _ in range(40)]
+    subs += [build_pair_case(case_id) for case_id in framed.PAIR_CASE_IDS]
+    valid = len(subs)
+    subs += [_near_miss(rng, s) for s in subs for _ in range(4)]
+    subs += [MtsSubspace(s.ambient, rref(s.sub.rows[1:], s.ambient.dim)) for s in subs[::9]]
+    verdicts = collections.Counter()
+    for s in subs:
+        try:
+            s.validate()
+            got = None
+        except FalsificationError as e:
+            got = str(e)
+        assert got == _perp_verdict(s), (s.ambient, s.sub.rows)
+        verdicts[got] += 1
+    assert verdicts[None] == valid
+    assert len(verdicts) == 4 and min(verdicts.values()) > 150, verdicts
 
 
 def _random_block_isometry(rng, m):

@@ -92,6 +92,23 @@ def test_polarization_random_large():
             assert space.bilinear(a, b) == (space.q(a ^ b) ^ space.q(a) ^ space.q(b))
 
 
+def test_q_against_every_coefficient_row():
+    # q reads only the rows of its support mask; the oracle applies all of U
+    rng = random.Random("q support")
+    spaces = [f(d) for d in range(2, 61, 2) for f in (standard_plus, standard_minus)]
+    spaces += [direct_sum(standard_minus(6), standard_plus(10)), coordinatize().space]
+    zero_rows = 0
+    for _ in range(60):
+        dim = rng.randrange(2, 65, 2)
+        rows = [rng.getrandbits(dim) & -(1 << i) if rng.random() < 0.7 else 0 for i in range(dim)]
+        zero_rows += rows.count(0)
+        spaces.append(QuadraticSpace(dim, tuple(rows)))
+    assert zero_rows > 100
+    for space in spaces:
+        for x in [(1 << space.dim) - 1, *(rng.getrandbits(space.dim) for _ in range(60))]:
+            assert space.q(x) == (apply_map(space.u_rows, x) & x).bit_count() & 1, space
+
+
 def test_gram_is_symplectic():
     for space in (standard_plus(6), standard_minus(6)):
         for i in range(6):
