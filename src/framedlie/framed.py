@@ -27,6 +27,7 @@ from .gf2 import (
     UsageError,
     complement_in,
     format_bits,
+    gather,
     intersect,
     kernel,
     parse_bits,
@@ -619,7 +620,7 @@ def _check_isometry(tab: list[int], q: bytes) -> None:
     n = len(q)
     if (
         sorted(tab) != list(range(n))
-        or bytes(map(q.__getitem__, tab)) != q
+        or bytes(gather(q, tab)) != q
         or any(tab[v] != tab[v & (v - 1)] ^ tab[v & -v] for v in range(1, n))
     ):
         raise FalsificationError("a census generator is not a linear isometry")
@@ -889,30 +890,36 @@ def weight1_dim_pair(s: MtsSubspace) -> dict:
     projection formula; a mismatch aborts loudly.
 
     A vector counts when the doubled lowest weights of its X and V labels
-    add to 2, with the product of their lowest dims.  Each walk lists the
-    X coordinates of a span and reads their rows from
-    `coordinate_row_table`, with no fusion product.  The result also
-    carries the dimensions of the projections `rho_invariants` checked.
+    add to 2, with the product of their lowest dims.  The walk lists the X
+    coordinates of s and reads their rows from `coordinate_row_table`, with
+    no fusion product.  The result also carries the dimensions of the
+    projections `rho_invariants` checked.
     """
     amb = s.ambient
     if not isinstance(amb, PairAmbient):
         raise UsageError("pair weight computation needs the pair ambient")
     inv = rho_invariants(s)
-    table = coordinate_row_table()
+    # s in the basis (rest, ker), ker its part with V part 0: entry i of the
+    # walk has the V part of entry i mod 2^dim rest, and entry j << dim rest
+    # is the j-th vector of ker
+    ker = vanishing_on(s.sub, ~_X_MASK)
+    rest = complement_in(ker, s.sub).rows
     # one byte per vector of s: the row of its X label in the low nibble and
-    # the doubled lowest weight of its V label (0, 1 or 2) in the high one;
-    # the X and V parts are spanned by doubling, in the same order
-    rows = bytes(map(table.__getitem__, span([r & _X_MASK for r in s.sub.rows])))
-    small = bytes(map(amb.rv.lowest2.__getitem__, span([r >> 18 for r in s.sub.rows])))
+    # the doubled lowest weight of its V label (0, 1 or 2) in the high one
+    rows = bytes(gather(coordinate_row_table(), span([r & _X_MASK for r in (*rest, *ker.rows)])))
+    small = bytes(gather(amb.rv.lowest2, span([r >> 18 for r in rest]))) * (1 << ker.dim)
     keys = int.from_bytes(rows, "little") | int.from_bytes(small, "little") << 4
     keys = keys.to_bytes(len(rows), "little")
     direct = 0
     for row, (lw2, dim) in enumerate(TABLE_ROW_LOWEST2):
         if row and lw2 <= 2:
             direct += keys.count(row | (2 - lw2) << 4) * dim * RV_DIM[2 - lw2]
-    kernel_rows = Counter(map(table.__getitem__, span(inv["rho1_of_kernel2"].rows)[1:]))
+    kernel_rows = Counter(rows[1 << len(rest) :: 1 << len(rest)])
     rows_hist = {r: kernel_rows[r] for r in range(1, 9)}
-    n_row3_full = bytes(map(table.__getitem__, span(inv["rho1"].rows))).count(3)
+    # projecting onto X maps s onto rho1, 2^(dim s - dim rho1) to one
+    n_row3_full, odd = divmod(rows.count(3), 1 << (s.sub.dim - inv["rho1"].dim))
+    if odd:
+        raise FalsificationError("row-3 count of s is not a multiple of the rho1 fibre")
     size_ker1 = 1 << inv["rho2_of_kernel1"].dim
     terms = (
         16 * rows_hist[2],

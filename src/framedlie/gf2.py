@@ -1,6 +1,6 @@
 """Bit-packed GF(2) vectors, subspaces, row reduction, row combination by a
-mask, the span of rows, linear maps given on a basis and the
-Walsh-Hadamard transform.
+mask, the span of rows, table reads by index lists, linear maps given on a
+basis and the Walsh-Hadamard transform.
 
 Vectors live in ``F_2^width`` with coordinate ``i`` stored in bit ``i`` of a
 Python int (LSB = first coordinate), at most ``MAX_WIDTH`` = 64 of them (the
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Iterable, Sequence
 
 MAX_WIDTH = 64
@@ -80,6 +80,13 @@ def span(rows: Sequence[int]) -> list[int]:
     for r in rows:
         out += [x ^ r for x in out]
     return out
+
+
+def gather(table, indices: Sequence) -> tuple:
+    """table[i] for each i in indices, read in one C-level call."""
+    if len(indices) < 2:  # itemgetter(i) returns the bare item, not a 1-tuple
+        return tuple(table[i] for i in indices)
+    return itemgetter(*indices)(table)
 
 
 class LinearMap:

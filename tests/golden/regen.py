@@ -49,6 +49,9 @@ def commands() -> list[tuple[str, list[str]]]:
         ("frame_orbifold_odd_5_4_0_all", ["frame", "orbifold", "--base", "odd:5,4,0", "--choices", "200"])
     )
     out += [(f"frame_pair_{c}", ["frame", "pair", "--case", c]) for c in framed.PAIR_CASE_IDS]
+    out.append(("frame_pair_pcl4_4_csv", ["frame", "pair", "--case", "pcl4_4", "--format", "csv"]))
+    out.append(("frame_pair_pcl5_3_markdown", ["frame", "pair", "--case", "pcl5_3", "--format", "markdown"]))
+    out.append(("frame_pair_niemeier_a17e7_seed7", ["frame", "pair", "--case", "niemeier_a17e7", "--seed", "7"]))
     out.append(("frame_classify", ["frame", "classify", "--input", str(CLASSIFY_INPUT)]))
     out += [(f"frame_census_m{m}", ["frame", "census", "--m", str(m)]) for m in (1, 2)]
     out += [

@@ -949,6 +949,56 @@ def test_weight1_dim_pair_matches_label_walk_oracle():
             assert weight1_dim_pair(s) == _weight1_oracle(s), (case_id, seed)
 
 
+def _weight1_three_walks(s: MtsSubspace) -> dict:
+    """weight1_dim_pair by three full walks: the X and V parts of s spanned
+    in the same order, the kernel shadow and all of rho1 on their own."""
+    from framedlie.modlabels import RV_DIM, TABLE_ROW_LOWEST2, coordinate_row_table
+
+    inv = rho_invariants(s)
+    table = coordinate_row_table()
+    rows = bytes(map(table.__getitem__, span([r & framed._X_MASK for r in s.sub.rows])))
+    small = bytes(map(s.ambient.rv.lowest2.__getitem__, span([r >> 18 for r in s.sub.rows])))
+    direct = sum(
+        n * TABLE_ROW_LOWEST2[row][1] * RV_DIM[lw2]
+        for (row, lw2), n in collections.Counter(zip(rows, small)).items()
+        if row and TABLE_ROW_LOWEST2[row][0] + lw2 == 2
+    )
+    kernel_rows = collections.Counter(map(table.__getitem__, span(inv["rho1_of_kernel2"].rows)[1:]))
+    rows_hist = {r: kernel_rows[r] for r in range(1, 9)}
+    n_row3_full = bytes(map(table.__getitem__, span(inv["rho1"].rows))).count(3)
+    size_ker1 = 1 << inv["rho2_of_kernel1"].dim
+    terms = (
+        16 * rows_hist[2],
+        4 * rows_hist[4],
+        rows_hist[7],
+        8 * (size_ker1 - 1),
+        n_row3_full * size_ker1,
+    )
+    return {
+        "value": direct,
+        "terms": terms,
+        "direct": direct,
+        "kernel_rows": rows_hist,
+        "row3_in_rho1": n_row3_full,
+        "dim_rho1": inv["rho1"].dim,
+        "dim_rho1_of_kernel": inv["rho1_of_kernel2"].dim,
+        "dim_rho2_of_kernel": inv["rho2_of_kernel1"].dim,
+    }
+
+
+def test_weight1_dim_pair_matches_three_full_walks():
+    # the walk over (rest, ker) repeats the V labels of rest and reads rho1
+    # off s's X walk; both dim rho1 = 13 (a shift of 1) and 14 occur
+    dims = set()
+    for case_id in framed.PAIR_CASE_IDS:
+        for seed in range(20):
+            s = build_pair_case(case_id, seed=seed)
+            want = _weight1_three_walks(s)
+            assert weight1_dim_pair(s) == want, (case_id, seed)
+            dims.add(want["dim_rho1"])
+    assert dims == {13, 14}
+
+
 def test_serialization_roundtrip():
     s = build_even(2, 1, 1, "+", seed=0)
     text = to_text(s)

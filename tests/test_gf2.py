@@ -10,6 +10,7 @@ from framedlie.gf2 import (
     apply_map,
     complement_in,
     format_bits,
+    gather,
     intersect,
     kernel,
     parse_bits,
@@ -210,6 +211,26 @@ def test_enumerate_deterministic():
     for _ in range(20):
         rows = [rng.getrandbits(6) for _ in range(rng.randrange(7))]
         assert span(rows) == [apply_map(rows, i) for i in range(1 << len(rows))]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 1 << 14])
+def test_gather_matches_item_reads(n):
+    # itemgetter(i) alone returns a bare item, and bytes(5) is five zero bytes
+    rng = random.Random(n)
+    raw = bytes(rng.getrandbits(8) for _ in range(1 << 15))
+    tables = [raw, bytearray(raw), list(raw), tuple(raw), dict(enumerate(raw))]
+    idx = [rng.randrange(1 << 15) for _ in range(n)]
+    for table in tables:
+        got = gather(table, idx)
+        assert type(got) is tuple and len(got) == n
+        assert got == tuple(table[i] for i in idx)
+        assert bytes(got) == bytes(raw[i] for i in idx)
+    for bad in ([1 << 15], [0, 1 << 15]):
+        for table in tables[:4]:
+            with pytest.raises(IndexError):
+                gather(table, bad)
+        with pytest.raises(KeyError):
+            gather(tables[4], bad)
 
 
 def test_kernel():
