@@ -14,7 +14,6 @@ from .gf2 import (
     ResourceLimitError,
     Subspace,
     UsageError,
-    format_bits,
     kernel,
     parse_bits,
     rref,
@@ -127,7 +126,6 @@ def _ladder_rows(length: int) -> list[int]:
     return [0b1111 << (2 * i) for i in range((length - 2) // 2)]
 
 
-_E7_ROWS = ["1111000", "1100110", "1010101"]
 _E8_ROWS = ["11111111", "11110000", "11001100", "10101010"]
 
 # cyclic [23,12] Golay generator polynomial x^11+x^9+x^7+x^6+x^5+x+1;
@@ -138,19 +136,7 @@ _GOLAY_POLY = 0b101011100011
 
 @functools.lru_cache(maxsize=None)
 def builtin(name: str) -> BinaryCode:
-    """Catalog codes: d_{2k} (k <= 12), e7, e8, g24, E_n, d16plus."""
-    if name.startswith("d") and name[1:].isdigit():
-        length = int(name[1:])
-        if length % 2 or not 4 <= length <= 24:
-            raise UsageError(f"unknown builtin code {name!r}")
-        return from_rows(_ladder_rows(length), length)
-    if name.startswith("E") and name[1:].isdigit():
-        n = int(name[1:])
-        if n < 2:
-            raise UsageError(f"unknown builtin code {name!r}")
-        return from_rows([0b11 << i for i in range(n - 1)], n)
-    if name == "e7":
-        return from_rows(map(parse_bits, _E7_ROWS), 7)
+    """Catalog codes: e8, g24, d16plus."""
     if name == "e8":
         return from_rows(map(parse_bits, _E8_ROWS), 8)
     if name == "d16plus":
@@ -163,27 +149,3 @@ def builtin(name: str) -> BinaryCode:
         return from_rows(rows, 24)
     raise UsageError(f"unknown builtin code {name!r}")
 
-
-def to_text(code: BinaryCode) -> str:
-    lines = [f"{code.length} {code.dim}"]
-    for row in code.generators.rows:
-        lines.append(format_bits(row, code.length))
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> BinaryCode:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise UsageError("empty code text")
-    try:
-        length, dim = map(int, lines[0].split())
-    except ValueError as exc:
-        raise UsageError("code header must be 'length dim'") from exc
-    texts = [ln.strip() for ln in lines[1:]]
-    rows = [parse_bits(t) for t in texts]
-    if len(rows) != dim or any(len(t) != length for t in texts):
-        raise UsageError("code body does not match its header")
-    code = BinaryCode(length, rref(rows, length))
-    if code.dim != dim:
-        raise UsageError("generator rows in code text are dependent")
-    return code

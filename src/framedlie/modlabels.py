@@ -341,7 +341,7 @@ def orbit_class(label: RXLabel, verify: bool = False) -> OrbitClass:
     if verify and not x & _TWIST and x & (C_MASK | _EPS | _DELTA):
         if TABLE_ROW_LOWEST2[row][0] != coset_min_norm(label):
             raise FalsificationError(
-                f"orbit table and min-norm decoder disagree on {format_label(label)}"
+                f"orbit table and min-norm decoder disagree on {label!r}"
             )
     return _ORBIT_CLASSES[row]
 
@@ -526,36 +526,3 @@ class RVModel:
 def rv_model() -> RVModel:
     return RVModel(standard_plus(10))
 
-
-# ---------------------------------------------------------------------------
-# text form
-# ---------------------------------------------------------------------------
-
-
-def format_label(label: RXLabel) -> str:
-    cbits = "".join(str((label.c >> i) & 1) for i in range(N_COORDS))
-    sign = "+" if label.sign == 0 else "-"
-    return f"t:{label.twist} e:{label.eps} c:{cbits} d:{label.delta} s:{sign}"
-
-
-def parse_label(text: str) -> RXLabel:
-    parts = text.split()
-    fields = {}
-    for part in parts:
-        if ":" not in part:
-            raise UsageError(f"bad label field {part!r}")
-        key, val = part.split(":", 1)
-        fields[key] = val
-    try:
-        twist = int(fields["t"])
-        eps = int(fields["e"])
-        cbits = fields["c"]
-        delta = int(fields["d"])
-        sign = {"+": 0, "-": 1}[fields["s"]]
-    except (KeyError, ValueError) as exc:
-        raise UsageError(f"malformed label text {text!r}") from exc
-    if len(cbits) != N_COORDS or set(cbits) - {"0", "1"}:
-        raise UsageError("c must be 16 bits of 0/1")
-    c = sum(1 << i for i, ch in enumerate(cbits) if ch == "1")
-    # the parser is strict: no complement normalization on input
-    return RXLabel(twist, eps, c, delta, sign)

@@ -119,6 +119,15 @@ def test_frame_classify_roundtrip(capsys, tmp_path):
         assert data["profile"] == built["profile"]
 
 
+def test_frame_classify_reads_stdin(capsys, monkeypatch):
+    golden = Path(__file__).parent / "golden"
+    text = (golden / "classify_input.txt").read_text()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out = run(capsys, "frame", "classify", "--input", "-")
+    assert code == 0
+    assert out.encode() == (golden / "frame_classify.out").read_bytes()
+
+
 def test_frame_classify_bad_input_exits_2(capsys, tmp_path):
     texts = [
         header + "\n" + "0" * 12 + "\n"
@@ -354,6 +363,22 @@ def test_package_has_no_assert_statements():
         tree = ast.parse(path.read_text(), str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], (path.name, lines)
+
+
+def test_package_imports_only_the_standard_library():
+    # no runtime dependencies: every absolute import is stdlib or framedlie
+    src = Path(__file__).resolve().parents[1] / "src" / "framedlie"
+    files = sorted(src.glob("*.py"))
+    assert len(files) >= 9
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+        names += [node.module for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 0]
+        foreign = [n for n in names
+                   if n.split(".")[0] not in sys.stdlib_module_names | {"framedlie"}]
+        assert foreign == [], (path.name, foreign)
 
 
 def test_check_that_raises_another_exception_is_an_error(capsys, monkeypatch):
@@ -723,8 +748,9 @@ def test_fusion_laws_check_raises_falsification(capsys, monkeypatch):
     (check,) = json.loads(out)["checks"]
     assert (check["name"], check["status"]) == ("fusion_group_laws", "FAIL")
     assert check["error"].startswith(
-        "FalsificationError: fusion product not commutative and associative on [t:"
+        "FalsificationError: fusion product not commutative and associative on (RXLabel(twist="
     ), check["error"]
+    assert check["error"].count("RXLabel(twist=") == 3, check["error"]
 
 
 @pytest.mark.parametrize("fault", ["per_case", "shared_orbit"])

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from framedlie.codes import (
+    BinaryCode,
     builtin,
     contains_all_ones,
     direct_sum,
@@ -10,21 +11,29 @@ from framedlie.codes import (
     doubling,
     dual,
     from_rows,
-    from_text,
     interleave_word,
     is_doubly_even,
     is_self_dual,
     is_triply_even,
     reed_muller,
-    to_text,
     weight_enumerator,
 )
-from framedlie.gf2 import UsageError
+from framedlie.gf2 import ResourceLimitError, UsageError, rref
 
 
 def test_dlr_maps():
     assert double_word(0b01, 2) == 0b0011
     assert interleave_word(0b11, 2) == 0b0101
+
+
+def test_code_rejects_generators_of_another_width():
+    with pytest.raises(UsageError):
+        BinaryCode(8, rref([0b1111], 4))
+
+
+def test_weight_scan_refuses_more_than_2_to_the_20_words():
+    with pytest.raises(ResourceLimitError):
+        weight_enumerator(from_rows([1 << i for i in range(21)], 21))
 
 
 def test_reed_muller_14():
@@ -65,37 +74,39 @@ def test_doubling_trivial_code():
     assert d.generators.rows == (interleave_word(0xFF, 8),)
 
 
+def _d4():
+    return from_rows([0b1111], 4)
+
+
+def _codes():
+    """The catalog codes, some Reed-Muller codes and d4: the codes the tests walk."""
+    named = [builtin(name) for name in ("e8", "d16plus", "g24")]
+    return named + [reed_muller(1, 4), reed_muller(2, 4), reed_muller(0, 3), _d4()]
+
+
 def test_doubling_dim_and_parity():
-    for name in ("d4", "d8", "d16", "e7", "e8", "d16plus", "g24"):
-        code = builtin(name)
+    for code in _codes():
         d = doubling(code)
         assert d.dim == code.dim + 1
         # doubly even of length 8n doubles to triply even of length 16n
         if is_doubly_even(code) and code.length % 8 == 0:
             assert is_triply_even(d)
-    assert not is_triply_even(doubling(builtin("d4")))
+    assert not is_triply_even(doubling(_d4()))
 
 
 def test_catalog():
-    d8 = builtin("d8")
-    assert d8.dim == 3 and d8.length == 8
-    # the ladder rows themselves
-    for row in ("11110000", "00111100", "00001111"):
-        assert d8.contains(int(row[::-1], 2))
-    e7 = builtin("e7")
-    assert e7.dim == 3 and e7.length == 7
-    for row in ("1111000", "1100110", "1010101"):
-        assert e7.contains(int(row[::-1], 2))
     e8 = builtin("e8")
+    assert e8.dim == 4 and e8.length == 8
     for row in ("11111111", "11110000", "11001100", "10101010"):
         assert e8.contains(int(row[::-1], 2))
-    assert is_doubly_even(e7) and is_doubly_even(e8)
-    e5 = builtin("E5")
-    assert e5.dim == 4 and not any(weight_enumerator(e5)[1::2])
-    with pytest.raises(UsageError):
-        builtin("nope")
-    with pytest.raises(UsageError):
-        builtin("d3")
+    assert is_doubly_even(e8) and e8 == reed_muller(1, 3)
+    d16plus = builtin("d16plus")
+    # the ladder rows themselves, and the glue word
+    for row in ("1111000000000000", "0011110000000000", "0000000000001111", "1010101010101010"):
+        assert d16plus.contains(int(row[::-1], 2))
+    for name in ("nope", "d8", "d3", "e7", "E5"):
+        with pytest.raises(UsageError):
+            builtin(name)
 
 
 def test_d16plus():
@@ -116,8 +127,7 @@ def test_golay_weight_enumerator():
 
 
 def test_dual_involution_and_dims():
-    for name in ("d8", "e7", "e8", "d16plus", "g24", "E6"):
-        c = builtin(name)
+    for c in _codes():
         d = dual(c)
         assert dual(d) == c
         assert c.dim + d.dim == c.length
@@ -125,7 +135,7 @@ def test_dual_involution_and_dims():
 
 def test_dual_doubling_d16plus():
     lhs = dual(doubling(builtin("d16plus")))
-    e16 = builtin("E16")
+    e16 = dual(from_rows([0xFFFF], 16))  # the even-weight words
     rows = [double_word(r, 16) for r in e16.generators.rows]
     rows += [interleave_word(r, 16) for r in builtin("d16plus").generators.rows]
     rhs = from_rows(rows, 32)
@@ -151,8 +161,7 @@ def test_triply_even_dual_is_even():
 
 def test_macwilliams_consistency():
     # the dual enumerator recovered through the MacWilliams transform
-    for name in ("e7", "e8", "d8", "d16plus"):
-        c = builtin(name)
+    for c in _codes():
         we = weight_enumerator(c)
         n = c.length
         dual_we = []
@@ -169,12 +178,3 @@ def test_macwilliams_consistency():
             dual_we.append(acc // (1 << c.dim))
         assert tuple(dual_we) == weight_enumerator(dual(c))
 
-
-def test_text_roundtrip():
-    for name in ("d8", "g24", "d16plus"):
-        c = builtin(name)
-        assert from_text(to_text(c)) == c
-    z = from_rows([], 5)
-    assert from_text(to_text(z)) == z
-    with pytest.raises(UsageError):
-        from_text("3 2\n111\n")

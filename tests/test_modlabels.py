@@ -25,14 +25,12 @@ from framedlie.modlabels import (
     coordinate_row_table,
     coordinatize,
     coset_min_norm,
-    format_label,
     label_from_w,
     label_to_w,
     normal_form,
     nu,
     orbit_class,
     pairing,
-    parse_label,
     qx,
     random_label,
     rv_model,
@@ -105,8 +103,21 @@ def test_label_is_immutable():
             setattr(label, name, 0)
     with pytest.raises(FrozenInstanceError):
         label.packed = 0
+    for name in ("packed", "c"):
+        with pytest.raises(FrozenInstanceError):
+            delattr(label, name)
     assert not hasattr(label, "__dict__")
     assert label == RXLabel(1, 0, c_of(1, 2), 1, 0)
+
+
+def test_repr_evaluates_back_to_the_label():
+    # the repr is the one text form of a label
+    assert repr(ZERO_MINUS) == "RXLabel(twist=0, eps=0, c=0, delta=0, sign=1)"
+    rng = random.Random(14)
+    labels = [ZERO_MINUS] + [random_label(rng) for _ in range(1000)]
+    assert {label.twist for label in labels} == {0, 1}
+    for label in labels:
+        assert eval(repr(label), {"RXLabel": RXLabel}) == label
 
 
 @pytest.mark.parametrize(
@@ -159,6 +170,8 @@ def test_label_from_w_rejects_non_dual_vectors():
         label_from_w([1] + [0] * 15)  # mixed parity
     with pytest.raises(UsageError):
         label_from_w([2] + [0] * 15)  # odd half-support
+    with pytest.raises(UsageError):
+        label_from_w([0] * 15)  # one coordinate short
 
 
 def test_w_roundtrip_random():
@@ -375,7 +388,7 @@ def test_coset_min_norm_matches_loop_on_every_coset():
     for c in canonical_c_values():
         for eps, delta in itertools.product((0, 1), repeat=2):
             label = RXLabel(0, eps, c, delta, 0)
-            assert coset_min_norm(label) == _coset_min_norm_loop(label), format_label(label)
+            assert coset_min_norm(label) == _coset_min_norm_loop(label), label
             seen += 1
     assert seen == 1 << 16
 
@@ -406,7 +419,7 @@ def test_row_table_matches_branch_oracle():
     for c in canonical_c_values():
         for twist, eps, delta, sign in itertools.product((0, 1), repeat=4):
             label = RXLabel(twist, eps, c, delta, sign)
-            assert _row(label.packed) == _row_oracle(label), format_label(label)
+            assert _row(label.packed) == _row_oracle(label), label
             seen += 1
     assert seen == 1 << 18
 
@@ -547,14 +560,3 @@ def test_coordinatize_transported_form_matches_qx():
         lbl = random_label(rng)
         assert coords.space.q(coords.to_coords(lbl)) == qx(lbl)
 
-
-def test_label_text_roundtrip():
-    rng = random.Random(13)
-    for _ in range(100):
-        lbl = random_label(rng)
-        assert parse_label(format_label(lbl)) == lbl
-    assert format_label(ZERO_MINUS) == "t:0 e:0 c:0000000000000000 d:0 s:-"
-    with pytest.raises(UsageError):
-        parse_label("t:0 e:0 c:1100000000000000 d:0 s:+")  # non-canonical c
-    with pytest.raises(UsageError):
-        parse_label("t:0 e:0 c:11000 d:0 s:+")

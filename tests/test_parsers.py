@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framedlie import cli, codes, framed, liesolver, modlabels
+from framedlie import cli, framed, liesolver
 from framedlie.gf2 import UsageError
 
 # characters that the parsers give meaning to, drawn more often than the rest
@@ -24,16 +24,7 @@ FRAME_TEXTS = [
         framed.build_pair_case("pcl4_5", seed=0),
     )
 ]
-CODE_TEXTS = [codes.to_text(codes.builtin(name)) for name in ("d8", "e7", "g24", "d16plus")]
-CODE_TEXTS.append(codes.to_text(codes.from_rows([], 5)))
 ANSWER_TEXTS = sorted({str(rec.answer) for rec in liesolver.load_ledger()})
-
-
-@st.composite
-def normal_forms(draw):
-    """A packed label in normal form: canonical c under any four flag bits."""
-    c = modlabels.canonical_c_values()[draw(st.integers(0, (1 << 14) - 1))]
-    return c | draw(st.integers(0, 15)) << 16
 
 
 @st.composite
@@ -69,13 +60,9 @@ def mutated(draw, texts):
     return text
 
 
-LABEL_TEXTS = normal_forms().map(lambda x: modlabels.format_label(modlabels.RXLabel.from_packed(x)))
-
 # parser, printer and valid texts of each text form
 PARSERS = {
-    "label": (modlabels.parse_label, modlabels.format_label, LABEL_TEXTS),
     "frame": (framed.from_text, framed.to_text, st.sampled_from(FRAME_TEXTS)),
-    "code": (codes.from_text, codes.to_text, st.sampled_from(CODE_TEXTS)),
     "decomposition": (liesolver.parse_decomposition, str, st.sampled_from(ANSWER_TEXTS)),
 }
 
@@ -102,14 +89,6 @@ def test_parser_on_any_text(kind, data):
 @given(data=st.data())
 def test_parser_on_mutated_valid_text(kind, data):
     _parses_or_usage_error(kind, data.draw(mutated(PARSERS[kind][2])))
-
-
-@settings(deadline=None, max_examples=300)
-@given(x=normal_forms())
-def test_label_text_roundtrip_on_normal_forms(x):
-    label = modlabels.RXLabel.from_packed(x)
-    assert label.packed == x
-    assert modlabels.parse_label(modlabels.format_label(label)) == label
 
 
 # tokens of `frame orbifold --base` and `lie solve --constraint`: a kind
