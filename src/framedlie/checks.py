@@ -23,9 +23,9 @@ def expect(what: str, got, want) -> None:
         raise FalsificationError(f"{what} {got}, expected {want}")
 
 
-def verify_checks(quick: bool, ledger_path: str | None):
-    """Yield (name, callable) pairs; a callable raises FalsificationError
-    on a mismatch.  Quick mode leaves out the three slowest censuses."""
+def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
+    """Yield (name, callable) pairs over the ledger's records; a callable raises
+    FalsificationError on a mismatch.  Quick mode leaves out the three slowest censuses."""
     published = {row[0]: row[1] for row in tables.TA8_ROWS}
     cases = framed.valid_params(5)
 
@@ -137,7 +137,7 @@ def verify_checks(quick: bool, ledger_path: str | None):
     yield "orbifold_section47", orbifold
 
     def candidate_tables():
-        rep = liesolver.candidate_table_report(ledger_path)
+        rep = liesolver.candidate_table_report(records)
         expect("candidate tables", len(rep), 21)
         bad = [(r["case"], r["problems"]) for r in rep if not r["ok"]]
         expect("candidate tables with problems", bad, [])
@@ -148,7 +148,7 @@ def verify_checks(quick: bool, ledger_path: str | None):
 
     def ledger_reports():
         if not ledger_runs:
-            ledger_runs.append(liesolver.run_ledger(ledger_path))
+            ledger_runs.append(liesolver.run_ledger(records))
         return ledger_runs[0]
 
     def ledger():

@@ -97,13 +97,12 @@ def cmd_qspace(args) -> int:
 
 
 def _parse_case_token(token: str) -> framed.TCCase:
+    """A --base token: the case text with ':' for '(' and no ')', as in odd:5,4,0."""
     kind, _, rest = token.partition(":")
-    bits = rest.split(",")
-    if kind == "even" and len(bits) == 4:
-        return framed.even_case(*liesolver._ints(bits[:3], token), bits[3])
-    if kind == "odd" and len(bits) == 3:
-        return framed.odd_case(*liesolver._ints(bits, token))
-    raise UsageError(f"bad case token {token!r}; use even:m,k1,k2,[+-] or odd:m,k1,k2")
+    try:
+        return framed.parse_case(f"{kind}({rest})")
+    except UsageError as exc:
+        raise UsageError(f"--base {token!r}, use even:m,k1,k2,[+-] or odd:m,k1,k2: {exc}") from None
 
 
 def cmd_frame_build(args) -> int:
@@ -231,7 +230,7 @@ def cmd_lie_solve(args) -> int:
 
 
 def cmd_lie_ledger(args) -> int:
-    reports = liesolver.run_ledger(args.ledger)
+    reports = liesolver.run_ledger(liesolver.load_ledger(args.ledger))
     rows = [
         {
             "case": r.record.case_id,
@@ -258,9 +257,10 @@ def cmd_lie_ledger(args) -> int:
 
 
 def cmd_lie_tables(args) -> int:
+    reports = liesolver.run_ledger(liesolver.load_ledger(args.ledger))
     if args.which in ("ta8", "ta16"):
         published = tables.TA8_ROWS if args.which == "ta8" else tables.TA16_ROWS
-        unmatched = liesolver.unmatched_rows(liesolver.run_ledger(args.ledger), published)
+        unmatched = liesolver.unmatched_rows(reports, published)
         keys = ("case", "dim", "algebra", "no", "ref")
         rows = [
             dict(zip(keys, row), status="MISMATCH" if row in unmatched else "MATCH")
@@ -268,7 +268,7 @@ def cmd_lie_tables(args) -> int:
         ]
         ok = not unmatched
     else:  # lieframed
-        cov = liesolver.lieframed_coverage(liesolver.run_ledger(args.ledger))
+        cov = liesolver.lieframed_coverage(reports)
         rows = [
             {
                 "no": c["no"],
@@ -300,9 +300,9 @@ def cmd_verify(args) -> int:
     run.  A check that raises FalsificationError fails; any other exception
     is an error in the program, reported with its traceback."""
     t0 = time.time()
-    liesolver.load_ledger(args.ledger)  # an unreadable or malformed --ledger exits 2 here
+    records = liesolver.load_ledger(args.ledger)  # an unreadable or malformed --ledger exits 2 here
     results = []
-    for name, fn in checks.verify_checks(args.quick, args.ledger):
+    for name, fn in checks.verify_checks(args.quick, records):
         start = time.perf_counter()
         try:
             fn()

@@ -8,6 +8,7 @@ label space with the abstract 10-dimensional one (the "pair" ambient).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import operator
@@ -151,11 +152,30 @@ class MtsSubspace:
 
 @dataclass(frozen=True, order=True)
 class TCCase:
-    kind: str  # "cond1" | "cond2" | "even" | "odd"
+    """A classification branch: cond1, cond2, or a builder case, even or odd.
+    Construction checks a builder case, so every even or odd TCCase can be built."""
+
+    kind: str
     m: int = 0
     k1: int = 0
     k2: int = 0
     eps: str = ""
+
+    def __post_init__(self) -> None:
+        if self.kind in ("cond1", "cond2"):
+            return
+        if self.kind not in ("even", "odd"):
+            raise UsageError(f"unknown case kind {self.kind!r}")
+        TripleAmbient(self.m)  # raises unless m is in range
+        if self.eps not in (("+", "-") if self.kind == "even" else ("",)):
+            raise UsageError("eps must be '+' or '-' for even cases and empty for odd ones")
+        if not 0 <= self.k2 <= self.k1 <= self.m:
+            raise UsageError("need 0 <= k2 <= k1 <= m")
+        d = self.m - self.k1 - self.k2
+        if d < 0 or d % 2 != (self.kind == "odd"):
+            raise UsageError(f"m - k1 - k2 = {d} has the wrong sign or parity for {self.kind} cases")
+        if self.eps == "-" and d < 2:
+            raise UsageError("minus type needs a block of dimension at least 2")
 
     def __str__(self) -> str:
         if self.kind == "even":
@@ -177,42 +197,30 @@ def odd_case(m: int, k1: int, k2: int) -> TCCase:
     return TCCase("odd", m, k1, k2)
 
 
-def _check_even_params(m: int, k1: int, k2: int, eps: str) -> None:
-    if eps not in ("+", "-"):
-        raise UsageError("eps must be '+' or '-'")
-    if not 0 <= k2 <= k1 <= m:
-        raise UsageError("need 0 <= k2 <= k1 <= m")
-    d = m - k1 - k2
-    if d < 0 or d % 2:
-        raise UsageError("m - k1 - k2 must be even and non-negative")
-    if eps == "-" and d < 2:
-        raise UsageError("minus type needs a block of dimension at least 2")
-
-
-def _check_odd_params(m: int, k1: int, k2: int) -> None:
-    if not 0 <= k2 <= k1 <= m:
-        raise UsageError("need 0 <= k2 <= k1 <= m")
-    d = m - k1 - k2
-    if d < 1 or d % 2 == 0:
-        raise UsageError("m - k1 - k2 must be odd and positive")
+def parse_case(text: str) -> TCCase:
+    """The even or odd case that prints as text.  Nothing else is read: no
+    cond case, space, sign or leading zero."""
+    kind, _, body = text.partition("(")
+    *nums, eps = body.removesuffix(")").split(",") + ([] if kind == "even" else [""])
+    try:
+        ints = [int(n) for n in nums]
+    except ValueError:  # a field that is no integer
+        ints = []
+    if kind in ("even", "odd") and len(ints) == 3:
+        case = TCCase(kind, *ints, eps)
+        if str(case) == text:
+            return case
+    raise UsageError(f"bad case {text!r}; write even(m,k1,k2,+|-) or odd(m,k1,k2)")
 
 
 def valid_params(m: int) -> list[TCCase]:
-    """All builder parameter tuples passing the preconditions."""
+    """Every builder case of m: for each k1 >= k2, even + and -, then odd."""
     out: list[TCCase] = []
     for k1 in range(m + 1):
         for k2 in range(k1 + 1):
-            for eps in ("+", "-"):
-                try:
-                    _check_even_params(m, k1, k2, eps)
-                except UsageError:
-                    continue
-                out.append(even_case(m, k1, k2, eps))
-            try:
-                _check_odd_params(m, k1, k2)
-            except UsageError:
-                continue
-            out.append(odd_case(m, k1, k2))
+            for kind, eps in (("even", "+"), ("even", "-"), ("odd", "")):
+                with contextlib.suppress(UsageError):
+                    out.append(TCCase(kind, m, k1, k2, eps))
     return out
 
 
@@ -240,7 +248,7 @@ def _block_rows(amb: TripleAmbient, s1, s2, p, q, t, phi) -> list[int]:
 
 def build_even(m: int, k1: int, k2: int, eps: str, seed: int = 0) -> MtsSubspace:
     """The even-parity family of maximal totally singular subspaces."""
-    _check_even_params(m, k1, k2, eps)
+    even_case(m, k1, k2, eps)  # raises unless the case can be built
     amb = TripleAmbient(m)
     space = amb.block
     rng = random.Random(seed)
@@ -261,7 +269,7 @@ def build_even(m: int, k1: int, k2: int, eps: str, seed: int = 0) -> MtsSubspace
 
 def build_odd(m: int, k1: int, k2: int, seed: int = 0) -> MtsSubspace:
     """The odd-parity family, carrying the 2-dimensional bridge block."""
-    _check_odd_params(m, k1, k2)
+    odd_case(m, k1, k2)  # raises unless the case can be built
     amb = TripleAmbient(m)
     space = amb.block
     rng = random.Random(seed)
@@ -352,12 +360,8 @@ def _triple_invariants(s: MtsSubspace) -> tuple[tuple[int, ...], int, bool]:
 
 
 def lnumber_closed(case: TCCase) -> tuple[int, int]:
-    """Closed forms for the profile of a built parameter case."""
-    if case.kind == "even":
-        _check_even_params(case.m, case.k1, case.k2, case.eps)
-    elif case.kind == "odd":
-        _check_odd_params(case.m, case.k1, case.k2)
-    else:
+    """Closed forms for the profile of a builder case."""
+    if case.kind not in ("even", "odd"):
         raise UsageError("closed profile forms exist only for builder cases")
     m, k1, k2 = case.m, case.k1, case.k2
     n1 = 2**k1 + 2**k2 - 2
@@ -380,30 +384,32 @@ def classify_triple(s: MtsSubspace) -> TCCase:
     return _decide_branch(s.ambient.m, ones, n2, cond2)
 
 
-@functools.lru_cache(maxsize=None)
 def _decide_branch(m: int, ones: tuple[int, ...], n2: int, cond2: bool) -> TCCase:
     """Map the one-coordinate counts per block, n2 and condition two to a case.
 
     Condition checks come first.  Otherwise the two nonzero projection
-    dimensions k1 >= k2 of the one-coordinate parts name the odd case and
-    the two even cases of (m, k1, k2); the first that the builder checks
-    accept and whose closed pair count is n2 is the answer.  Failure to
-    match any case is reported loudly.
+    dimensions k1 >= k2 of the one-coordinate parts and n2 name the builder
+    case of m with those k1, k2 and closed pair count.  Failure to match any
+    case is reported loudly.
     """
     if all(ones):
         return COND1
     if cond2:
         return COND2
     k1, k2, _ = sorted(((c + 1).bit_length() - 1 for c in ones), reverse=True)
-    for case in (odd_case(m, k1, k2), even_case(m, k1, k2, "+"), even_case(m, k1, k2, "-")):
-        try:
-            if lnumber_closed(case)[1] == n2:
-                return case
-        except UsageError:
-            continue
+    case = _builder_cases(m).get((k1, k2, n2))
+    if case is not None:
+        return case
     raise FalsificationError(
         f"projections k1 = {k1}, k2 = {k2} with pair count {n2} match no builder case of m = {m}"
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _builder_cases(m: int) -> dict[tuple[int, int, int], TCCase]:
+    """valid_params(m) by (k1, k2, closed pair count): one case per key, as the parity of
+    m - k1 - k2 tells odd from even, and the pair count + from -."""
+    return {(c.k1, c.k2, lnumber_closed(c)[1]): c for c in valid_params(m)}
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +672,9 @@ def _census_pass(m: int) -> tuple[list[int], Callable[[Sequence[int]], int], lis
     the key and lanes 1..g the image keys.  Words below 2^(63 - 3m),
     checked before any table or span is made, keep each lane below 2^63,
     so no lane carries into the next.  The image lanes go to an array('q')
-    as little-endian bytes, swapped once on a big-endian host.
+    as native-order bytes; on a big-endian host that reverses the generator
+    order within each subspace's block, which neither the remap nor the
+    orbit pass depends on.
     """
     words = _fingerprint_words(m)
     if not 0 <= min(words) <= max(words) < 1 << (63 - 3 * m):
@@ -682,9 +690,7 @@ def _census_pass(m: int) -> tuple[list[int], Callable[[Sequence[int]], int], lis
     for i, t in enumerate(_mts_sums(m, lanes)):
         if index.setdefault(t & _LANE, i) != i:
             raise FalsificationError("duplicate subspace or key collision in the census")
-        images.frombytes((t >> 64).to_bytes(8 * g, "little"))
-    if sys.byteorder == "big":
-        images.byteswap()
+        images.frombytes((t >> 64).to_bytes(8 * g, sys.byteorder))
     total = len(index)
     if total != mts_count_formula(m):
         raise FalsificationError(

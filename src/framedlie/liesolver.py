@@ -10,7 +10,7 @@ declarative per-case constraints shipped in a ledger data file.
 Ledger schema (plain text, one record per case; '#' starts a comment
 anywhere on a line):
 
-    case <case-id>            builder tuple "even(5,1,0,+)" or a pair id
+    case <case-id>            a pair id, or a builder case as str(TCCase) prints it
     table <ta8|ta16>
     dim <int>                 published weight-one dimension
     schellekens <int>         row number in the reference list
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .gf2 import MAX_WIDTH, FalsificationError, UsageError
+from .gf2 import FalsificationError, UsageError
 
 MAX_TOTAL_RANK = 24
 
@@ -232,20 +232,16 @@ class PartitionDims:
 Constraint = TotalRank | IdealExists | RootSpaceIdeal | RootSpacePartition | PartitionDims
 
 
-def _ints(parts: list[str], token: str) -> list[int]:
-    try:
-        return [int(x) for x in parts]
-    except ValueError:
-        raise UsageError(f"expected integers in {token!r}") from None
-
-
 def parse_constraint(token: str) -> Constraint:
     """One constraint token, as `lie solve --constraint` and the ledger's
     `constraint` lines write it.  Constraint values count dimensions, ranks
     or roots, so none may be negative."""
 
     def counts(parts: list[str]) -> list[int]:
-        values = _ints(parts, token)
+        try:
+            values = [int(x) for x in parts]
+        except ValueError:
+            raise UsageError(f"expected integers in {token!r}") from None
         for v in values:
             if v < 0:
                 raise UsageError(f"constraint values are non-negative counts, got {v}")
@@ -454,19 +450,15 @@ def _validate_record(rec: CaseRecord) -> None:
 
 
 def _resolve_case(case_id: str) -> object:
-    """A pair case id as is, or the TCCase that an id such as even(5,1,0,+)
-    spells, if its parameters pass the builder checks."""
+    """A pair case id as is, or the builder case that case_id spells."""
     from . import framed
 
     if case_id in framed.PAIR_CASE_IDS:
         return case_id
-    kind, _, body = case_id.partition("(")
-    m = body.split(",", 1)[0]
-    if kind in ("even", "odd") and m.isdecimal() and 1 <= int(m) <= MAX_WIDTH // 6:
-        for case in framed.valid_params(int(m)):
-            if str(case) == case_id:
-                return case
-    raise UsageError(f"case {case_id}: not a pair case or a buildable triple case")
+    try:
+        return framed.parse_case(case_id)
+    except UsageError as exc:
+        raise UsageError(f"case {case_id}: not a pair case, and {exc}") from None
 
 
 def load_ledger(path: str | None = None) -> tuple[CaseRecord, ...]:
@@ -526,9 +518,9 @@ def run_case(rec: CaseRecord) -> CaseReport:
     return CaseReport(rec, dim, sols, problems)
 
 
-def run_ledger(path: str | None = None) -> list[CaseReport]:
+def run_ledger(records: Sequence[CaseRecord]) -> list[CaseReport]:
     """Solve every ledger case and compare with the published data."""
-    return [run_case(rec) for rec in load_ledger(path)]
+    return [run_case(rec) for rec in records]
 
 
 def unmatched_rows(reports: Sequence[CaseReport], rows: Sequence[tuple]) -> list[tuple]:
@@ -547,12 +539,12 @@ def unmatched_rows(reports: Sequence[CaseReport], rows: Sequence[tuple]) -> list
     ]
 
 
-def candidate_table_report(path: str | None) -> list[dict]:
+def candidate_table_report(records: Sequence[CaseRecord]) -> list[dict]:
     """Regenerate every stored candidate table, with the dimension budget
-    from the ledger at path, and compare as exact sets."""
+    from the ledger records, and compare as exact sets."""
     from . import tables
 
-    dims = {rec.case_id: rec.dim for rec in load_ledger(path)}
+    dims = {rec.case_id: rec.dim for rec in records}
     out = []
     for case_id, (ratio_s, printed, extra) in tables.CANDIDATE_TABLES.items():
         printed_set = {tok for tok, _, _ in printed}

@@ -36,7 +36,6 @@ from .gf2 import (
     apply_map,
     complement_in,
     full_subspace,
-    intersect,
     kernel,
     recombine,
     rref,
@@ -93,9 +92,6 @@ class QuadraticSpace:
 
     def perp(self, s: Subspace) -> Subspace:
         return kernel([self.functional(r) for r in s.rows], self.dim)
-
-    def radical(self, s: Subspace) -> Subspace:
-        return intersect(s, self.perp(s))
 
     def full(self) -> Subspace:
         return full_subspace(self.dim)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from framedlie import __version__, checks, cli, modlabels, quadspace
+from framedlie import __version__, checks, cli, liesolver, modlabels, quadspace
 from framedlie.cli import main
 from framedlie.gf2 import FalsificationError
 from framedlie.liesolver import default_ledger_path, load_ledger, parse_decomposition
@@ -28,8 +28,8 @@ def checks_only(monkeypatch, prefix):
     """Make verify run only the registry's checks whose names start with prefix."""
     registry = checks.verify_checks
 
-    def some_checks(quick, ledger_path):
-        return ((n, fn) for n, fn in registry(quick, ledger_path) if n.startswith(prefix))
+    def some_checks(quick, records):
+        return ((n, fn) for n, fn in registry(quick, records) if n.startswith(prefix))
 
     monkeypatch.setattr(checks, "verify_checks", some_checks)
 
@@ -384,8 +384,8 @@ def test_package_imports_only_the_standard_library():
 def test_check_that_raises_another_exception_is_an_error(capsys, monkeypatch):
     registry = checks.verify_checks
 
-    def with_broken(quick, ledger_path):
-        for name, fn in registry(quick, ledger_path):
+    def with_broken(quick, records):
+        for name, fn in registry(quick, records):
             if name.startswith("codes_"):
                 yield name, (lambda: 1 // 0) if name == "codes_rm_duality" else fn
 
@@ -449,6 +449,42 @@ def test_ledger_bad_case_id_exits_2(capsys, monkeypatch, tmp_path):
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), new  # before any check runs
         assert captured.err == err
+
+
+def test_ledger_record_guards_exit_2(capsys, tmp_path):
+    text = open(default_ledger_path()).read()
+    p = tmp_path / "bad.ledger"
+    for old, new, message in (
+        ("\ndim 60\n", "\ndim x\n", "line 11: 'dim x'"),
+        ("\ndim 60\n", "\ndim 24\n", "line 9: case even(5,1,0,+): missing or abelian-branch dim"),
+        ("\nanswer D4,4 (A2,2)^4\n", "\n", "line 9: case even(5,1,0,+): missing answer"),
+    ):
+        assert old in text
+        p.write_text(text.replace(old, new, 1))
+        code = main(["lie", "ledger", "--ledger", str(p)])
+        err = capsys.readouterr().err
+        assert code == 2, new
+        assert err == f"usage error: ledger {message}\n", err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--quick", "--format", "json"],
+    ["lie", "ledger"],
+    *(["lie", "tables", "--which", which] for which in ("ta8", "ta16", "lieframed")),
+])
+def test_each_command_reads_and_runs_its_ledger_once(capsys, monkeypatch, argv):
+    loads, runs = [], []
+    load, run_ledger = liesolver.load_ledger, liesolver.run_ledger
+    monkeypatch.setattr(liesolver, "load_ledger", lambda path=None: loads.append(path) or load(path))
+    monkeypatch.setattr(liesolver, "run_ledger", lambda records: runs.append(1) or run_ledger(records))
+    assert main(argv) == 0
+    assert (loads, len(runs)) == ([None], 1)
+
+
+def test_base_token_is_strict(capsys):
+    for base in ("odd:05,4,0", "odd(5,4,0)", "odd:5,4,0)", "odd:5,4,0,", "odd: 5,4,0", "cond1:", "even:5,3,0"):
+        assert main(["frame", "orbifold", "--base", base]) == 2, base
+        assert capsys.readouterr().err.startswith("usage error: "), base
 
 
 def test_negative_constraint_value_exits_2(capsys, tmp_path):

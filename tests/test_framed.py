@@ -10,6 +10,7 @@ from framedlie.framed import (
     COND1,
     COND2,
     MtsSubspace,
+    TCCase,
     TripleAmbient,
     build_case,
     build_even,
@@ -23,6 +24,7 @@ from framedlie.framed import (
     odd_case,
     pair_ambient,
     pair_case_prescription,
+    parse_case,
     profile,
     rho_invariants,
     section47_orbifold_choices,
@@ -32,7 +34,7 @@ from framedlie.framed import (
     weight1_dim_triple,
     z2_orbifold,
 )
-from framedlie.cli import main
+from framedlie.cli import _parse_case_token, main
 from framedlie.codes import interleave_word
 from framedlie.gf2 import (
     FalsificationError,
@@ -74,6 +76,47 @@ def test_builder_param_validation():
         build_even(5, 1, 3, "+", 0)  # k2 > k1
     with pytest.raises(UsageError):
         build_odd(5, 1, 0, 0)  # even parity gap
+
+
+def test_case_text_and_base_token_read_back():
+    for m in range(1, 11):
+        for case in valid_params(m):
+            assert parse_case(str(case)) == case
+            assert _parse_case_token(str(case).replace("(", ":").removesuffix(")")) == case
+
+
+@pytest.mark.parametrize("fields", [
+    ("even", 5, 1, 0, "?"),
+    ("even", 5, 1, 0),  # an even case needs a sign
+    ("odd", 5, 4, 0, "+"),  # an odd case takes none
+    ("even", 5, 1, 3, "+"),  # k2 > k1
+    ("even", 5, 1, -1, "+"),  # k2 < 0
+    ("even", 5, 7, 0, "+"),  # k1 > m
+    ("even", 5, 2, 0, "+"),  # odd gap for an even case
+    ("odd", 5, 1, 0),  # even gap for an odd case
+    ("even", 5, 4, 3, "+"),  # m - k1 - k2 = -2: even, and negative
+    ("odd", 5, 3, 3),  # m - k1 - k2 = -1: odd, and negative
+    ("even", 5, 5, 0, "-"),  # no room for a minus block
+    ("even", 0, 0, 0, "+"),
+    ("odd", 0, 0, 0),
+    ("even", 11, 1, 0, "+"),
+    ("odd", 11, 0, 0),
+    ("cond3",),
+    ("",),
+])
+def test_case_rule_rejects(fields):
+    with pytest.raises(UsageError):
+        TCCase(*fields)
+
+
+@pytest.mark.parametrize("text", [
+    "odd(05,4,0)", "odd(5,4,0", "even(5,1,0)", "cond1", "cond2", "odd(5, 4,0)", "odd(5,4,0) ",
+    "odd(+5,4,0)", "odd(5,4,0,)", "even(5,1,0,+,)", "odd(x,4,0)", "odd(5,4,0)()", "even(5,2,0,+)",
+    "odd(" + "9" * 5000 + ",4,0)", "(5,4,0)", "",
+])
+def test_parse_case_rejects(text):
+    with pytest.raises(UsageError):
+        parse_case(text)
 
 
 def test_builders_are_maximal_totally_singular():
@@ -520,6 +563,15 @@ def test_decide_branch_reads_each_builder_case_from_its_closed_profile():
         framed._decide_branch(1, (1, 1, 0), 0, False)
 
 
+def test_census_labels_do_not_depend_on_generator_order(monkeypatch):
+    # a big-endian host reads each block of image lanes in reverse generator order
+    want = {m: framed._census_pass(m)[0] for m in (1, 2)}
+    gens = framed._wreath_generators
+    monkeypatch.setattr(framed, "_wreath_generators", lambda m: gens(m)[::-1])
+    for m in (1, 2):
+        assert framed._census_pass(m)[0] == want[m]
+
+
 def test_wreath_order():
     assert framed._wreath_order(1) == 48
     assert framed._wreath_order(2) == 72**3 * 6
@@ -854,6 +906,19 @@ def test_pair_prescriptions():
         assert pair_case_prescription(cid).dim == d
     with pytest.raises(UsageError):
         pair_case_prescription("nope")
+
+
+def test_ambient_and_case_guards():
+    triple, pair = build_even(1, 1, 0, "+"), build_pair_case("pcl4_6")
+    for call, message in (
+        (lambda: build_case(COND1), "no builder for case cond1"),
+        (lambda: lnumber_closed(COND2), "closed profile forms exist only for builder cases"),
+        (lambda: profile(pair), "defined over the triple ambient"),
+        (lambda: rho_invariants(triple), "defined over the pair ambient"),
+        (lambda: weight1_dim_pair(triple), "needs the pair ambient"),
+    ):
+        with pytest.raises(UsageError, match=message):
+            call()
 
 
 def test_pair_case_smoke():

@@ -112,6 +112,12 @@ def test_intersect_and_sum_examples():
     assert set(span(s.rows)) == brute_span([0b011, 0b110], 3)
 
 
+def test_sum_and_intersection_need_one_ambient():
+    for op in (subspace_sum, intersect):
+        with pytest.raises(UsageError, match="of subspaces in different ambients"):
+            op(rref([0b01], 2), rref([0b01], 3))
+
+
 def test_dimension_formula_random():
     rng = random.Random(20260810)
     for _ in range(1000):

@@ -91,6 +91,12 @@ def test_ratio_from_dim():
         ratio_from_dim(24)
 
 
+def test_candidates_need_a_positive_ratio():
+    for ratio in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(UsageError, match="the ratio must be positive"):
+            candidates(ratio, 100)
+
+
 def test_candidates_examples():
     got = {str(c) for c in candidates(Fraction(3, 2), 60)}
     assert got == {"A2,2", "A5,4", "C2,2", "B5,6", "C5,4", "D4,4", "F4,6"}
@@ -101,7 +107,7 @@ def test_candidates_examples():
 
 
 def test_candidate_tables_regression():
-    report = candidate_table_report(None)
+    report = candidate_table_report(load_ledger())
     assert len(report) == 21
     for row in report:
         assert row["ok"], (row["case"], row["problems"])

@@ -9,6 +9,7 @@ from framedlie.gf2 import (
     UsageError,
     apply_map,
     full_subspace,
+    intersect,
     rref,
     rref_ints,
     span,
@@ -31,6 +32,25 @@ from framedlie.quadspace import (
     symplectic_basis,
     type_of,
 )
+
+
+def test_usage_guards():
+    plane, space = standard_plus(2), standard_plus(4)
+    for call, message in (
+        (lambda: QuadraticSpace(0, ()), "even positive dimension"),
+        (lambda: QuadraticSpace(3, (0, 0, 0)), "even positive dimension"),
+        (lambda: QuadraticSpace(2, (0b10,)), "one coefficient row per coordinate"),
+        (lambda: QuadraticSpace(2, (0b10, 0b11)), "upper triangular"),
+        (lambda: plane.q(0b100), "vector width exceeds space dimension"),
+        (lambda: plane.bilinear(0b01, 0b100), "vector width exceeds space dimension"),
+        (lambda: symplectic_basis(space, rref([0b0001], 4)), "requires a non-singular subspace"),
+        # e0 and e1 are singular but pair to 1
+        (lambda: max_ts_extend(plane, rref([0b01, 0b10], 2)), "not totally singular"),
+        (lambda: isometry(space, rref([0b0011], 4), space.full()), "requires equal dimensions"),
+        (lambda: nonsingular_inside(space, space.full(), 3, False), "have even dimension"),
+    ):
+        with pytest.raises(UsageError, match=message):
+            call()
 
 
 def test_hyperbolic_plane_values():
@@ -70,7 +90,7 @@ def test_gauss_sum_matches_enumeration():
                 s = rref([rng.getrandbits(dim) for _ in range(rng.randrange(dim + 1))], dim)
                 direct = sum(1 - 2 * space.q(v) for v in span(s.rows))
                 assert gauss_sum(space, s) == direct, (dim, s.rows)
-                rad = space.radical(s)
+                rad = intersect(s, space.perp(s))
                 assert len(_split(space, s.rows)[2]) == rad.dim, (dim, s.rows)
                 q_on_rad = any(space.q(r) for r in rad.rows)
                 assert (direct == 0) == q_on_rad
@@ -158,11 +178,11 @@ def test_census_matches_gray_walk():
         got = _gray_census(space, s)
         assert singular_census(space, s) == got, (space, s)
         sub = space.full() if s is None else s
-        if sub.dim and not space.radical(sub).dim:
+        if sub.dim and not intersect(sub, space.perp(sub)).dim:
             assert lnum_closed(sub.dim // 2, type_of(space, s) == "plus") == got, (space, s)
         if s is not None:
             seen.add("odd" if s.dim % 2 else "even" if s.dim else "zero")
-            seen.add("degenerate" if space.radical(s).dim else "nondegenerate")
+            seen.add("degenerate" if intersect(s, space.perp(s)).dim else "nondegenerate")
             seen.add("full" if s.dim == space.dim else "proper")
     assert seen == {"zero", "odd", "even", "degenerate", "nondegenerate", "full", "proper"}
 
@@ -184,7 +204,7 @@ def test_census_matches_gray_walk_above_the_slice():
             for s in cases:
                 assert s.dim > quadspace.SLICE_ROWS
                 assert singular_census(space, s) == _gray_census(space, s), (space, s)
-                seen.add("degenerate" if space.radical(s).dim else "nondegenerate")
+                seen.add("degenerate" if intersect(s, space.perp(s)).dim else "nondegenerate")
     assert seen == {"degenerate", "nondegenerate"}
 
 
