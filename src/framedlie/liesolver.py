@@ -102,9 +102,10 @@ def leveled(token: str) -> LeveledType:
     if not lvl:
         raise UsageError(f"missing level in {token!r}")
     try:
-        return LeveledType(name[:1], int(name[1:]), int(lvl))
+        rank, level = int(name[1:]), int(lvl)
     except ValueError as exc:
         raise UsageError(f"bad type token {token!r}") from exc
+    return LeveledType(name[:1], rank, level)
 
 
 class Decomposition:

@@ -16,7 +16,9 @@ weight.
 The group law, the form and the orbit rows are computed on packed labels:
 one int with c in bits 0-15, then eps, delta, sign and twist in bits 16-19.
 ``RXLabel`` holds that packed int and nothing else: it checks the normal
-form once, when it is made, and reads its five fields from the bits.
+form once, when it is made from outside input, and reads its five fields
+from the bits.  Drawn labels and fusion sums are normal forms by
+construction and are made unchecked.
 """
 
 from __future__ import annotations
@@ -87,9 +89,7 @@ class RXLabel:
             raise UsageError("non-canonical c: first coordinate must be 0")
         if (x & C_MASK).bit_count() & 1:
             raise UsageError("half-vector c must have even weight")
-        label = object.__new__(cls)
-        _set_packed(label, x)
-        return label
+        return _label(x)
 
     twist = property(lambda self: self.packed >> 19 & 1)
     eps = property(lambda self: self.packed >> 16 & 1)
@@ -127,6 +127,18 @@ class RXLabel:
 
 
 _set_packed = RXLabel.packed.__set__  # the slot's own setter, past __setattr__
+
+
+def _label(x: int) -> RXLabel:
+    """The label of a packed int already in normal form, unchecked.
+
+    Only for ints this module makes in normal form; outside input goes
+    through `RXLabel(...)` or `RXLabel.from_packed`.
+    """
+    label = object.__new__(RXLabel)
+    _set_packed(label, x)
+    return label
+
 
 ZERO_PLUS = RXLabel(0, 0, 0, 0, 0)
 ZERO_MINUS = RXLabel(0, 0, 0, 0, 1)
@@ -217,7 +229,9 @@ def qx(label: RXLabel) -> int:
 
 def rx_add(a: RXLabel, b: RXLabel) -> RXLabel:
     """The fusion product; an elementary abelian group law of order 2^18."""
-    return RXLabel.from_packed(_add_packed(a.packed, b.packed))
+    # a sum of normal forms is one: c ^ c' keeps bit 0 clear and the weight
+    # of c even, and every flag stays a single bit
+    return _label(_add_packed(a.packed, b.packed))
 
 
 def _reduce_coord(v: int) -> tuple[int, int, int]:
@@ -232,20 +246,23 @@ def _reduce_coord(v: int) -> tuple[int, int, int]:
 
 
 @functools.lru_cache(maxsize=1)
-def _norm_tables() -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Byte tables of the coset decoder, one per (eps, shift) at index
-    2 * eps + shift // 2.
+def _norm_tables() -> tuple[tuple[tuple[int, int, int, int, int, int], ...], ...]:
+    """Byte tables of the coset decoder, one per eps, each entry holding
+    both half-vector shifts.
 
-    Entry b holds (sum of t^2, step parity, cheapest repair) over eight
-    coordinates eps + 2 * c_i + shift whose bits c_i are those of b, each
-    reduced by `_reduce_coord`.  Built on first use, not at import.
+    Entry b of table eps is (sq, parity, cheapest) for shift 0 followed by
+    the same three for shift 2: the sum of t^2, the step parity and the
+    cheapest repair over eight coordinates eps + 2 * c_i + shift whose bits
+    c_i are those of b, each reduced by `_reduce_coord`.  Built on first
+    use, not at import.
     """
     out = []
     for eps in (0, 1):
-        for shift in (0, 2):
-            coord = [_reduce_coord(eps + 2 * bit + shift) for bit in (0, 1)]
-            table = []
-            for byte in range(256):
+        coords = [[_reduce_coord(eps + 2 * bit + shift) for bit in (0, 1)] for shift in (0, 2)]
+        table = []
+        for byte in range(256):
+            entry = ()
+            for coord in coords:
                 sq = parity = 0
                 cheapest = 16
                 for j in range(8):
@@ -253,8 +270,9 @@ def _norm_tables() -> tuple[tuple[tuple[int, int, int], ...], ...]:
                     sq += t * t
                     parity ^= steps
                     cheapest = min(cheapest, cost)
-                table.append((sq, parity, cheapest))
-            out.append(tuple(table))
+                entry += (sq, parity, cheapest)
+            table.append(entry)
+        out.append(tuple(table))
     return tuple(out)
 
 
@@ -264,22 +282,25 @@ def coset_min_norm(label: RXLabel) -> int:
     Per-coordinate reduction into [-2, 2] for both half-vector shifts, with
     the cheapest single-coordinate repair when the even-sum parity fails;
     a +-2 residue makes the repair free.  The reduction is read from the
-    byte tables of c, two lookups per shift; delta adds 4 to coordinate 0,
-    which only flips the step parity.  The tables come from the lattice
-    rule alone, so this decoder checks the orbit table independently.
+    byte table of eps, one lookup for each byte of c, each entry holding
+    both shifts; delta adds 4 to coordinate 0, which only flips the step
+    parity.  The tables come from the lattice rule alone, so this decoder
+    checks the orbit table independently.
     """
     x = label.packed
-    eps, delta = x >> 16 & 1, x >> 17 & 1
-    lo, hi = x & 0xFF, x >> 8 & 0xFF
-    best = 1 << 10  # above any decoded |w'|^2, which is at most 16 * 2^2 + 16
-    for table in _norm_tables()[2 * eps : 2 * eps + 2]:
-        sq_lo, par_lo, cost_lo = table[lo]
-        sq_hi, par_hi, cost_hi = table[hi]
-        total = sq_lo + sq_hi
-        if par_lo ^ par_hi ^ delta:
-            total += min(cost_lo, cost_hi)
-        if total < best:
-            best = total
+    delta = x >> 17 & 1
+    table = _norm_tables()[x >> 16 & 1]
+    sq_lo0, par_lo0, cost_lo0, sq_lo2, par_lo2, cost_lo2 = table[x & 0xFF]
+    sq_hi0, par_hi0, cost_hi0, sq_hi2, par_hi2, cost_hi2 = table[x >> 8 & 0xFF]
+    # conditionals, not min(): the builtin call costs more than the compare
+    best = sq_lo0 + sq_hi0  # shift 0
+    if par_lo0 ^ par_hi0 ^ delta:
+        best += cost_lo0 if cost_lo0 < cost_hi0 else cost_hi0
+    total = sq_lo2 + sq_hi2  # shift 2
+    if par_lo2 ^ par_hi2 ^ delta:
+        total += cost_lo2 if cost_lo2 < cost_hi2 else cost_hi2
+    if total < best:
+        best = total
     if best % 8:
         raise FalsificationError(f"decoded squared length {best} is not a multiple of 8")
     return best // 8
@@ -337,7 +358,7 @@ def orbit_class(label: RXLabel, verify: bool = False) -> OrbitClass:
     rows 1 and 2 regardless of norms).
     """
     x = label.packed
-    row = _row(x)
+    row = _ROW_TABLE[(x >> 16) << 4 | (x & C_MASK).bit_count()]  # _row, inlined on this hot path
     if verify and not x & _TWIST and x & (C_MASK | _EPS | _DELTA):
         if TABLE_ROW_LOWEST2[row][0] != coset_min_norm(label):
             raise FalsificationError(
@@ -381,11 +402,18 @@ def pairing(a: RXLabel, b: RXLabel) -> int:
 
 
 def random_label(rng: random.Random, twisted: bool | None = None) -> RXLabel:
-    twist = rng.getrandbits(1) if twisted is None else int(twisted)
-    c = canonical_c_values()[rng.randrange(1 << 14)]
+    if twisted is None:
+        twisted = rng.getrandbits(1)
+    # rng.randrange(1 << 14) as Random draws it, without its argument
+    # checks: n.bit_length() = 15 bits, drawn again while the result is >= n
+    i = rng.getrandbits(15)
+    while i >> 14:
+        i = rng.getrandbits(15)
+    c = canonical_c_values()[i]
     # eps, delta, sign in this order, so every seed draws the labels it always drew
     x = c | rng.getrandbits(1) << 16 | rng.getrandbits(1) << 17 | rng.getrandbits(1) << 18
-    return RXLabel.from_packed(x | twist << 19)
+    # a normal form: c is canonical by construction and each flag is one bit
+    return _label(x | _TWIST if twisted else x)
 
 
 class RXCoordinates:

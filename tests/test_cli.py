@@ -458,6 +458,8 @@ def test_ledger_record_guards_exit_2(capsys, tmp_path):
         ("\ndim 60\n", "\ndim x\n", "line 11: 'dim x'"),
         ("\ndim 60\n", "\ndim 24\n", "line 9: case even(5,1,0,+): missing or abelian-branch dim"),
         ("\nanswer D4,4 (A2,2)^4\n", "\n", "line 9: case even(5,1,0,+): missing answer"),
+        ("\ntable ta8\n", "\ntable ta24\n", "line 9: case even(5,1,0,+): bad table 'ta24'"),
+        ("\nalso (E8,1)^3\n", "\nalso (E8,1)^2\n", "line 46: case even(5,5,0,+): alternate dimension is off"),
     ):
         assert old in text
         p.write_text(text.replace(old, new, 1))

@@ -48,16 +48,23 @@ def test_simple_type_data():
 
 
 def test_naming_convention():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^B2 is outside the naming convention$"):
         LeveledType("B", 2, 1)  # reported as C2
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^D3 is outside the naming convention$"):
         LeveledType("D", 3, 1)  # reported as A3
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^D2 is outside the naming convention$"):
         LeveledType("D", 2, 1)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^unknown simple type E5$"):
         LeveledType("E", 5, 1)
-    with pytest.raises(UsageError):
+    # a token that parses keeps the type's own message
+    with pytest.raises(UsageError, match="^levels are positive integers$"):
         leveled("A3,0")
+    with pytest.raises(UsageError, match="^A30 is outside the naming convention$"):
+        leveled("A30,1")
+    with pytest.raises(UsageError, match="^unknown simple type E9$"):
+        leveled("E9,1")
+    with pytest.raises(UsageError, match="^bad type token 'Ax,1'$"):
+        leveled("Ax,1")
 
 
 def test_decomposition_parse_and_str():

@@ -157,6 +157,30 @@ def test_random_label_draws_unchanged():
     assert digest == "e6d1d6e7f0ce4550723263a0cbc285c0c8a7109212ddfe23b6b431110e9096e2"
 
 
+def test_random_label_matches_the_randrange_draw():
+    # the draw as first written, through randrange, on a twin generator
+    for twisted in (None, False, True):
+        rng, twin = random.Random(12), random.Random(12)
+        for _ in range(10**4):
+            twist = twin.getrandbits(1) if twisted is None else int(twisted)
+            c = canonical_c_values()[twin.randrange(1 << 14)]
+            eps, delta, sign = (twin.getrandbits(1) for _ in range(3))
+            assert random_label(rng, twisted) == RXLabel(twist, eps, c, delta, sign)
+
+
+def test_drawn_and_summed_labels_are_normal_forms():
+    # random_label and rx_add skip the normal-form checks; from_packed runs them
+    rng = random.Random(11)
+    draws = {t: [random_label(rng, twisted=t) for _ in range(10**4)] for t in (None, False, True)}
+    for xs in draws.values():
+        for x in xs:
+            assert RXLabel.from_packed(x.packed) == x
+    for xs, ys in itertools.product(draws.values(), repeat=2):
+        for x, y in zip(xs, ys):
+            s = rx_add(x, y)
+            assert RXLabel.from_packed(s.packed) == s
+
+
 def test_normal_form_idempotent():
     rng = random.Random(42)
     for _ in range(300):
@@ -395,7 +419,10 @@ def test_coset_min_norm_matches_loop_on_every_coset():
 
 def test_coset_min_norm_rejects_a_norm_off_the_lattice(monkeypatch):
     # two more in every decoded squared length: a weight-2 c decodes to 10, not 8
-    tables = [tuple((sq + 1, par, cost) for sq, par, cost in t) for t in modlabels._norm_tables()]
+    tables = [
+        tuple((sq0 + 1, par0, cost0, sq2 + 1, par2, cost2) for sq0, par0, cost0, sq2, par2, cost2 in t)
+        for t in modlabels._norm_tables()
+    ]
     monkeypatch.setattr(modlabels, "_norm_tables", lambda: tables)
     with pytest.raises(FalsificationError, match="squared length 10 is not a multiple of 8"):
         coset_min_norm(normal_form(0, 0, c_of(1, 2), 0, 0))
