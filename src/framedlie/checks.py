@@ -82,13 +82,13 @@ def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
 
     def pair(case_id):
         value, row3, terms = pair_expect[case_id]
-        want = (value, value, row3, terms)
+        want = (value, row3, terms)
         for seed in range(5):
             # runs rho_invariants, which raises FalsificationError unless
             # the projection identities hold
             data = framed.weight1_dim_pair(framed.build_pair_case(case_id, seed=seed))
-            got = (data["value"], data["direct"], data["row3_in_rho1"], data["terms"])
-            expect(f"{case_id} seed {seed}: (value, direct, row 3, terms)", got, want)
+            got = (data["direct"], data["row3_in_rho1"], data["terms"])
+            expect(f"{case_id} seed {seed}: (direct, row 3, terms)", got, want)
 
     for case_id in pair_expect:
         yield f"pair_{case_id}", (lambda c=case_id: pair(c))
@@ -322,7 +322,7 @@ def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
             got = framed.weight1_dim_triple(framed.build_even(5, 4, 1, "+", seed))
             expect(f"even(5,4,1,+) seed {seed}: weight-one value", got, 384)
         for seed in range(2):
-            got = framed.build_pair_case_weight1("pcl4_6", seed)
+            got = framed.weight1_dim_pair(framed.build_pair_case("pcl4_6", seed))["direct"]
             expect(f"pcl4_6 seed {seed}: weight-one value", got, 72)
 
     yield "seed_invariance", seeds

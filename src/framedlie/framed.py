@@ -8,7 +8,6 @@ label space with the abstract 10-dimensional one (the "pair" ambient).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import operator
@@ -67,13 +66,19 @@ from .quadspace import (
 # ---------------------------------------------------------------------------
 
 
+def _m_problem(m: int) -> str | None:
+    """Why no triple ambient has this m, or None: its 6m coordinates must fit in MAX_WIDTH."""
+    fits = 1 <= m <= MAX_WIDTH // 6
+    return None if fits else f"triple ambient needs m in 1..{MAX_WIDTH // 6}, got {m}"
+
+
 @dataclass(frozen=True)
 class TripleAmbient:
     m: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.m <= MAX_WIDTH // 6:
-            raise UsageError(f"triple ambient needs m in 1..{MAX_WIDTH // 6}, got {self.m}")
+        if problem := _m_problem(self.m):
+            raise UsageError(problem)
 
     @functools.cached_property
     def block(self) -> QuadraticSpace:
@@ -162,20 +167,9 @@ class TCCase:
     eps: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind in ("cond1", "cond2"):
-            return
-        if self.kind not in ("even", "odd"):
-            raise UsageError(f"unknown case kind {self.kind!r}")
-        TripleAmbient(self.m)  # raises unless m is in range
-        if self.eps not in (("+", "-") if self.kind == "even" else ("",)):
-            raise UsageError("eps must be '+' or '-' for even cases and empty for odd ones")
-        if not 0 <= self.k2 <= self.k1 <= self.m:
-            raise UsageError("need 0 <= k2 <= k1 <= m")
-        d = self.m - self.k1 - self.k2
-        if d < 0 or d % 2 != (self.kind == "odd"):
-            raise UsageError(f"m - k1 - k2 = {d} has the wrong sign or parity for {self.kind} cases")
-        if self.eps == "-" and d < 2:
-            raise UsageError("minus type needs a block of dimension at least 2")
+        fields = (self.kind, self.m, self.k1, self.k2, self.eps)
+        if self.kind not in ("cond1", "cond2") and (problem := _case_problem(*fields)):
+            raise UsageError(problem)
 
     def __str__(self) -> str:
         if self.kind == "even":
@@ -183,6 +177,24 @@ class TCCase:
         if self.kind == "odd":
             return f"odd({self.m},{self.k1},{self.k2})"
         return self.kind
+
+
+def _case_problem(kind: str, m: int, k1: int, k2: int, eps: str) -> str | None:
+    """The one builder-case rule: the first reason these fields name no buildable case, or None."""
+    if kind not in ("even", "odd"):
+        return f"unknown case kind {kind!r}"
+    if problem := _m_problem(m):
+        return problem
+    if eps not in (("+", "-") if kind == "even" else ("",)):
+        return "eps must be '+' or '-' for even cases and empty for odd ones"
+    if not 0 <= k2 <= k1 <= m:
+        return "need 0 <= k2 <= k1 <= m"
+    d = m - k1 - k2
+    if d < 0 or d % 2 != (kind == "odd"):
+        return f"m - k1 - k2 = {d} has the wrong sign or parity for {kind} cases"
+    if eps == "-" and d < 2:
+        return "minus type needs a block of dimension at least 2"
+    return None
 
 
 COND1 = TCCase("cond1")
@@ -213,15 +225,16 @@ def parse_case(text: str) -> TCCase:
     raise UsageError(f"bad case {text!r}; write even(m,k1,k2,+|-) or odd(m,k1,k2)")
 
 
+def _cases(m: int, k1: int, k2: int) -> Iterator[TCCase]:
+    """The builder cases of m with k1, k2: even + then -, or odd, by the parity of m - k1 - k2."""
+    for kind, eps in (("even", "+"), ("even", "-"), ("odd", "")):
+        if _case_problem(kind, m, k1, k2, eps) is None:
+            yield TCCase(kind, m, k1, k2, eps)
+
+
 def valid_params(m: int) -> list[TCCase]:
     """Every builder case of m: for each k1 >= k2, even + and -, then odd."""
-    out: list[TCCase] = []
-    for k1 in range(m + 1):
-        for k2 in range(k1 + 1):
-            for kind, eps in (("even", "+"), ("even", "-"), ("odd", "")):
-                with contextlib.suppress(UsageError):
-                    out.append(TCCase(kind, m, k1, k2, eps))
-    return out
+    return [case for k1 in range(m + 1) for k2 in range(k1 + 1) for case in _cases(m, k1, k2)]
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +402,20 @@ def _decide_branch(m: int, ones: tuple[int, ...], n2: int, cond2: bool) -> TCCas
 
     Condition checks come first.  Otherwise the two nonzero projection
     dimensions k1 >= k2 of the one-coordinate parts and n2 name the builder
-    case of m with those k1, k2 and closed pair count.  Failure to match any
-    case is reported loudly.
+    case of m with those k1, k2 and closed pair count; the parity of m - k1 - k2
+    tells odd from even, and the count + from -.  No match is reported loudly.
     """
     if all(ones):
         return COND1
     if cond2:
         return COND2
     k1, k2, _ = sorted(((c + 1).bit_length() - 1 for c in ones), reverse=True)
-    case = _builder_cases(m).get((k1, k2, n2))
-    if case is not None:
-        return case
+    for case in _cases(m, k1, k2):
+        if lnumber_closed(case)[1] == n2:
+            return case
     raise FalsificationError(
         f"projections k1 = {k1}, k2 = {k2} with pair count {n2} match no builder case of m = {m}"
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _builder_cases(m: int) -> dict[tuple[int, int, int], TCCase]:
-    """valid_params(m) by (k1, k2, closed pair count): one case per key, as the parity of
-    m - k1 - k2 tells odd from even, and the pair count + from -."""
-    return {(c.k1, c.k2, lnumber_closed(c)[1]): c for c in valid_params(m)}
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +945,6 @@ def weight1_dim_pair(s: MtsSubspace) -> dict:
             f"weight-one mismatch: direct {direct} vs formula terms {terms}"
         )
     return {
-        "value": direct,
         "terms": terms,
         "direct": direct,
         "kernel_rows": rows_hist,
@@ -948,7 +953,3 @@ def weight1_dim_pair(s: MtsSubspace) -> dict:
         "dim_rho1_of_kernel": inv["rho1_of_kernel2"].dim,
         "dim_rho2_of_kernel": inv["rho2_of_kernel1"].dim,
     }
-
-
-def build_pair_case_weight1(case_id: str, seed: int = 0) -> int:
-    return weight1_dim_pair(build_pair_case(case_id, seed))["value"]

@@ -17,9 +17,10 @@ from typing import Iterable, Sequence
 
 MAX_WIDTH = 64
 ENUM_GUARD = 28
+_LOW = (1 << MAX_WIDTH) - 1  # the coordinates of a vector; a LinearMap packs images above them
 
 
-class UsageError(ValueError):
+class UsageError(Exception):
     """A documented precondition was violated by the caller."""
 
 
@@ -93,33 +94,30 @@ class LinearMap:
     """A linear map on the span of a (not necessarily rref) basis, given by
     the images of that basis.
 
-    The basis is eliminated once, each step applied to the images too, so
-    every kept row is a sum of basis vectors held with the sum of their
-    images.
+    Each basis vector is packed with its image above bit MAX_WIDTH, and the
+    pairs are eliminated once on their low parts (_residues), so every kept
+    row is a sum of basis vectors packed with the sum of their images.
     """
 
     def __init__(self, basis: Sequence[int], images: Sequence[int]):
         if len(images) != len(basis):
             raise UsageError("need one image per basis vector")
-        self.rows: list[tuple[int, int, int]] = []  # (pivot bit, row, image)
-        for x, y in zip(basis, images):
-            for low, r, ry in self.rows:
-                if x & low:
-                    x ^= r
-                    y ^= ry
-            if not x:
-                raise UsageError("basis rows are dependent")
-            self.rows.append((x & -x, x, y))
+        if any(x >> MAX_WIDTH for x in basis):
+            raise UsageError("vector has bits beyond ambient width")
+        rows = _residues([x | y << MAX_WIDTH for x, y in zip(basis, images)], _LOW)
+        if not all(r & _LOW for r in rows):
+            raise UsageError("basis rows are dependent")
+        self.rows = [(r & -r, r) for r in rows]  # (pivot bit, packed row)
 
     def apply(self, v: int) -> int:
-        out = 0
-        for low, r, ry in self.rows:
-            if v & low:
-                v ^= r
-                out ^= ry
-        if v:
+        """One packed row XORed per pivot of v; the image is what lies above bit MAX_WIDTH."""
+        out = v
+        for low, r in self.rows:
+            if out & low:
+                out ^= r
+        if v >> MAX_WIDTH or out & _LOW:
             raise UsageError("vector not in span")
-        return out
+        return out >> MAX_WIDTH
 
 
 def rref_ints(rows: Iterable[int]) -> list[int]:

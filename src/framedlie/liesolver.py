@@ -426,7 +426,7 @@ def parse_ledger(text: str) -> list[CaseRecord]:
                 raise UsageError(f"unknown ledger field {key!r}")
         except UsageError as exc:
             raise UsageError(f"ledger line {where}: {exc}") from exc
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:  # an int() parse; each field's arity is checked first
             raise UsageError(f"ledger line {lineno}: {raw!r}") from exc
     if cur is not None:
         raise UsageError("ledger ended inside a record")
@@ -494,7 +494,7 @@ def _computed_dim(case: object) -> int:
     from . import framed
 
     if isinstance(case, str):
-        return framed.build_pair_case_weight1(case, seed=0)
+        return framed.weight1_dim_pair(framed.build_pair_case(case, seed=0))["direct"]
     return framed.weight1_dim_triple(framed.build_case(case, seed=0))
 
 

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import operator
 import random
@@ -85,28 +86,58 @@ def test_case_text_and_base_token_read_back():
             assert _parse_case_token(str(case).replace("(", ":").removesuffix(")")) == case
 
 
-@pytest.mark.parametrize("fields", [
-    ("even", 5, 1, 0, "?"),
-    ("even", 5, 1, 0),  # an even case needs a sign
-    ("odd", 5, 4, 0, "+"),  # an odd case takes none
-    ("even", 5, 1, 3, "+"),  # k2 > k1
-    ("even", 5, 1, -1, "+"),  # k2 < 0
-    ("even", 5, 7, 0, "+"),  # k1 > m
-    ("even", 5, 2, 0, "+"),  # odd gap for an even case
-    ("odd", 5, 1, 0),  # even gap for an odd case
-    ("even", 5, 4, 3, "+"),  # m - k1 - k2 = -2: even, and negative
-    ("odd", 5, 3, 3),  # m - k1 - k2 = -1: odd, and negative
-    ("even", 5, 5, 0, "-"),  # no room for a minus block
-    ("even", 0, 0, 0, "+"),
-    ("odd", 0, 0, 0),
-    ("even", 11, 1, 0, "+"),
-    ("odd", 11, 0, 0),
-    ("cond3",),
-    ("",),
+_EPS = "eps must be '+' or '-' for even cases and empty for odd ones"
+_ORDER = "need 0 <= k2 <= k1 <= m"
+
+
+@pytest.mark.parametrize("fields", [  # (TCCase fields, the rule's message for them)
+    (("even", 5, 1, 0, "?"), _EPS),
+    (("even", 5, 1, 0), _EPS),  # an even case needs a sign
+    (("odd", 5, 4, 0, "+"), _EPS),  # an odd case takes none
+    (("even", 5, 1, 3, "+"), _ORDER),  # k2 > k1
+    (("even", 5, 1, -1, "+"), _ORDER),  # k2 < 0
+    (("even", 5, 7, 0, "+"), _ORDER),  # k1 > m
+    (("even", 5, 2, 0, "+"), "m - k1 - k2 = 3 has the wrong sign or parity for even cases"),
+    (("odd", 5, 1, 0), "m - k1 - k2 = 4 has the wrong sign or parity for odd cases"),
+    (("even", 5, 4, 3, "+"), "m - k1 - k2 = -2 has the wrong sign or parity for even cases"),
+    (("odd", 5, 3, 3), "m - k1 - k2 = -1 has the wrong sign or parity for odd cases"),
+    (("even", 5, 5, 0, "-"), "minus type needs a block of dimension at least 2"),
+    (("even", 0, 0, 0, "+"), "triple ambient needs m in 1..10, got 0"),
+    (("odd", 0, 0, 0), "triple ambient needs m in 1..10, got 0"),
+    (("even", 11, 1, 0, "+"), "triple ambient needs m in 1..10, got 11"),
+    (("odd", 11, 0, 0), "triple ambient needs m in 1..10, got 11"),
+    (("cond3",), "unknown case kind 'cond3'"),
+    (("",), "unknown case kind ''"),
 ])
 def test_case_rule_rejects(fields):
-    with pytest.raises(UsageError):
-        TCCase(*fields)
+    args, message = fields
+    with pytest.raises(UsageError) as exc:
+        TCCase(*args)
+    assert str(exc.value) == message
+
+
+def test_case_rule_on_a_grid_of_tuples():
+    """The message, or ok, of every tuple in a grid around the builder cases: pins which
+    check fires first, and its text, for each of 16,224 tuples."""
+    lines = []
+    for kind, m in itertools.product(("even", "odd", "cond3", ""), range(-1, 12)):
+        for k1, k2, eps in itertools.product(range(-1, m + 2), range(-1, m + 2), ("+", "-", "", "?")):
+            try:
+                TCCase(kind, m, k1, k2, eps)
+                lines.append(f"{kind},{m},{k1},{k2},{eps}: ok")
+            except UsageError as exc:
+                lines.append(f"{kind},{m},{k1},{k2},{eps}: {exc}")
+    assert len(lines) == 16224 and sum(ln.endswith(": ok") for ln in lines) == 215
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "832597696444663dfa900a88bf23f33fad524d9685cacc8c0056f063cce3e9a1"
+
+
+def test_valid_params_text_and_order():
+    texts = [" ".join(map(str, valid_params(m))) for m in range(12)]
+    assert [len(valid_params(m)) for m in range(12)] == [0, 2, 5, 7, 12, 15, 22, 26, 35, 40, 51, 0]
+    assert texts[3] == "odd(3,0,0) even(3,1,0,+) even(3,1,0,-) odd(3,1,1) odd(3,2,0) even(3,2,1,+) even(3,3,0,+)"
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "1d7c8d32baaa1819d4e1308089bb64a71069fca8507fc930a0b8a259c9cc0dbe"
 
 
 @pytest.mark.parametrize("text", [
@@ -177,7 +208,7 @@ def test_builders_seed_sweep():
             assert weight1_dim_triple(sub) == WEIGHT1_PUBLISHED[str(case)]
     for case_id, value in (("pcl5_3", 132), ("pcl4_4", 216)):
         for seed in (1, 2):
-            assert framed.build_pair_case_weight1(case_id, seed=seed) == value
+            assert weight1_dim_pair(build_pair_case(case_id, seed=seed))["direct"] == value
     # every pair case builds at seeds 0-99, with the projection dimensions
     # of its seed-0 build
     for case_id in framed.PAIR_CASE_IDS:
@@ -925,7 +956,7 @@ def test_pair_case_smoke():
     s = build_pair_case("pcl4_6", seed=0)
     s.validate()
     data = weight1_dim_pair(s)
-    assert data["value"] == 72
+    assert data["direct"] == 72
     assert data["terms"] == (0, 12, 12, 0, 48)
     assert data["row3_in_rho1"] == 48
     assert (data["dim_rho1"], data["dim_rho2_of_kernel"]) == (14, 0)
@@ -996,7 +1027,6 @@ def _weight1_oracle(s: MtsSubspace) -> dict:
         n_row3_full * size_ker1,
     )
     return {
-        "value": direct,
         "terms": terms,
         "direct": direct,
         "kernel_rows": rows_hist,
@@ -1040,7 +1070,6 @@ def _weight1_three_walks(s: MtsSubspace) -> dict:
         n_row3_full * size_ker1,
     )
     return {
-        "value": direct,
         "terms": terms,
         "direct": direct,
         "kernel_rows": rows_hist,

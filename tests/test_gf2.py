@@ -3,6 +3,7 @@ import random
 import pytest
 
 from framedlie.gf2 import (
+    MAX_WIDTH,
     LinearMap,
     ResourceLimitError,
     Subspace,
@@ -273,6 +274,14 @@ def test_coefficients_roundtrip():
         LinearMap([0b011, 0b110], [0])
     with pytest.raises(UsageError, match="not in span"):
         LinearMap([0b011, 0b110], [1, 2]).apply(0b001)
+    # bits at or above MAX_WIDTH lie outside every span, even where a packed image sits
+    top = LinearMap([1 << (MAX_WIDTH - 1), 0b011], [5, 6])
+    assert top.apply(1 << (MAX_WIDTH - 1) | 0b011) == 3
+    for v in (1 << MAX_WIDTH, 1 << MAX_WIDTH | 0b011, 5 << MAX_WIDTH, 0b011 << (MAX_WIDTH - 1)):
+        with pytest.raises(UsageError, match="not in span"):
+            top.apply(v)
+    with pytest.raises(UsageError, match="beyond ambient width"):
+        LinearMap([0b01, 1 << MAX_WIDTH], [0, 0])
     assert LinearMap((), ()).apply(0) == 0
     assert zero_subspace(12).reduce(0) == 0
 
