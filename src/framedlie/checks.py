@@ -207,7 +207,7 @@ def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
 
     def codes_doubling():
         d = codes.doubling(codes.builtin("e8"))
-        got = (d.length, d.dim, codes.is_triply_even(d), codes.contains_all_ones(d))
+        got = (d.ambient_width, d.dim, codes.is_triply_even(d), codes.contains_all_ones(d))
         expect("doubled e8: (length, dim, triply even, holds all-ones)", got, (16, 5, True, True))
 
     yield "codes_doubling_e8", codes_doubling
@@ -217,7 +217,7 @@ def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
         trip = codes.direct_sum(codes.direct_sum(de8, de8), de8)
         mixed = codes.direct_sum(de8, codes.doubling(codes.builtin("d16plus")))
         for name, c in (("d(e8)^3", trip), ("d(e8) + d(d16plus)", mixed)):
-            got = (c.length, codes.is_triply_even(c), codes.contains_all_ones(c))
+            got = (c.ambient_width, codes.is_triply_even(c), codes.contains_all_ones(c))
             expect(f"{name}: (length, triply even, holds all-ones)", got, (48, True, True))
 
     yield "codes_length48_conditions", codes_48

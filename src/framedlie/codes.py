@@ -1,14 +1,14 @@
 """Binary linear codes: constructions, duals, weight enumerators, doubling.
 
-Codewords use the same bit convention as the rest of the package
-(coordinate i of a length-n word is bit i of an int).
+A code of length n is the ``gf2.Subspace`` of its generators, with
+``ambient_width`` n.  Codewords use the same bit convention as the rest of
+the package (coordinate i of a length-n word is bit i of an int).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .gf2 import (
     ResourceLimitError,
@@ -23,58 +23,37 @@ from .gf2 import (
 WEIGHT_SCAN_GUARD = 20
 
 
-@dataclass(frozen=True)
-class BinaryCode:
-    length: int
-    generators: Subspace
-
-    def __post_init__(self) -> None:
-        if self.generators.ambient_width != self.length:
-            raise UsageError("generator width does not match code length")
-
-    @property
-    def dim(self) -> int:
-        return self.generators.dim
-
-    def contains(self, word: int) -> bool:
-        return self.generators.contains(word)
+def dual(code: Subspace) -> Subspace:
+    return kernel(code.rows, code.ambient_width)
 
 
-def from_rows(rows, length: int) -> BinaryCode:
-    return BinaryCode(length, rref(rows, length))
-
-
-def dual(code: BinaryCode) -> BinaryCode:
-    return BinaryCode(code.length, kernel(code.generators.rows, code.length))
-
-
-def weight_enumerator(code: BinaryCode) -> tuple[int, ...]:
-    """Coefficient vector (count of codewords of weight 0..length)."""
+def weight_enumerator(code: Subspace) -> tuple[int, ...]:
+    """Coefficient vector (count of codewords of weight 0..n)."""
     if code.dim > WEIGHT_SCAN_GUARD:
         raise ResourceLimitError(f"weight scan of 2^{code.dim} codewords refused")
-    counts = [0] * (code.length + 1)
-    for w in span(code.generators.rows):
+    counts = [0] * (code.ambient_width + 1)
+    for w in span(code.rows):
         counts[w.bit_count()] += 1
     return tuple(counts)
 
 
-def _all_weights_divisible(code: BinaryCode, modulus: int) -> bool:
+def _all_weights_divisible(code: Subspace, modulus: int) -> bool:
     return not any(n for w, n in enumerate(weight_enumerator(code)) if w % modulus)
 
 
-def is_doubly_even(code: BinaryCode) -> bool:
+def is_doubly_even(code: Subspace) -> bool:
     return _all_weights_divisible(code, 4)
 
 
-def is_triply_even(code: BinaryCode) -> bool:
+def is_triply_even(code: Subspace) -> bool:
     return _all_weights_divisible(code, 8)
 
 
-def contains_all_ones(code: BinaryCode) -> bool:
-    return code.contains((1 << code.length) - 1)
+def contains_all_ones(code: Subspace) -> bool:
+    return code.contains((1 << code.ambient_width) - 1)
 
 
-def is_self_dual(code: BinaryCode) -> bool:
+def is_self_dual(code: Subspace) -> bool:
     return dual(code) == code
 
 
@@ -92,20 +71,20 @@ def interleave_word(word: int, n: int) -> int:
     return out
 
 
-def doubling(code: BinaryCode) -> BinaryCode:
+def doubling(code: Subspace) -> Subspace:
     """Extended doubling: the span of d(code) and the interleaved all-ones."""
-    n = code.length
-    rows = [double_word(r, n) for r in code.generators.rows]
+    n = code.ambient_width
+    rows = [double_word(r, n) for r in code.rows]
     rows.append(interleave_word((1 << n) - 1, n))
-    return from_rows(rows, 2 * n)
+    return rref(rows, 2 * n)
 
 
-def direct_sum(a: BinaryCode, b: BinaryCode) -> BinaryCode:
-    rows = list(a.generators.rows) + [r << a.length for r in b.generators.rows]
-    return from_rows(rows, a.length + b.length)
+def direct_sum(a: Subspace, b: Subspace) -> Subspace:
+    n = a.ambient_width
+    return rref([*a.rows, *(r << n for r in b.rows)], n + b.ambient_width)
 
 
-def reed_muller(r: int, m: int) -> BinaryCode:
+def reed_muller(r: int, m: int) -> Subspace:
     """RM(r, m): evaluations of degree <= r monomials on F_2^m."""
     if not 0 <= r <= m or m > 5:
         raise UsageError("reed_muller needs 0 <= r <= m <= 5")
@@ -118,7 +97,7 @@ def reed_muller(r: int, m: int) -> BinaryCode:
                 if all((point >> j) & 1 for j in support):
                     row |= 1 << point
             rows.append(row)
-    return from_rows(rows, n)
+    return rref(rows, n)
 
 
 def _ladder_rows(length: int) -> list[int]:
@@ -135,17 +114,17 @@ _GOLAY_POLY = 0b101011100011
 
 
 @functools.lru_cache(maxsize=None)
-def builtin(name: str) -> BinaryCode:
+def builtin(name: str) -> Subspace:
     """Catalog codes: e8, g24, d16plus."""
     if name == "e8":
-        return from_rows(map(parse_bits, _E8_ROWS), 8)
+        return rref(map(parse_bits, _E8_ROWS), 8)
     if name == "d16plus":
-        return from_rows(_ladder_rows(16) + [interleave_word(0xFF, 8)], 16)
+        return rref(_ladder_rows(16) + [interleave_word(0xFF, 8)], 16)
     if name == "g24":
         rows = []
         for i in range(12):
             word = _GOLAY_POLY << i
             rows.append(word | (word.bit_count() % 2) << 23)
-        return from_rows(rows, 24)
+        return rref(rows, 24)
     raise UsageError(f"unknown builtin code {name!r}")
 

@@ -121,21 +121,18 @@ class LinearMap:
 
 
 def rref_ints(rows: Iterable[int]) -> list[int]:
-    """Reduced row echelon form of integer rows; pivots are lowest set bits."""
-    basis: list[int] = []
-    for row in rows:
-        for b in basis:
-            low = b & -b
-            if row & low:
-                row ^= b
+    """Reduced row echelon form of integer rows; pivots are lowest set bits.
+    Each residue already lacks every earlier pivot, so one pass back from
+    the last residue clears the later ones."""
+    basis: list[tuple[int, int]] = []  # (pivot bit, reduced row)
+    for row in reversed(_residues(rows, -1)):
         if row:
-            low = row & -row
-            for i, b in enumerate(basis):
-                if b & low:
-                    basis[i] = b ^ row
-            basis.append(row)
-    basis.sort(key=lambda r: r & -r)
-    return basis
+            for low, r in basis:
+                if row & low:
+                    row ^= r
+            basis.append((row & -row, row))
+    basis.sort()
+    return [r for _, r in basis]
 
 
 @dataclass(frozen=True)

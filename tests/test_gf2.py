@@ -104,6 +104,57 @@ def test_rref_pivot_structure():
             assert s.contains(r)
 
 
+def _rref_forward_loop(rows):
+    """Oracle: rref_ints as first written, one forward loop that clears each
+    new pivot from the rows kept before it, then a sort by pivot."""
+    basis = []
+    for row in rows:
+        for b in basis:
+            low = b & -b
+            if row & low:
+                row ^= b
+        if row:
+            low = row & -row
+            for i, b in enumerate(basis):
+                if b & low:
+                    basis[i] = b ^ row
+            basis.append(row)
+    basis.sort(key=lambda r: r & -r)
+    return basis
+
+
+def _rref_row_sets():
+    """Random row sets at widths 1..64 and above bit 64 (LinearMap packs
+    images there), with zero, duplicate and dependent rows mixed in."""
+    rng = random.Random(49)
+    for width in (*range(1, MAX_WIDTH + 1), 65, 96, 2 * MAX_WIDTH):
+        for _ in range(4):
+            rank = rng.randrange(min(width, 40) + 1)
+            gens = [rng.getrandbits(width) for _ in range(rank)]
+            rows = gens + [0] * rng.randrange(3)
+            rows += rng.choices(gens, k=rng.randrange(3)) if gens else []
+            for _ in range(rng.randrange(4)):  # sums of two or three generators
+                rows.append(0)
+                for g in rng.sample(gens, min(len(gens), rng.randrange(2, 4))):
+                    rows[-1] ^= g
+            rng.shuffle(rows)
+            yield rows
+
+
+def test_rref_ints_matches_the_forward_loop_oracle():
+    for rows in _rref_row_sets():
+        assert rref_ints(iter(rows)) == _rref_forward_loop(rows)
+
+
+def test_rref_ints_is_independent_of_row_order():
+    rng = random.Random(7)
+    for rows in _rref_row_sets():
+        out = rref_ints(rows)
+        for _ in range(3):
+            rng.shuffle(rows)
+            assert rref_ints(rows) == out
+
+
 def test_intersect_and_sum_examples():
     a = rref([0b01], 2)
     b = rref([0b10], 2)
