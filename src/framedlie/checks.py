@@ -126,7 +126,7 @@ def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
         yield "census_m2", lambda: census(2, 151470, 12)
 
     def orbifold():
-        sub = framed.build_odd(5, 4, 0, seed=0)
+        sub = framed.build_case(framed.odd_case(5, 4, 0), seed=0)
         choices = framed.section47_orbifold_choices(sub, limit=3)
         expect("odd(5,4,0) seed 0: orbifold choices", len(choices), 3)
         want = framed.even_case(5, 3, 0, "+")
@@ -318,17 +318,15 @@ def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
     yield "small_label_classifier", rv_check
 
     def seeds():
+        case = framed.even_case(5, 4, 1, "+")
         for seed in range(3):
-            got = framed.weight1_dim_triple(framed.build_even(5, 4, 1, "+", seed))
-            expect(f"even(5,4,1,+) seed {seed}: weight-one value", got, 384)
-        for seed in range(2):
-            got = framed.weight1_dim_pair(framed.build_pair_case("pcl4_6", seed))["direct"]
-            expect(f"pcl4_6 seed {seed}: weight-one value", got, 72)
+            got = framed.weight1_dim_triple(framed.build_case(case, seed))
+            expect(f"{case} seed {seed}: weight-one value", got, 384)
 
     yield "seed_invariance", seeds
 
     def roundtrips():
-        sub = framed.build_even(2, 0, 0, "-", seed=0)
+        sub = framed.build_case(framed.even_case(2, 0, 0, "-"), seed=0)
         got = framed.from_text(framed.to_text(sub)).sub.rows
         expect("subspace text round trip", got, sub.sub.rows)
 

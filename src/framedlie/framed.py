@@ -36,6 +36,7 @@ from .gf2 import (
     subspace_sum,
     vanishing_on,
     walsh_hadamard,
+    zero_subspace,
 )
 from .modlabels import (
     CHI0_PLUS,
@@ -247,78 +248,56 @@ def _singular_line_basis(k: int) -> list[int]:
     return [1 << (2 * i) for i in range(k)]
 
 
-def _block_rows(amb: TripleAmbient, s1, s2, p, q, t, phi) -> list[int]:
-    """Rows shared by both families: S1 in block 0, S2 in block 1, P
-    diagonally in blocks 0 and 1, Q in blocks 0 and 2, and T in block 1
-    with its image under phi in block 2."""
-    rows = [amb.embed(v, 0) for v in s1.rows]
-    rows += [amb.embed(v, 1) for v in s2.rows]
-    rows += [amb.embed(v, 0) | amb.embed(v, 1) for v in p.rows]
-    rows += [amb.embed(v, 0) | amb.embed(v, 2) for v in q.rows]
-    rows += [amb.embed(v, 1) | amb.embed(phi.apply(v), 2) for v in t.rows]
-    return rows
+def build_case(case: TCCase, seed: int = 0) -> MtsSubspace:
+    """The maximal totally singular subspace of an even or odd case.
 
-
-def build_even(m: int, k1: int, k2: int, eps: str, seed: int = 0) -> MtsSubspace:
-    """The even-parity family of maximal totally singular subspaces."""
-    even_case(m, k1, k2, eps)  # raises unless the case can be built
+    Rows: S1 in block 0, S2 in block 1, P diagonally in blocks 0 and 1, Q in
+    blocks 0 and 2, and T in block 1 with its isometric image in block 2.  An
+    odd case is the even construction plus a plus-type bridge plane B with
+    three rows of its own; an even case has B = 0.
+    """
+    if case.kind not in ("even", "odd"):
+        raise UsageError(f"no builder for case {case}")
+    m, k1, k2 = case.m, case.k1, case.k2
+    odd = case.kind == "odd"
     amb = TripleAmbient(m)
     space = amb.block
     rng = random.Random(seed)
     w = 2 * m
     s1 = rref(_singular_line_basis(k1), w)
     s2 = rref(_singular_line_basis(k2), w)
-    p = nonsingular_inside(space, space.perp(s1), m - k1 - k2, eps == "-", rng)
-    q = complement_in(s1, space.perp(subspace_sum(s1, p)), rng)
-    t = complement_in(s2, space.perp(subspace_sum(s2, p)), rng)
-    u = space.perp(q)
-    if q.dim != m - k1 + k2 or t.dim != m + k1 - k2 or u.dim != t.dim:
-        raise FalsificationError("even builder produced wrong block dimensions")
-    rows = _block_rows(amb, s1, s2, p, q, t, isometry(space, t, u, rng))
-    out = MtsSubspace(amb, rref(rows, amb.dim))
-    out.validate()
-    return out
-
-
-def build_odd(m: int, k1: int, k2: int, seed: int = 0) -> MtsSubspace:
-    """The odd-parity family, carrying the 2-dimensional bridge block."""
-    odd_case(m, k1, k2)  # raises unless the case can be built
-    amb = TripleAmbient(m)
-    space = amb.block
-    rng = random.Random(seed)
-    w = 2 * m
-    s1 = rref(_singular_line_basis(k1), w)
-    s2 = rref(_singular_line_basis(k2), w)
-    p = nonsingular_inside(space, space.perp(s1), m - k1 - k2 - 1, False, rng)
-    q = nonsingular_inside(
-        space, space.perp(subspace_sum(s1, p)), m - k1 + k2 - 1, False, rng
-    )
-    b = complement_in(s1, space.perp(subspace_sum(subspace_sum(s1, p), q)), rng)
-    if b.dim != 2 or type_of(space, b) != "plus":
-        raise FalsificationError("bridge block is not a plus-type plane")
-    # z and f are b's two singular vectors, y = z + f its nonsingular one
-    [(z, f)] = symplectic_basis(space, b, rng)
-    y = z ^ f
+    p = nonsingular_inside(space, space.perp(s1), m - k1 - k2 - odd, case.eps == "-", rng)
+    s1p = subspace_sum(s1, p)
+    if odd:
+        q = nonsingular_inside(space, space.perp(s1p), m - k1 + k2 - 1, False, rng)
+        b = complement_in(s1, space.perp(subspace_sum(s1p, q)), rng)
+        if b.dim != 2 or type_of(space, b) != "plus":
+            raise FalsificationError("bridge block is not a plus-type plane")
+        # z and f are b's two singular vectors, y = z + f its nonsingular one
+        [(z, f)] = symplectic_basis(space, b, rng)
+        y = z ^ f
+    else:
+        q = complement_in(s1, space.perp(s1p), rng)
+        b = zero_subspace(w)
     t = complement_in(s2, space.perp(subspace_sum(subspace_sum(p, s2), b)), rng)
     u = space.perp(subspace_sum(q, b))
-    if t.dim != m + k1 - k2 - 1 or u.dim != t.dim:
-        raise FalsificationError("odd builder produced wrong block dimensions")
-    rows = _block_rows(amb, s1, s2, p, q, t, isometry(space, t, u, rng))
-    rows.append(amb.embed(y, 0) | amb.embed(y, 1))
-    rows.append(amb.embed(y, 0) | amb.embed(y, 2))
-    rows.append(amb.embed(z, 0) | amb.embed(z, 1) | amb.embed(z, 2))
-    # section47_orbifold_choices reads S1, T and z
-    out = MtsSubspace(amb, rref(rows, amb.dim), {"S1": s1, "T": t, "z": z})
+    if q.dim != m - k1 + k2 - odd or t.dim != m + k1 - k2 - odd or u.dim != t.dim:
+        raise FalsificationError(f"{case.kind} builder produced wrong block dimensions")
+    phi = isometry(space, t, u, rng)
+    embed = amb.embed
+    rows = [embed(v, 0) for v in s1.rows]
+    rows += [embed(v, 1) for v in s2.rows]
+    rows += [embed(v, 0) | embed(v, 1) for v in p.rows]
+    rows += [embed(v, 0) | embed(v, 2) for v in q.rows]
+    rows += [embed(v, 1) | embed(phi.apply(v), 2) for v in t.rows]
+    components = {}
+    if odd:
+        rows += [embed(y, 0) | embed(y, 1), embed(y, 0) | embed(y, 2), embed(z, 0) | embed(z, 1) | embed(z, 2)]
+        # section47_orbifold_choices reads S1, T and z
+        components = {"S1": s1, "T": t, "z": z}
+    out = MtsSubspace(amb, rref(rows, amb.dim), components)
     out.validate()
     return out
-
-
-def build_case(case: TCCase, seed: int = 0) -> MtsSubspace:
-    if case.kind == "even":
-        return build_even(case.m, case.k1, case.k2, case.eps, seed)
-    if case.kind == "odd":
-        return build_odd(case.m, case.k1, case.k2, seed)
-    raise UsageError(f"no builder for case {case}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ SYNTAX = "01 \n:=+-tecdsambientriplpair"
 FRAME_TEXTS = [
     framed.to_text(sub)
     for sub in (
-        framed.build_even(2, 1, 1, "+", seed=0),
-        framed.build_odd(3, 0, 0, seed=0),
+        framed.build_case(framed.even_case(2, 1, 1, "+"), seed=0),
+        framed.build_case(framed.odd_case(3, 0, 0), seed=0),
         framed.build_pair_case("pcl4_5", seed=0),
     )
 ]
