@@ -302,7 +302,7 @@ def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
             bad = (
                 (x, table[x], row)
                 for x in xs
-                if table[x] != (row := modlabels.orbit_class(coords.from_coords(x)).row)
+                if table[x] != (row := modlabels.orbit_class(coords.from_coords(x)))
             )
             expect("coordinate row table (x, row, orbit row)", next(bad, None), None)
 

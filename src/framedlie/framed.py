@@ -887,8 +887,6 @@ def weight1_dim_pair(s: MtsSubspace) -> dict:
     projections `rho_invariants` checked.
     """
     amb = s.ambient
-    if not isinstance(amb, PairAmbient):
-        raise UsageError("pair weight computation needs the pair ambient")
     inv = rho_invariants(s)
     # s in the basis (rest, ker), ker its part with V part 0: entry i of the
     # walk has the V part of entry i mod 2^dim rest, and entry j << dim rest

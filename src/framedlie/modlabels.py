@@ -43,20 +43,8 @@ _TWIST = 1 << 19
 _LABEL_BITS = (1 << 20) - 1
 
 TABLE_ROW_SIZES = (1, 3, 480, 7280, 32032, 25740, 98304, 98304)
-TABLE_ROW_LOWEST = {
-    1: (Fraction(0), 1),
-    2: (Fraction(1), 16),
-    3: (Fraction(1, 2), 1),
-    4: (Fraction(1), 4),
-    5: (Fraction(3, 2), 16),
-    6: (Fraction(2), 128),
-    7: (Fraction(1), 1),
-    8: (Fraction(3, 2), 16),
-}
-# the same rows with doubled lowest weights, indexed by row (0 unused)
-TABLE_ROW_LOWEST2 = ((0, 0),) + tuple(
-    (int(2 * lw), dim) for lw, dim in (TABLE_ROW_LOWEST[r] for r in range(1, 9))
-)
+# (doubled lowest weight, lowest dim) of each orbit row, indexed by row (0 unused)
+TABLE_ROW_LOWEST2 = ((0, 0), (0, 1), (2, 16), (1, 1), (2, 4), (3, 16), (4, 128), (2, 1), (3, 16))
 # lowest dim of a small label by its doubled lowest weight
 RV_DIM = (1, 1, 8)
 
@@ -306,17 +294,6 @@ def coset_min_norm(label: RXLabel) -> int:
     return best // 8
 
 
-@dataclass(frozen=True)
-class OrbitClass:
-    row: int
-    lowest_weight: Fraction
-    lowest_dim: int
-
-
-# the eight orbit classes, one shared value per row (0 unused)
-_ORBIT_CLASSES = (None,) + tuple(OrbitClass(r, *TABLE_ROW_LOWEST[r]) for r in range(1, 9))
-
-
 def _row_table() -> bytes:
     """Orbit row of a packed label x at index (x >> 16) << 4 | wt(c).
 
@@ -349,9 +326,9 @@ def _row(x: int) -> int:
     return _ROW_TABLE[(x >> 16) << 4 | (x & C_MASK).bit_count()]
 
 
-def orbit_class(label: RXLabel, verify: bool = False) -> OrbitClass:
-    """Orbit-table row of a label with its lowest weight and lowest dim,
-    as the one shared OrbitClass value of that row.
+def orbit_class(label: RXLabel, verify: bool = False) -> int:
+    """Orbit-table row of a label; `TABLE_ROW_LOWEST2[row]` holds its
+    doubled lowest weight and lowest dim.
 
     With verify=True the untwisted rows are cross-checked against the coset
     min-norm decoder (the zero coset is exempt: the sign splits it across
@@ -364,7 +341,7 @@ def orbit_class(label: RXLabel, verify: bool = False) -> OrbitClass:
             raise FalsificationError(
                 f"orbit table and min-norm decoder disagree on {label!r}"
             )
-    return _ORBIT_CLASSES[row]
+    return row
 
 
 @functools.lru_cache(maxsize=1)

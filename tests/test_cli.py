@@ -820,7 +820,7 @@ def test_minnorm_cross_check_catches_a_wrong_row(capsys, monkeypatch):
     modlabels.coordinate_row_table.cache_clear()  # it is built from _ROW_TABLE
     try:
         label = modlabels.RXLabel(0, 0, 0b11110, 0, 0)
-        assert modlabels.orbit_class(label).row == 5
+        assert modlabels.orbit_class(label) == 5
         with pytest.raises(FalsificationError, match="min-norm decoder disagree"):
             modlabels.orbit_class(label, verify=True)
         checks_only(monkeypatch, "table2_")

@@ -943,7 +943,7 @@ def test_ambient_and_case_guards():
         (lambda: lnumber_closed(COND2), "closed profile forms exist only for builder cases"),
         (lambda: profile(pair), "defined over the triple ambient"),
         (lambda: rho_invariants(triple), "defined over the pair ambient"),
-        (lambda: weight1_dim_pair(triple), "needs the pair ambient"),
+        (lambda: weight1_dim_pair(triple), "defined over the pair ambient"),
     ):
         with pytest.raises(UsageError, match=message):
             call()
@@ -988,11 +988,23 @@ def _label_walk(rows, coords):
 
 def _weight1_oracle(s: MtsSubspace) -> dict:
     """The weight-one walk on RXLabels and Fractions, lowest weights of the
-    small labels taken from the form itself."""
+    small labels taken from the form itself and those of the orbit rows from
+    the paper's table, written out here apart from the package's table."""
     from fractions import Fraction
 
     from framedlie.modlabels import ZERO_PLUS, orbit_class
 
+    # (lowest weight, lowest dim) of each of the eight orbit rows
+    row_lowest = {
+        1: (Fraction(0), 1),
+        2: (Fraction(1), 16),
+        3: (Fraction(1, 2), 1),
+        4: (Fraction(1), 4),
+        5: (Fraction(3, 2), 16),
+        6: (Fraction(2), 128),
+        7: (Fraction(1), 1),
+        8: (Fraction(3, 2), 16),
+    }
     amb = s.ambient
     inv = rho_invariants(s)
 
@@ -1003,17 +1015,17 @@ def _weight1_oracle(s: MtsSubspace) -> dict:
 
     direct = 0
     for label, v in _label_walk(s.sub.rows, amb.coords):
-        oc = orbit_class(label)
+        lw1, d1 = row_lowest[orbit_class(label)]
         lw2, d2 = lowest_v(v)
-        if oc.lowest_weight + lw2 == 1:
-            direct += oc.lowest_dim * d2
+        if lw1 + lw2 == 1:
+            direct += d1 * d2
     rows_hist = {r: 0 for r in range(1, 9)}
     for label, _ in _label_walk(inv["rho1_of_kernel2"].rows, amb.coords):
         if label != ZERO_PLUS:
-            rows_hist[orbit_class(label).row] += 1
+            rows_hist[orbit_class(label)] += 1
     n_row3_full = sum(
         1 for label, _ in _label_walk(inv["rho1"].rows, amb.coords)
-        if orbit_class(label).row == 3
+        if orbit_class(label) == 3
     )
     size_ker1 = 1 << inv["rho2_of_kernel1"].dim
     terms = (

@@ -13,11 +13,10 @@ from framedlie import modlabels
 from framedlie.gf2 import FalsificationError, UsageError
 from framedlie.modlabels import (
     CHI0_PLUS,
-    TABLE_ROW_LOWEST,
+    TABLE_ROW_LOWEST2,
     TABLE_ROW_SIZES,
     ZERO_MINUS,
     ZERO_PLUS,
-    OrbitClass,
     RXLabel,
     _add_packed,
     _row,
@@ -490,16 +489,19 @@ def test_coordinate_row_table_needs_flag_labels_without_c(monkeypatch):
 
 
 def test_orbit_class_examples():
-    oc = orbit_class(ZERO_PLUS)
-    assert (oc.row, oc.lowest_weight, oc.lowest_dim) == (1, 0, 1)
-    lbl = normal_form(0, 0, c_of(1, 2, 3, 4, 5, 6), 1, 1)  # wt 6, -alpha_1, minus
-    oc = orbit_class(lbl)
-    assert (oc.row, oc.lowest_weight, oc.lowest_dim) == (5, Fraction(3, 2), 16)
-    lbl = normal_form(0, 1, c_of(1, 2), 0, 0)
-    oc = orbit_class(lbl)
-    assert (oc.row, oc.lowest_weight, oc.lowest_dim) == (7, 1, 1)
-    assert orbit_class(ZERO_MINUS).row == 2
-    assert orbit_class(RXLabel(1, 0, 0, 0, 1)).row == 8
+    # one label of each row, with its doubled lowest weight and lowest dim
+    for label, want in (
+        (ZERO_PLUS, (1, 0, 1)),
+        (ZERO_MINUS, (2, 2, 16)),
+        (normal_form(0, 0, c_of(1, 2), 0, 0), (3, 1, 1)),
+        (normal_form(0, 0, c_of(1, 2, 3, 4), 0, 1), (4, 2, 4)),
+        (normal_form(0, 0, c_of(1, 2, 3, 4, 5, 6), 1, 1), (5, 3, 16)),  # wt 6, -alpha_1, minus
+        (normal_form(0, 0, c_of(*range(1, 9)), 1, 0), (6, 4, 128)),
+        (normal_form(0, 1, c_of(1, 2), 0, 0), (7, 2, 1)),
+        (RXLabel(1, 0, 0, 0, 1), (8, 3, 16)),
+    ):
+        row = orbit_class(label)
+        assert (row, *TABLE_ROW_LOWEST2[row]) == want, label
 
 
 def test_orbit_class_shares_one_value_per_row():
@@ -510,9 +512,8 @@ def test_orbit_class_shares_one_value_per_row():
             break
     assert sorted(first) == list(range(1, 9))
     for row, label in first.items():
-        oc = orbit_class(label)
-        assert oc == OrbitClass(row, *TABLE_ROW_LOWEST[row])
-        assert orbit_class(normal_form(label.twist, label.eps, label.c, label.delta, label.sign)) is oc
+        assert orbit_class(label) == row
+        assert orbit_class(normal_form(label.twist, label.eps, label.c, label.delta, label.sign)) == row
 
 
 def test_orbit_class_decoder_consistency_sample():
@@ -551,8 +552,8 @@ def test_wt8_hook():
     # weight-8 half-vectors: singular labels of lowest weight 2
     lbl = normal_form(0, 0, c_of(*range(1, 9)), 0, 0)
     assert qx(lbl) == 0
-    oc = orbit_class(lbl, verify=True)
-    assert oc.row == 6 and oc.lowest_weight == 2
+    row = orbit_class(lbl, verify=True)
+    assert row == 6 and TABLE_ROW_LOWEST2[row][0] == 4
 
 
 def test_rv_model():
