@@ -9,6 +9,7 @@ checks hold under `python -O` too.  Importing this module does no work.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from . import codes, framed, liesolver, modlabels, quadspace, tables
@@ -144,12 +145,8 @@ def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
 
     yield "lie_candidate_tables", candidate_tables
 
-    ledger_runs = []  # one ledger run serves all three ledger checks
-
-    def ledger_reports():
-        if not ledger_runs:
-            ledger_runs.append(liesolver.run_ledger(records))
-        return ledger_runs[0]
+    # one ledger run serves all three ledger checks
+    ledger_reports = functools.cache(lambda: liesolver.run_ledger(records))
 
     def ledger():
         reports = ledger_reports()

@@ -354,74 +354,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="GF(2) quadratic-space classification toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = []
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+    def command(group, name, *, cmd, **kwargs):
+        p = group.add_parser(name, **kwargs)
+        p.set_defaults(cmd=cmd)
+        leaves.append(p)
+        return p
 
-    q = sub.add_parser("qspace", help="singular census of a standard space")
+    q = command(sub, "qspace", cmd="qspace", help="singular census of a standard space")
     q.add_argument("--dim", type=int, required=True)
     q.add_argument("--type", choices=("plus", "minus"), required=True)
-    add_common(q)
-    q.set_defaults(cmd="qspace")
 
     f = sub.add_parser("frame", help="subspace builders and censuses")
     fsub = f.add_subparsers(dest="subcommand", required=True)
 
-    fb = fsub.add_parser("build")
+    fb = command(fsub, "build", cmd="frame_build")
     fb.add_argument("--m", type=int, required=True)
     fb.add_argument("--k1", type=int, required=True)
     fb.add_argument("--k2", type=int, required=True)
     fb.add_argument("--type", choices=("plus", "minus"))
-    add_common(fb)
-    fb.set_defaults(cmd="frame_build")
 
-    fc = fsub.add_parser("classify")
+    fc = command(fsub, "classify", cmd="frame_classify")
     fc.add_argument("--input", required=True, help="subspace text file, or - for stdin")
-    add_common(fc)
-    fc.set_defaults(cmd="frame_classify")
 
-    fcen = fsub.add_parser("census")
-    fcen.add_argument("--m", type=int, required=True)
-    add_common(fcen)
-    fcen.set_defaults(cmd="frame_census")
+    command(fsub, "census", cmd="frame_census").add_argument("--m", type=int, required=True)
 
-    fo = fsub.add_parser("orbifold")
+    fo = command(fsub, "orbifold", cmd="frame_orbifold")
     fo.add_argument("--base", required=True, help="e.g. odd:5,4,0")
     fo.add_argument("--choices", type=int, default=3)
-    add_common(fo)
-    fo.set_defaults(cmd="frame_orbifold")
 
-    fp = fsub.add_parser("pair")
+    fp = command(fsub, "pair", cmd="frame_pair")
     fp.add_argument("--case", required=True, choices=framed.PAIR_CASE_IDS)
-    add_common(fp)
-    fp.set_defaults(cmd="frame_pair")
 
     l = sub.add_parser("lie", help="affine type identification")
     lsub = l.add_subparsers(dest="subcommand", required=True)
 
-    ls = lsub.add_parser("solve")
+    ls = command(lsub, "solve", cmd="lie_solve")
     ls.add_argument("--dim", type=int, required=True)
     ls.add_argument("--constraint", action="append", default=[])
-    add_common(ls)
-    ls.set_defaults(cmd="lie_solve")
 
-    ll = lsub.add_parser("ledger")
-    ll.add_argument("--ledger", default=None)
-    add_common(ll)
-    ll.set_defaults(cmd="lie_ledger")
+    command(lsub, "ledger", cmd="lie_ledger").add_argument("--ledger", default=None)
 
-    lt = lsub.add_parser("tables")
+    lt = command(lsub, "tables", cmd="lie_tables")
     lt.add_argument("--which", required=True, choices=("ta8", "ta16", "lieframed"))
     lt.add_argument("--ledger", default=None)
-    add_common(lt)
-    lt.set_defaults(cmd="lie_tables")
 
-    v = sub.add_parser("verify", help="run the acceptance checks")
+    v = command(sub, "verify", cmd="verify", help="run the acceptance checks")
     v.add_argument("--quick", action="store_true")
     v.add_argument("--ledger", default=None)
-    add_common(v)
-    v.set_defaults(cmd="verify", format=None)  # PASS/FAIL text unless --format
+
+    for p in leaves:  # after each command's own flags, so usage lines end with them
+        p.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
+        p.add_argument("--seed", type=int, default=0)
+    v.set_defaults(format=None)  # PASS/FAIL text unless --format; after the loop's default
 
     return parser
 

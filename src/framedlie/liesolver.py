@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import tables
 from .gf2 import FalsificationError, UsageError
 
 MAX_TOTAL_RANK = 24
@@ -360,8 +361,6 @@ class CaseRecord:
     also: list[Decomposition] = field(default_factory=list)
     uniqueness: str = ""
     identified: str | None = None
-    # what case_id names, set by _validate_record: a pair case id or a TCCase
-    case: object = field(default=None, init=False, compare=False, repr=False)
 
     def expected_set(self) -> set[Decomposition]:
         if self.answer is None:
@@ -434,6 +433,8 @@ def parse_ledger(text: str) -> list[CaseRecord]:
 
 
 def _validate_record(rec: CaseRecord) -> None:
+    from . import framed
+
     if rec.table not in ("ta8", "ta16"):
         raise UsageError(f"case {rec.case_id}: bad table {rec.table!r}")
     if rec.dim <= 24:
@@ -447,19 +448,11 @@ def _validate_record(rec: CaseRecord) -> None:
     for alt in rec.also:
         if alt.total_dim != rec.dim:
             raise UsageError(f"case {rec.case_id}: alternate dimension is off")
-    rec.case = _resolve_case(rec.case_id)
-
-
-def _resolve_case(case_id: str) -> object:
-    """A pair case id as is, or the builder case that case_id spells."""
-    from . import framed
-
-    if case_id in framed.PAIR_CASE_IDS:
-        return case_id
-    try:
-        return framed.parse_case(case_id)
-    except UsageError as exc:
-        raise UsageError(f"case {case_id}: not a pair case, and {exc}") from None
+    if rec.case_id not in framed.PAIR_CASE_IDS:  # a builder case, as str(TCCase) prints it
+        try:
+            framed.parse_case(rec.case_id)
+        except UsageError as exc:
+            raise UsageError(f"case {rec.case_id}: not a pair case, and {exc}") from None
 
 
 def load_ledger(path: str | None = None) -> tuple[CaseRecord, ...]:
@@ -489,18 +482,18 @@ class CaseReport:
         return not self.problems
 
 
-def _computed_dim(case: object) -> int:
-    """Weight-one dimension of a case that _resolve_case returned."""
+def _computed_dim(case_id: str) -> int:
+    """Weight-one dimension of the pair case or builder case that case_id names."""
     from . import framed
 
-    if isinstance(case, str):
-        return framed.weight1_dim_pair(framed.build_pair_case(case, seed=0))["direct"]
-    return framed.weight1_dim_triple(framed.build_case(case, seed=0))
+    if case_id in framed.PAIR_CASE_IDS:
+        return framed.weight1_dim_pair(framed.build_pair_case(case_id, seed=0))["direct"]
+    return framed.weight1_dim_triple(framed.build_case(framed.parse_case(case_id), seed=0))
 
 
 def run_case(rec: CaseRecord) -> CaseReport:
     problems: list[str] = []
-    dim = _computed_dim(rec.case)
+    dim = _computed_dim(rec.case_id)
     if dim != rec.dim:
         problems.append(f"computed dimension {dim} != published {rec.dim}")
     sols = decompose(rec.dim, rec.constraints)
@@ -543,8 +536,6 @@ def unmatched_rows(reports: Sequence[CaseReport], rows: Sequence[tuple]) -> list
 def candidate_table_report(records: Sequence[CaseRecord]) -> list[dict]:
     """Regenerate every stored candidate table, with the dimension budget
     from the ledger records, and compare as exact sets."""
-    from . import tables
-
     dims = {rec.case_id: rec.dim for rec in records}
     out = []
     for case_id, (ratio_s, printed, extra) in tables.CANDIDATE_TABLES.items():
@@ -578,8 +569,6 @@ def lieframed_coverage(reports: Sequence[CaseReport]) -> list[dict]:
     """Match every row of the final classification table to its sources:
     the ledger cases in ``reports`` without problems (the rule of
     ``unmatched_rows``) and the reference rows."""
-    from . import tables
-
     by_alg: dict[tuple[int, Decomposition], list[str]] = {}
     for rep in reports:
         if rep.ok:

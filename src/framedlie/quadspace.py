@@ -33,6 +33,7 @@ from .gf2 import (
     ResourceLimitError,
     Subspace,
     UsageError,
+    _check_width,
     apply_map,
     complement_in,
     full_subspace,
@@ -100,6 +101,7 @@ class QuadraticSpace:
 @functools.lru_cache(maxsize=None)
 def standard_plus(dim: int) -> QuadraticSpace:
     """q(x) = x1 x2 + x3 x4 + ...  (hyperbolic planes); one shared instance per dim."""
+    _check_width(dim)  # before building dim rows of up to dim bits each
     rows = []
     for i in range(dim):
         rows.append((1 << (i + 1)) if i % 2 == 0 else 0)

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import dataclasses
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -168,6 +170,18 @@ def test_qspace_guard_before_work(capsys, monkeypatch):
     monkeypatch.setattr(quadspace.QuadraticSpace, "q", no_work)
     assert main(["qspace", "--dim", "30", "--type", "plus"]) == 3
     assert "resource guard: census of 2^30 vectors refused" in capsys.readouterr().err
+
+
+def test_qspace_refuses_a_wide_dim_before_building_the_form(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["qspace", "--dim", "40000", "--type", "minus"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == "usage error: width must be in 1..64, got 40000\n"
+    assert peak < 2**21, peak  # the form's 40000 rows of up to 40000 bits take about 160 MB
 
 
 def test_closed_stdout_exits_0(monkeypatch):
@@ -614,6 +628,81 @@ def test_shared_parser_keeps_no_constraints_between_calls(capsys):
         code, out = run(capsys, *argv)
         assert code == 0
         assert json.loads(out)["constraints"] == tokens
+
+
+# each subcommand's minimal argv, its usage text at 80 columns, and the values it
+# parses to beside the command names and the common defaults --format json, --seed 0
+PARSER_PINS = [
+    (["qspace", "--dim", "2", "--type", "plus"],
+     "usage: framedlie qspace [-h] --dim DIM --type {plus,minus}\n"
+     "                        [--format {json,csv,markdown}] [--seed SEED]\n",
+     {"cmd": "qspace", "dim": 2, "type": "plus"}),
+    (["frame", "build", "--m", "5", "--k1", "1", "--k2", "0"],
+     "usage: framedlie frame build [-h] --m M --k1 K1 --k2 K2 [--type {plus,minus}]\n"
+     "                             [--format {json,csv,markdown}] [--seed SEED]\n",
+     {"cmd": "frame_build", "m": 5, "k1": 1, "k2": 0, "type": None}),
+    (["frame", "classify", "--input", "-"],
+     "usage: framedlie frame classify [-h] --input INPUT\n"
+     "                                [--format {json,csv,markdown}] [--seed SEED]\n",
+     {"cmd": "frame_classify", "input": "-"}),
+    (["frame", "census", "--m", "1"],
+     "usage: framedlie frame census [-h] --m M [--format {json,csv,markdown}]\n"
+     "                              [--seed SEED]\n",
+     {"cmd": "frame_census", "m": 1}),
+    (["frame", "orbifold", "--base", "odd:5,4,0"],
+     "usage: framedlie frame orbifold [-h] --base BASE [--choices CHOICES]\n"
+     "                                [--format {json,csv,markdown}] [--seed SEED]\n",
+     {"cmd": "frame_orbifold", "base": "odd:5,4,0", "choices": 3}),
+    (["frame", "pair", "--case", "pcl4_3"],
+     "usage: framedlie frame pair [-h] --case\n"
+     "                            {pcl5_3,pcl4_3,pcl4_4,pcl4_5,pcl4_6,niemeier_a17e7}\n"
+     "                            [--format {json,csv,markdown}] [--seed SEED]\n",
+     {"cmd": "frame_pair", "case": "pcl4_3"}),
+    (["lie", "solve", "--dim", "60"],
+     "usage: framedlie lie solve [-h] --dim DIM [--constraint CONSTRAINT]\n"
+     "                           [--format {json,csv,markdown}] [--seed SEED]\n",
+     {"cmd": "lie_solve", "dim": 60, "constraint": []}),
+    (["lie", "ledger"],
+     "usage: framedlie lie ledger [-h] [--ledger LEDGER]\n"
+     "                            [--format {json,csv,markdown}] [--seed SEED]\n",
+     {"cmd": "lie_ledger", "ledger": None}),
+    (["lie", "tables", "--which", "ta8"],
+     "usage: framedlie lie tables [-h] --which {ta8,ta16,lieframed}\n"
+     "                            [--ledger LEDGER] [--format {json,csv,markdown}]\n"
+     "                            [--seed SEED]\n",
+     {"cmd": "lie_tables", "which": "ta8", "ledger": None}),
+    (["verify"],
+     "usage: framedlie verify [-h] [--quick] [--ledger LEDGER]\n"
+     "                        [--format {json,csv,markdown}] [--seed SEED]\n",
+     {"cmd": "verify", "quick": False, "ledger": None, "format": None}),
+]
+
+
+def test_parser_usage_and_namespaces_are_pinned(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines at the terminal width
+
+    def subparsers(parser):
+        return next((a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)), {})
+
+    parser = cli.build_parser()
+    leaves = [
+        [name, *([sub] if sub else [])]
+        for name, p in subparsers(parser).items()
+        for sub in subparsers(p) or [None]
+    ]
+    def command_names(argv):
+        return argv[:2] if argv[0] in ("frame", "lie") else argv[:1]
+
+    assert sorted(leaves) == sorted(command_names(argv) for argv, _, _ in PARSER_PINS)
+    for argv, usage, values in PARSER_PINS:
+        names = command_names(argv)
+        leaf = parser
+        for name in names:
+            leaf = subparsers(leaf)[name]
+        assert leaf.format_usage() == usage, argv
+        want = {"command": names[0], **({"subcommand": names[1]} if names[1:] else {})}
+        want = {**want, "format": "json", "seed": 0, **values}
+        assert vars(parser.parse_args(argv)) == want, argv
 
 
 def test_main_reaches_cmd_patched_after_the_parser_is_built(capsys, monkeypatch):

@@ -293,6 +293,9 @@ def test_ledger_rejects_bad_text():
     bad = "case x\ntable ta8\ndim 60\nschellekens 1\nanswer A2,2\nuniqueness arithmetic\nend\n"
     with pytest.raises(UsageError):
         parse_ledger(bad)  # answer dimension off
+    bad = "case even(5,1,0)\ntable ta8\ndim 60\nschellekens 13\nanswer D4,4 (A2,2)^4\nuniqueness arithmetic\nend\n"
+    with pytest.raises(UsageError, match=r"^ledger line 1: case even\(5,1,0\): not a pair case, and "):
+        parse_ledger(bad)  # neither a pair id nor a builder case: the sign is missing
 
 
 def test_ledger_error_keeps_record_message():
