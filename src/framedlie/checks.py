@@ -33,11 +33,10 @@ def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
     def weight_one(case_str):
         expect("m = 5 builder cases", sorted(map(str, cases)), sorted(published))
         case = next(c for c in cases if str(c) == case_str)
-        sub = framed.build_case(case, seed=0)
-        expect(f"{case} seed 0: profile", framed.profile(sub), framed.lnumber_closed(case))
-        weight1 = framed.weight1_dim_triple(sub)
+        _, weight1, got = framed.weigh(case, 0)
+        expect(f"{case} seed 0: profile", got["profile"], got["profile_closed_form"])
         expect(f"{case} seed 0: weight-one value", weight1, published[case_str])
-        expect(f"{case} seed 0: classified as", framed.classify_triple(sub), case)
+        expect(f"{case} seed 0: classified as", got["classified"], case_str)
 
     for case_str in published:
         yield f"weight_one_{case_str}", (lambda c=case_str: weight_one(c))
@@ -82,14 +81,12 @@ def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
     }
 
     def pair(case_id):
-        value, row3, terms = pair_expect[case_id]
-        want = (value, row3, terms)
         for seed in range(5):
             # runs rho_invariants, which raises FalsificationError unless
             # the projection identities hold
-            data = framed.weight1_dim_pair(framed.build_pair_case(case_id, seed=seed))
-            got = (data["direct"], data["row3_in_rho1"], data["terms"])
-            expect(f"{case_id} seed {seed}: (direct, row 3, terms)", got, want)
+            _, value, data = framed.weigh(case_id, seed)
+            got = (value, data["row3_in_rho1"], tuple(data["terms"]))
+            expect(f"{case_id} seed {seed}: (direct, row 3, terms)", got, pair_expect[case_id])
 
     for case_id in pair_expect:
         yield f"pair_{case_id}", (lambda c=case_id: pair(c))
@@ -317,7 +314,7 @@ def verify_checks(quick: bool, records: tuple[liesolver.CaseRecord, ...]):
     def seeds():
         case = framed.even_case(5, 4, 1, "+")
         for seed in range(3):
-            got = framed.weight1_dim_triple(framed.build_case(case, seed))
+            got = framed.weigh(case, seed)[1]
             expect(f"{case} seed {seed}: weight-one value", got, 384)
 
     yield "seed_invariance", seeds

@@ -105,22 +105,22 @@ def _parse_case_token(token: str) -> framed.TCCase:
         raise UsageError(f"--base {token!r}, use even:m,k1,k2,[+-] or odd:m,k1,k2: {exc}") from None
 
 
+def _emit_case(case: framed.TCCase | str, args) -> dict:
+    """Weigh a builder or pair case at --seed and print its fields between its
+    name and its subspace rows; the printed payload is returned."""
+    sub, _, fields = framed.weigh(case, args.seed)
+    payload = {"case": str(case), **fields, "subspace": framed.to_text(sub).splitlines()}
+    _emit(payload, None, args)
+    return payload
+
+
 def cmd_frame_build(args) -> int:
     if args.type is None:
         case = framed.odd_case(args.m, args.k1, args.k2)
     else:
         eps = {"plus": "+", "minus": "-"}[args.type]
         case = framed.even_case(args.m, args.k1, args.k2, eps)
-    sub = framed.build_case(case, seed=args.seed)
-    payload = {
-        "case": str(case),
-        "profile": list(framed.profile(sub)),
-        "profile_closed_form": list(framed.lnumber_closed(case)),
-        "weight1": framed.weight1_dim_triple(sub),
-        "classified": str(framed.classify_triple(sub)),
-        "subspace": framed.to_text(sub).splitlines(),
-    }
-    _emit(payload, None, args)
+    payload = _emit_case(case, args)
     ok = payload["classified"] == str(case) and payload["profile"] == payload[
         "profile_closed_form"
     ]
@@ -132,7 +132,7 @@ def cmd_frame_classify(args) -> int:
         text = sys.stdin.read()
     else:
         try:
-            with open(args.input) as fh:
+            with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read --input {args.input!r}: {exc}") from None
@@ -191,21 +191,7 @@ def cmd_frame_orbifold(args) -> int:
 
 
 def cmd_frame_pair(args) -> int:
-    sub = framed.build_pair_case(args.case, seed=args.seed)
-    data = framed.weight1_dim_pair(sub)
-    payload = {
-        "case": args.case,
-        "dim_rho1": data["dim_rho1"],
-        "dim_rho1_of_kernel": data["dim_rho1_of_kernel"],
-        "dim_rho2_of_kernel": data["dim_rho2_of_kernel"],
-        "weight1_formula": sum(data["terms"]),
-        "weight1_direct": data["direct"],
-        "terms": list(data["terms"]),
-        "row3_in_rho1": data["row3_in_rho1"],
-        "kernel_rows": {str(k): v for k, v in data["kernel_rows"].items() if v},
-        "subspace": framed.to_text(sub).splitlines(),
-    }
-    _emit(payload, None, args)
+    _emit_case(args.case, args)
     return EXIT_OK
 
 

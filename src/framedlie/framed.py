@@ -878,7 +878,8 @@ def rho_invariants(s: MtsSubspace) -> dict:
 
 def weight1_dim_pair(s: MtsSubspace) -> dict:
     """Weight-one dimension two ways: direct enumeration and the five-term
-    projection formula; a mismatch aborts loudly.
+    projection formula; a mismatch aborts loudly.  The fields are those
+    `frame pair` prints, in its order.
 
     A vector counts when the doubled lowest weights of its X and V labels
     add to 2, with the product of their lowest dims.  The walk lists the X
@@ -903,17 +904,16 @@ def weight1_dim_pair(s: MtsSubspace) -> dict:
     for row, (lw2, dim) in enumerate(TABLE_ROW_LOWEST2):
         if row and lw2 <= 2:
             direct += keys.count(row | (2 - lw2) << 4) * dim * RV_DIM[2 - lw2]
-    kernel_rows = Counter(rows[1 << len(rest) :: 1 << len(rest)])
-    rows_hist = {r: kernel_rows[r] for r in range(1, 9)}
+    kernel_rows = Counter(rows[1 << len(rest) :: 1 << len(rest)])  # ker but 0: rows 1..8
     # projecting onto X maps s onto rho1, 2^(dim s - dim rho1) to one
     n_row3_full, odd = divmod(rows.count(3), 1 << (s.sub.dim - inv["rho1"].dim))
     if odd:
         raise FalsificationError("row-3 count of s is not a multiple of the rho1 fibre")
     size_ker1 = 1 << inv["rho2_of_kernel1"].dim
     terms = (
-        16 * rows_hist[2],
-        4 * rows_hist[4],
-        rows_hist[7],
+        16 * kernel_rows[2],
+        4 * kernel_rows[4],
+        kernel_rows[7],
         8 * (size_ker1 - 1),
         n_row3_full * size_ker1,
     )
@@ -922,11 +922,34 @@ def weight1_dim_pair(s: MtsSubspace) -> dict:
             f"weight-one mismatch: direct {direct} vs formula terms {terms}"
         )
     return {
-        "terms": terms,
-        "direct": direct,
-        "kernel_rows": rows_hist,
-        "row3_in_rho1": n_row3_full,
         "dim_rho1": inv["rho1"].dim,
         "dim_rho1_of_kernel": inv["rho1_of_kernel2"].dim,
         "dim_rho2_of_kernel": inv["rho2_of_kernel1"].dim,
+        "weight1_formula": sum(terms),
+        "weight1_direct": direct,
+        "terms": list(terms),
+        "row3_in_rho1": n_row3_full,
+        "kernel_rows": {str(r): n for r, n in sorted(kernel_rows.items())},
     }
+
+
+def read_case(text: str) -> TCCase | str:
+    """The case a ledger id names: a pair id as it is, else the builder case it prints."""
+    return text if text in PAIR_CASE_IDS else parse_case(text)
+
+
+def weigh(case: TCCase | str, seed: int) -> tuple[MtsSubspace, int, dict]:
+    """Build a builder case or a pair case (its id) at seed: the subspace, its
+    weight-one dimension and the fields `frame build` or `frame pair` prints."""
+    if isinstance(case, str):
+        sub = build_pair_case(case, seed)
+        fields = weight1_dim_pair(sub)
+        return sub, fields["weight1_direct"], fields
+    sub = build_case(case, seed)
+    fields = {
+        "profile": list(profile(sub)),
+        "profile_closed_form": list(lnumber_closed(case)),
+        "weight1": weight1_dim_triple(sub),
+        "classified": str(classify_triple(sub)),
+    }
+    return sub, fields["weight1"], fields

@@ -10,7 +10,8 @@ declarative per-case constraints shipped in a ledger data file.
 Ledger schema (plain text, one record per case; '#' starts a comment
 anywhere on a line):
 
-    case <case-id>            a pair id, or a builder case as str(TCCase) prints it
+    case <case-id>            a pair id, or a builder case as str(TCCase) prints it;
+                              framed.read_case is the one reader of case ids
     table <ta8|ta16>
     dim <int>                 published weight-one dimension
     schellekens <int>         row number in the reference list
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import tables
+from . import framed, tables
 from .gf2 import FalsificationError, UsageError
 
 MAX_TOTAL_RANK = 24
@@ -433,8 +434,6 @@ def parse_ledger(text: str) -> list[CaseRecord]:
 
 
 def _validate_record(rec: CaseRecord) -> None:
-    from . import framed
-
     if rec.table not in ("ta8", "ta16"):
         raise UsageError(f"case {rec.case_id}: bad table {rec.table!r}")
     if rec.dim <= 24:
@@ -448,11 +447,10 @@ def _validate_record(rec: CaseRecord) -> None:
     for alt in rec.also:
         if alt.total_dim != rec.dim:
             raise UsageError(f"case {rec.case_id}: alternate dimension is off")
-    if rec.case_id not in framed.PAIR_CASE_IDS:  # a builder case, as str(TCCase) prints it
-        try:
-            framed.parse_case(rec.case_id)
-        except UsageError as exc:
-            raise UsageError(f"case {rec.case_id}: not a pair case, and {exc}") from None
+    try:
+        framed.read_case(rec.case_id)
+    except UsageError as exc:
+        raise UsageError(f"case {rec.case_id}: not a pair case, and {exc}") from None
 
 
 def load_ledger(path: str | None = None) -> tuple[CaseRecord, ...]:
@@ -482,18 +480,9 @@ class CaseReport:
         return not self.problems
 
 
-def _computed_dim(case_id: str) -> int:
-    """Weight-one dimension of the pair case or builder case that case_id names."""
-    from . import framed
-
-    if case_id in framed.PAIR_CASE_IDS:
-        return framed.weight1_dim_pair(framed.build_pair_case(case_id, seed=0))["direct"]
-    return framed.weight1_dim_triple(framed.build_case(framed.parse_case(case_id), seed=0))
-
-
 def run_case(rec: CaseRecord) -> CaseReport:
     problems: list[str] = []
-    dim = _computed_dim(rec.case_id)
+    dim = framed.weigh(framed.read_case(rec.case_id), 0)[1]
     if dim != rec.dim:
         problems.append(f"computed dimension {dim} != published {rec.dim}")
     sols = decompose(rec.dim, rec.constraints)

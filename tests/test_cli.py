@@ -65,6 +65,7 @@ def test_bad_flags_exit_2(monkeypatch):
     for argv in (
         ["qspace", "--dim", "10", "--type", "banana"],
         ["frame", "orbifold", "--base", "odd:5,4,0", "--w", "other"],
+        ["frame", "pair", "--case", "nope"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -146,6 +147,10 @@ def test_frame_classify_bad_input_exits_2(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("usage error: "), text
     code, _ = run(capsys, "frame", "classify", "--input", str(tmp_path / "missing.txt"))
     assert code == 2
+    p.write_bytes(b"ambient=triple m=1\n\xff\xfe\n")  # not UTF-8
+    code = main(["frame", "classify", "--input", str(p)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("usage error: cannot read --input ")
 
 
 def test_bad_tokens_exit_2(capsys):
@@ -316,7 +321,7 @@ def test_verify_quick(capsys):
 def _consistent_corruption(tmp_path):
     """A ledger with a parseable, dimension-consistent answer that is not a
     solution: `lie ledger` and the verify checks find the mismatch."""
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     bad = text.replace("answer A8,2 F4,2", "answer A7,1 A5,1 A4,1 C2,1", 1)
     assert bad != text
     p = tmp_path / "bad.ledger"
@@ -325,7 +330,7 @@ def _consistent_corruption(tmp_path):
 
 
 def test_ledger_rewritten_between_calls_is_read_again(capsys, tmp_path):
-    good = open(default_ledger_path()).read()
+    good = Path(default_ledger_path()).read_text(encoding="utf-8")
     p = tmp_path / "one.ledger"
     codes = []
     for text in (good, _consistent_corruption(tmp_path).read_text(), good):
@@ -359,6 +364,20 @@ def test_python_dash_m_framedlie():
     assert [d.returncode for d in done] == [0, 2, 3], [d.stderr for d in done]
     assert json.loads(done[0].stdout)["singular_nonzero"] == 9
     assert done[2].stderr == "resource guard: full census only at m = 1 and 2\n"
+
+
+def test_runs_clean_under_dev_mode_with_warnings_as_errors():
+    # unclosed files, default-encoding opens and other warnings fail the run
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    flags = ["-X", "dev", "-X", "warn_default_encoding", "-W", "error", "-m", "framedlie"]
+    for argv in (
+        ["verify", "--quick"],
+        ["frame", "classify", "--input", str(root / "tests" / "golden" / "classify_input.txt")],
+    ):
+        done = subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, ""), argv
 
 
 def test_importing_the_main_module_runs_nothing(capsys):
@@ -445,7 +464,7 @@ def test_uncaught_exception_exits_4(capsys, monkeypatch):
 
 def test_ledger_bad_case_id_exits_2(capsys, monkeypatch, tmp_path):
     checks_only(monkeypatch, "lie_")  # the checks that read the ledger
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     p = tmp_path / "bad.ledger"
     for old, new in (
         ("case even(5,1,0,+)", "case even(5,1,0)"),
@@ -466,7 +485,7 @@ def test_ledger_bad_case_id_exits_2(capsys, monkeypatch, tmp_path):
 
 
 def test_ledger_record_guards_exit_2(capsys, tmp_path):
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     p = tmp_path / "bad.ledger"
     for old, new, message in (
         ("\ndim 60\n", "\ndim x\n", "line 11: 'dim x'"),
@@ -474,6 +493,8 @@ def test_ledger_record_guards_exit_2(capsys, tmp_path):
         ("\nanswer D4,4 (A2,2)^4\n", "\n", "line 9: case even(5,1,0,+): missing answer"),
         ("\ntable ta8\n", "\ntable ta24\n", "line 9: case even(5,1,0,+): bad table 'ta24'"),
         ("\nalso (E8,1)^3\n", "\nalso (E8,1)^2\n", "line 46: case even(5,5,0,+): alternate dimension is off"),
+        ("case pcl4_6\n", "case pcl9_9\n", "line 190: case pcl9_9: not a pair case, and bad case "
+         "'pcl9_9'; write even(m,k1,k2,+|-) or odd(m,k1,k2)"),
     ):
         assert old in text
         p.write_text(text.replace(old, new, 1))
@@ -510,7 +531,7 @@ def test_negative_constraint_value_exits_2(capsys, tmp_path):
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", token
         assert captured.err.startswith("usage error: constraint values are "), captured.err
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     p = tmp_path / "bad.ledger"
     for old, new, line in (
         ("constraint rank:16", "constraint rank:-1", 61),
@@ -528,7 +549,7 @@ def test_negative_constraint_value_exits_2(capsys, tmp_path):
 
 
 def test_ledger_constraint_missing_key_exits_2(capsys, tmp_path):
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     p = tmp_path / "bad.ledger"
     for old, new, message in (
         ("ideal:28:4", "ideal:", "line 13: expected integers in 'ideal:'"),
@@ -546,7 +567,7 @@ def test_ledger_constraint_missing_key_exits_2(capsys, tmp_path):
 
 
 def test_ledger_extra_tokens_exit_2(capsys, tmp_path):
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     p = tmp_path / "bad.ledger"
     for old, new, line in (
         ("\ndim 60\n", "\ndim 60 84\n", 11),
@@ -570,7 +591,7 @@ def _ledger_tokens():
     """Each ledger record with its constraint tokens as the ledger text
     writes them."""
     tokens: dict[str, list[str]] = {}
-    for line in open(default_ledger_path()):
+    for line in Path(default_ledger_path()).read_text(encoding="utf-8").splitlines():
         words = line.partition("#")[0].split()
         if words[:1] == ["case"]:
             case_tokens = tokens.setdefault(words[1], [])
@@ -754,7 +775,7 @@ def test_verify_quick_detects_corruption(capsys, monkeypatch, tmp_path):
     assert ledger["status"] == "FAIL"
     assert ledger["error"].startswith("FalsificationError: ledger cases with problems [('pcl5_3', ")
     # a malformed ledger is a usage error, found before any check runs
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     p = tmp_path / "malformed.ledger"
     p.write_text(text.replace("answer C10,1 B6,1", "answer (A10,1)^2 B6,1"))
     code = main(["verify", "--quick", "--ledger", str(p), "--format", "json"])
@@ -764,7 +785,7 @@ def test_verify_quick_detects_corruption(capsys, monkeypatch, tmp_path):
 
 
 def test_ledger_flag_reaches_lieframed_coverage(capsys, monkeypatch, tmp_path):
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     # row 13 of the lieframed table has this ledger case as its only source
     p = tmp_path / "bad.ledger"
     p.write_text(text.replace("answer D4,4 (A2,2)^4", "answer D4,1 (A2,1)^4", 1))
@@ -781,7 +802,7 @@ def test_ledger_flag_reaches_lieframed_coverage(capsys, monkeypatch, tmp_path):
 def test_unsound_case_is_no_lieframed_source(capsys, monkeypatch, tmp_path):
     # the solver does not find this extra solution, so the case has a
     # problem; row 13 of the lieframed table has this case as its only source
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     end = text.index("end\n", text.index("case even(5,1,0,+)"))
     p = tmp_path / "also.ledger"
     p.write_text(text[:end] + "also A6,1 (A1,1)^4\n" + text[end:])
@@ -801,7 +822,7 @@ def test_unsound_case_is_no_lieframed_source(capsys, monkeypatch, tmp_path):
 
 
 def test_ledger_missing_a_published_case_is_a_mismatch(capsys, monkeypatch, tmp_path):
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     record = text[text.index("case odd(5,3,1)") :]
     record = record[: record.index("end\n") + 4]
     p = tmp_path / "short.ledger"
@@ -831,7 +852,7 @@ def test_ledger_missing_a_published_case_is_a_mismatch(capsys, monkeypatch, tmp_
 def test_lie_tables_and_verify_agree_on_an_unsound_case(capsys, monkeypatch, tmp_path):
     # even(5,5,0,+) has two solutions, so calling it arithmetic-unique is a
     # problem of the case even though its row values agree with TA8
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     record = text.index("case even(5,5,0,+)")
     flipped = text[record:].replace("uniqueness identification-only", "uniqueness arithmetic", 1)
     p = tmp_path / "flipped.ledger"

@@ -125,6 +125,20 @@ def test_valid_params_text_and_order():
     assert digest == "1d7c8d32baaa1819d4e1308089bb64a71069fca8507fc930a0b8a259c9cc0dbe"
 
 
+def test_read_case_reads_back_every_case_id():
+    texts = [str(case) for m in range(1, 11) for case in valid_params(m)]
+    texts += framed.PAIR_CASE_IDS
+    assert len(texts) == 215 + 6
+    for text in texts:
+        assert str(framed.read_case(text)) == text
+
+
+@pytest.mark.parametrize("text", ["cond1", "cond2", "even(5,1,0)", "pcl4_6 "])
+def test_read_case_rejects(text):
+    with pytest.raises(UsageError):
+        framed.read_case(text)
+
+
 @pytest.mark.parametrize("text", [
     "odd(05,4,0)", "odd(5,4,0", "even(5,1,0)", "cond1", "cond2", "odd(5, 4,0)", "odd(5,4,0) ",
     "odd(+5,4,0)", "odd(5,4,0,)", "even(5,1,0,+,)", "odd(x,4,0)", "odd(5,4,0)()", "even(5,2,0,+)",
@@ -205,7 +219,7 @@ def test_builders_seed_sweep():
             assert weight1_dim_triple(sub) == WEIGHT1_PUBLISHED[str(case)]
     for case_id, value in (("pcl5_3", 132), ("pcl4_4", 216)):
         for seed in (1, 2):
-            assert weight1_dim_pair(build_pair_case(case_id, seed=seed))["direct"] == value
+            assert weight1_dim_pair(build_pair_case(case_id, seed=seed))["weight1_direct"] == value
     # every pair case builds at seeds 0-99, with the projection dimensions
     # of its seed-0 build
     for case_id in framed.PAIR_CASE_IDS:
@@ -953,8 +967,8 @@ def test_pair_case_smoke():
     s = build_pair_case("pcl4_6", seed=0)
     s.validate()
     data = weight1_dim_pair(s)
-    assert data["direct"] == 72
-    assert data["terms"] == (0, 12, 12, 0, 48)
+    assert data["weight1_direct"] == 72
+    assert data["terms"] == [0, 12, 12, 0, 48]
     assert data["row3_in_rho1"] == 48
     assert (data["dim_rho1"], data["dim_rho2_of_kernel"]) == (14, 0)
 
@@ -1036,13 +1050,14 @@ def _weight1_oracle(s: MtsSubspace) -> dict:
         n_row3_full * size_ker1,
     )
     return {
-        "terms": terms,
-        "direct": direct,
-        "kernel_rows": rows_hist,
-        "row3_in_rho1": n_row3_full,
         "dim_rho1": inv["rho1"].dim,
         "dim_rho1_of_kernel": inv["rho1_of_kernel2"].dim,
         "dim_rho2_of_kernel": inv["rho2_of_kernel1"].dim,
+        "weight1_formula": sum(terms),
+        "weight1_direct": direct,
+        "terms": list(terms),
+        "row3_in_rho1": n_row3_full,
+        "kernel_rows": {str(r): n for r, n in rows_hist.items() if n},
     }
 
 
@@ -1079,13 +1094,14 @@ def _weight1_three_walks(s: MtsSubspace) -> dict:
         n_row3_full * size_ker1,
     )
     return {
-        "terms": terms,
-        "direct": direct,
-        "kernel_rows": rows_hist,
-        "row3_in_rho1": n_row3_full,
         "dim_rho1": inv["rho1"].dim,
         "dim_rho1_of_kernel": inv["rho1_of_kernel2"].dim,
         "dim_rho2_of_kernel": inv["rho2_of_kernel1"].dim,
+        "weight1_formula": sum(terms),
+        "weight1_direct": direct,
+        "terms": list(terms),
+        "row3_in_rho1": n_row3_full,
+        "kernel_rows": {str(r): n for r, n in rows_hist.items() if n},
     }
 
 

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -299,7 +300,7 @@ def test_ledger_rejects_bad_text():
 
 
 def test_ledger_error_keeps_record_message():
-    text = open(default_ledger_path()).read()
+    text = Path(default_ledger_path()).read_text(encoding="utf-8")
     bad = text.replace("answer C10,1 B6,1", "answer (A10,1)^2 B6,1")  # pcl4_3, dim 318
     # a record-level error points at the record's 'case' line
     message = r"^ledger line 162: case pcl4_3: answer dimension is off$"
@@ -308,7 +309,7 @@ def test_ledger_error_keeps_record_message():
 
 
 def test_corrupted_ledger_detected():
-    records = parse_ledger(open(default_ledger_path()).read())
+    records = parse_ledger(Path(default_ledger_path()).read_text(encoding="utf-8"))
     target = next(r for r in records if r.case_id == "even(5,4,1,+)")
     target.answer = parse_decomposition("(B8,1)^2 A14,1")  # dim 496: wrong on purpose
     target.dim = 496
@@ -323,7 +324,7 @@ def test_corrupted_ledger_detected():
     assert any("not a solver output" in p for p in rep2.problems)
 
 
-LEDGER_LINES = open(default_ledger_path()).read().splitlines()
+LEDGER_LINES = Path(default_ledger_path()).read_text(encoding="utf-8").splitlines()
 FIELD_LINES = [i for i, ln in enumerate(LEDGER_LINES) if ln.strip() and not ln.startswith("#")]
 
 

@@ -5,6 +5,7 @@ but argparse's own exit 2; exit 4, an internal error, fails."""
 
 import contextlib
 import io
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -116,7 +117,7 @@ def ledgers(tmp_path_factory):
     """Corrupted ledger files by kind: the first three make every command
     that reads --ledger exit 2; the last is parseable but wrong, exit 1."""
     root = tmp_path_factory.mktemp("ledgers")
-    text = open(liesolver.default_ledger_path()).read()
+    text = Path(liesolver.default_ledger_path()).read_text(encoding="utf-8")
     paths = {kind: root / f"{kind}.ledger" for kind in ("missing", "latin1", "malformed", "wrong")}
     paths["latin1"].write_bytes("case caf\xe9\n".encode("latin-1"))
     paths["malformed"].write_text(text.replace("answer C10,1 B6,1", "answer (A10,1)^2 B6,1"))
