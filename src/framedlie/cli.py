@@ -401,7 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.cmd}"](args)
+        code = globals()[f"cmd_{args.cmd}"](args)
+        sys.stdout.flush()  # a closed reader surfaces here, not in the interpreter's final flush
+        return code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -412,8 +414,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"falsification: {exc}", file=sys.stderr)
         return EXIT_FALSIFIED
     except BrokenPipeError:
-        # the reader closed stdout; keep the interpreter's final flush quiet
-        sys.stdout = open(os.devnull, "w")
+        # the reader closed stdout: point its descriptor, not the bound stream, at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_OK
     except Exception:  # an error in the program, not a finding: exit 1 means a mismatch
         traceback.print_exc()

@@ -283,13 +283,13 @@ def build_case(case: TCCase, seed: int = 0) -> MtsSubspace:
     u = space.perp(subspace_sum(q, b))
     if q.dim != m - k1 + k2 - odd or t.dim != m + k1 - k2 - odd or u.dim != t.dim:
         raise FalsificationError(f"{case.kind} builder produced wrong block dimensions")
-    phi = isometry(space, t, u, rng)
+    graph = isometry(space, t, u, rng)
     embed = amb.embed
     rows = [embed(v, 0) for v in s1.rows]
     rows += [embed(v, 1) for v in s2.rows]
     rows += [embed(v, 0) | embed(v, 1) for v in p.rows]
     rows += [embed(v, 0) | embed(v, 2) for v in q.rows]
-    rows += [embed(v, 1) | embed(phi.apply(v), 2) for v in t.rows]
+    rows += [embed(a, 1) | embed(x, 2) for a, x in graph]
     components = {}
     if odd:
         rows += [embed(y, 0) | embed(y, 1), embed(y, 0) | embed(y, 2), embed(z, 0) | embed(z, 1) | embed(z, 2)]
@@ -833,8 +833,8 @@ def build_pair_case(case_id: str, seed: int = 0) -> MtsSubspace:
     k = rref(_singular_line_basis(p.dim - 4), 10)
     c = complement_in(p, amb.coords.space.perp(p), rng)
     w = complement_in(k, amb.rv.space.perp(k), rng)
-    phi = isometry(amb.space, rref(c.rows, 28), rref([r << 18 for r in w.rows], 28), rng)
-    rows = [*p.rows, *(r << 18 for r in k.rows), *(x ^ phi.apply(x) for x in c.rows)]
+    graph = isometry(amb.space, rref(c.rows, 28), rref([r << 18 for r in w.rows], 28), rng)
+    rows = [*p.rows, *(r << 18 for r in k.rows), *(a ^ x for a, x in graph)]
     out = MtsSubspace(amb, rref(rows, 28))
     out.validate()
     if _rho_kernel_projection(out.sub, side=0).rows != p.rows:

@@ -1,6 +1,6 @@
 """Bit-packed GF(2) vectors, subspaces, row reduction, row combination by a
-mask, the span of rows, table reads by index lists, linear maps given on a
-basis and the Walsh-Hadamard transform.
+mask, the span of rows, table reads by index lists and the Walsh-Hadamard
+transform.
 
 Vectors live in ``F_2^width`` with coordinate ``i`` stored in bit ``i`` of a
 Python int (LSB = first coordinate), at most ``MAX_WIDTH`` = 64 of them (the
@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 MAX_WIDTH = 64
 ENUM_GUARD = 28
-_LOW = (1 << MAX_WIDTH) - 1  # the coordinates of a vector; a LinearMap packs images above them
 
 
 class UsageError(Exception):
@@ -88,36 +87,6 @@ def gather(table, indices: Sequence) -> tuple:
     if len(indices) < 2:  # itemgetter(i) returns the bare item, not a 1-tuple
         return tuple(table[i] for i in indices)
     return itemgetter(*indices)(table)
-
-
-class LinearMap:
-    """A linear map on the span of a (not necessarily rref) basis, given by
-    the images of that basis.
-
-    Each basis vector is packed with its image above bit MAX_WIDTH, and the
-    pairs are eliminated once on their low parts (_residues), so every kept
-    row is a sum of basis vectors packed with the sum of their images.
-    """
-
-    def __init__(self, basis: Sequence[int], images: Sequence[int]):
-        if len(images) != len(basis):
-            raise UsageError("need one image per basis vector")
-        if any(x >> MAX_WIDTH for x in basis):
-            raise UsageError("vector has bits beyond ambient width")
-        rows = _residues([x | y << MAX_WIDTH for x, y in zip(basis, images)], _LOW)
-        if not all(r & _LOW for r in rows):
-            raise UsageError("basis rows are dependent")
-        self.rows = [(r & -r, r) for r in rows]  # (pivot bit, packed row)
-
-    def apply(self, v: int) -> int:
-        """One packed row XORed per pivot of v; the image is what lies above bit MAX_WIDTH."""
-        out = v
-        for low, r in self.rows:
-            if out & low:
-                out ^= r
-        if v >> MAX_WIDTH or out & _LOW:
-            raise UsageError("vector not in span")
-        return out >> MAX_WIDTH
 
 
 def rref_ints(rows: Iterable[int]) -> list[int]:

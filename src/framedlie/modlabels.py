@@ -30,7 +30,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .gf2 import FalsificationError, LinearMap, UsageError
+from .gf2 import FalsificationError, UsageError, apply_map, rref_ints
 from .quadspace import QuadraticSpace, standard_plus
 
 N_COORDS = 16
@@ -397,8 +397,9 @@ class RXCoordinates:
     """Linear coordinates on the label group with its quadratic form.
 
     Eighteen group-independent labels are fixed; any label is decomposed by
-    pairing against them and solving in the rows of the symmetric Gram
-    matrix.  The transported form lives on F_2^18 as a QuadraticSpace.
+    pairing against them and applying the rows of the inverse of their
+    symmetric Gram matrix G.  The transported form lives on F_2^18 as a
+    QuadraticSpace.
     """
 
     def __init__(self) -> None:
@@ -411,10 +412,11 @@ class RXCoordinates:
             for i in range(n)
         )
         self.q_values = tuple(_qx(b) for b in self.basis)
-        try:
-            self._solve = LinearMap(self.gram_rows, [1 << i for i in range(n)]).apply
-        except UsageError:
-            raise FalsificationError("Gram matrix of the label basis is singular") from None
+        # [G | I] reduces to [I | G^-1] exactly when G is invertible
+        rows = rref_ints(g | 1 << (n + i) for i, g in enumerate(self.gram_rows))
+        if [r & ((1 << n) - 1) for r in rows] != [1 << i for i in range(n)]:
+            raise FalsificationError("Gram matrix of the label basis is singular")
+        self.inverse_rows = tuple(r >> n for r in rows)
         u_rows = []
         for i in range(n):
             row = self.q_values[i] << i
@@ -427,11 +429,8 @@ class RXCoordinates:
                 raise FalsificationError("chosen label basis is group-dependent")
 
     def to_coords(self, label: RXLabel) -> int:
-        x = label.packed
-        p = 0
-        for i, b in enumerate(self.basis):
-            p |= _pairing(x, b) << i
-        return self._solve(p)
+        pairings = sum(_pairing(label.packed, b) << i for i, b in enumerate(self.basis))
+        return apply_map(self.inverse_rows, pairings)
 
     def packed_label(self, coords: int) -> int:
         """The packed label with these coordinates: a sum of basis labels."""

@@ -29,7 +29,6 @@ from typing import Sequence
 from .gf2 import (
     ENUM_GUARD,
     FalsificationError,
-    LinearMap,
     ResourceLimitError,
     Subspace,
     UsageError,
@@ -328,8 +327,9 @@ def isometry(
     t: Subspace,
     u: Subspace,
     rng: random.Random | None = None,
-) -> LinearMap:
-    """A q-preserving bijection t -> u between non-singular subspaces.
+) -> list[tuple[int, int]]:
+    """A q-preserving bijection t -> u between non-singular subspaces, as
+    matched bases: pairs (a, x) of a basis vector a of t and its image x.
 
     Both sides are reduced to normalized symplectic bases which are then
     matched up; equal dimension and equal type (an anisotropic last pair on
@@ -338,20 +338,21 @@ def isometry(
     if t.dim != u.dim:
         raise UsageError("isometry requires equal dimensions")
     if t.dim == 0:
-        return LinearMap((), ())
+        return []
     t_pairs, u_pairs = symplectic_basis(space, t, rng), symplectic_basis(space, u, rng)
     if space.q(t_pairs[-1][0]) != space.q(u_pairs[-1][0]):
         raise UsageError("isometry requires equal types")
     tb = [v for pair in t_pairs for v in pair]
     ub = [v for pair in u_pairs for v in pair]
-    for i, (a, x) in enumerate(zip(tb, ub)):
+    pairs = list(zip(tb, ub))
+    for i, (a, x) in enumerate(pairs):
         if space.q(x) != space.q(a):
             raise FalsificationError("isometry failed to preserve q on a basis vector")
         fa, fx = space.functional(a), space.functional(x)
-        for b, y in zip(tb[:i], ub[:i]):
+        for b, y in pairs[:i]:
             if (fx & y).bit_count() & 1 != (fa & b).bit_count() & 1:
                 raise FalsificationError("isometry failed to preserve the pairing")
-    return LinearMap(tb, ub)
+    return pairs
 
 
 def nonsingular_inside(

@@ -190,17 +190,33 @@ def test_qspace_refuses_a_wide_dim_before_building_the_form(capsys):
 
 
 def test_closed_stdout_exits_0(monkeypatch):
-    class ClosedPipe:
-        def write(self, text):
-            raise BrokenPipeError
+    # a block-buffered stream on a pipe whose reader is gone: main's flush meets the
+    # closed pipe, and main leaves the stream bound, its descriptor sent to devnull
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", encoding="utf-8") as closed:
+        monkeypatch.setattr(sys, "stdout", closed)
+        assert main(["qspace", "--dim", "4", "--type", "plus"]) == 0
+        assert sys.stdout is closed
 
-        def flush(self):
-            pass
 
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
-    code = main(["qspace", "--dim", "4", "--type", "plus"])
-    sys.stdout.close()  # the devnull handle main swapped in
-    assert code == 0
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_0_in_strict_mode(unbuffered):
+    # the reader is gone before the child writes, as after `| head -1` has its
+    # line: the child meets the closed pipe by its first write (unbuffered) or by
+    # main's flush, and must neither warn nor exit 1, which means a mismatch
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONUNBUFFERED": unbuffered}
+    flags = ["-X", "dev", "-X", "warn_default_encoding", "-W", "error", "-m", "framedlie"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, *flags, "lie", "ledger", "--format", "csv"],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=300)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_frame_census_m1(capsys):
@@ -374,6 +390,8 @@ def test_runs_clean_under_dev_mode_with_warnings_as_errors():
     for argv in (
         ["verify", "--quick"],
         ["frame", "classify", "--input", str(root / "tests" / "golden" / "classify_input.txt")],
+        ["frame", "pair", "--case", "pcl4_6"],
+        ["frame", "build", "--m", "10", "--k1", "3", "--k2", "1", "--type", "plus"],
     ):
         done = subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True,
                               text=True, timeout=300)

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from framedlie import modlabels
-from framedlie.gf2 import FalsificationError, UsageError
+from framedlie.gf2 import FalsificationError, UsageError, apply_map
 from framedlie.modlabels import (
     CHI0_PLUS,
     TABLE_ROW_LOWEST2,
@@ -579,6 +579,28 @@ def test_coordinatize_roundtrip_and_census():
         assert coords.to_coords(rx_add(a, b)) == coords.to_coords(a) ^ coords.to_coords(b)
     # the transported form is a plus-type space of dimension 18
     assert singular_census(coords.space) == (131327, 130816)
+
+
+def test_coordinate_inverse_rows_invert_the_gram_rows():
+    coords = coordinatize()
+    assert [apply_map(coords.gram_rows, r) for r in coords.inverse_rows] == [1 << i for i in range(18)]
+
+
+@pytest.mark.parametrize(
+    "pairing, message",
+    [
+        (lambda x, y: 0, "Gram matrix of the label basis is singular"),
+        # the Gram rows leave out the diagonal, so a label paired with itself to 1
+        # keeps G invertible and sends each basis label off its own coordinate
+        (lambda x, y, real=modlabels._pairing: real(x, y) ^ (x == y),
+         "chosen label basis is group-dependent"),
+    ],
+    ids=["singular", "group-dependent"],
+)
+def test_coordinates_self_checks_fire(monkeypatch, pairing, message):
+    monkeypatch.setattr(modlabels, "_pairing", pairing)
+    with pytest.raises(FalsificationError, match=message):
+        modlabels.RXCoordinates()
 
 
 def test_coordinatize_transported_form_matches_qx():

@@ -281,30 +281,29 @@ def test_max_ts_extend_rejects_nonsingular_partial():
         max_ts_extend(standard_plus(4), rref([0b0011], 4), seed=0)
 
 
+def _assert_matched_bases(space, t, u, pairs):
+    """pairs (a, x) keep q and the pairing, the a span t and the x span u."""
+    assert all(space.q(x) == space.q(a) for a, x in pairs)
+    for a, x in pairs:
+        for b, y in pairs:
+            assert space.bilinear(x, y) == space.bilinear(a, b)
+    assert rref([a for a, _ in pairs], space.dim) == t
+    assert rref([x for _, x in pairs], space.dim) == u
+
+
 def test_isometry_identity_admissible():
     space = standard_plus(4)
     t = rref([0b0001, 0b0010], 4)
-    phi = isometry(space, t, t, random.Random(0))
-    for v in span(t.rows):
-        assert t.contains(phi.apply(v))
-        assert space.q(phi.apply(v)) == space.q(v)
+    _assert_matched_bases(space, t, t, isometry(space, t, t, random.Random(0)))
 
 
 def test_isometry_disjoint_planes():
     space = standard_plus(4)
     t = rref([0b0001, 0b0010], 4)
     u = rref([0b0100, 0b1000], 4)
-    phi = isometry(space, t, u, random.Random(1))
-    seen = set()
-    for v in span(t.rows):
-        w = phi.apply(v)
-        assert u.contains(w)
-        assert space.q(w) == space.q(v)
-        seen.add(w)
-    assert len(seen) == 4
-    for a in span(t.rows):
-        for b in span(t.rows):
-            assert space.bilinear(phi.apply(a), phi.apply(b)) == space.bilinear(a, b)
+    pairs = isometry(space, t, u, random.Random(1))
+    assert len(pairs) == 2
+    _assert_matched_bases(space, t, u, pairs)
 
 
 def test_isometry_type_mismatch():
@@ -332,8 +331,7 @@ def test_isometry_rejects_a_broken_pairing(monkeypatch):
             pairs[1] = (e1 ^ e0, f1)
         return pairs
 
-    phi = isometry(space, t, u, random.Random(2))
-    assert all(space.q(phi.apply(v)) == space.q(v) for v in span(t.rows))
+    _assert_matched_bases(space, t, u, isometry(space, t, u, random.Random(2)))
     monkeypatch.setattr(quadspace, "symplectic_basis", broken)
     with pytest.raises(FalsificationError, match="pairing"):
         isometry(space, t, u, random.Random(2))
